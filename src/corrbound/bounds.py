@@ -11,27 +11,30 @@ trivial bound (twice the score-product prefactor) and clears the flag
 rather than erroring. A ratio of 0/0 (frozen processes) is defined as
 0 so vacuous bounds pass instead of producing NaN.
 
+Every bound reads off the same per-time quantities, which one plan per
+model (``_Plan``) computes once on a set of knots; each bound is one
+formula over them in the ``_BOUNDS`` table, and the public ``bound_*``
+functions evaluate it on a plan over their own times.
+
 The activity integral is evaluated after substituting t = s^2, which
-removes the integrable endpoint singularity at t1 = 0, with adaptive
-Gauss-Legendre panels refined to absolute tolerance 1e-9. Failure to
-converge within 20 refinement levels raises instead of returning a
-silently loose value. Steady-state starts short-circuit to the closed
-form sqrt(a) * (sqrt(t2) - sqrt(t1)).
+removes the integrable endpoint singularity at t1 = 0, as a cumulative
+sum of adaptive Gauss-Legendre panels between neighbouring knots, each
+refined to GEODESIC_ATOL / panels, so every interval is within
+GEODESIC_ATOL. Failure to converge within 20 refinement levels raises
+instead of returning a silently loose value. Steady-state starts
+short-circuit to the closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .correlation import multipoint, two_point, correlation_derivative
-from .errors import (
-    BadIntervalError,
-    NonPositiveTimeError,
-    QuadratureError,
-)
+from .correlation import _chain, _check_probes
+from .errors import BadIntervalError, NonPositiveTimeError, QuadratureError
 from .markov import (
     ProbVector,
     RateMatrix,
@@ -39,30 +42,16 @@ from .markov import (
     _check_dims,
     _check_time,
     _integral_apply,
-    propagate,
+    _propagator_apply,
+    steady_state,
 )
-from .path_space import eta
+from . import path_space
 
 # Bounds are declared satisfied when lhs <= rhs * (1 + RATIO_SLACK).
 RATIO_SLACK = 1e-9
 
 GEODESIC_ATOL = 1e-9
 _QUAD_MAX_DEPTH = 20
-
-BOUND_IDS = (
-    "MAIN_EQ5",
-    "ZERO_T_EQ6",
-    "DERIV_EQ7",
-    "ETA_EQ8",
-    "TANGENT_S29",
-    "MULTI_SIN_S40",
-    "MULTI_ETA_S39",
-    "ONEPOINT_SIN_S42",
-    "ONEPOINT_ETA_S41",
-    "ONEPOINT_ACTIVITY_S45",
-    "PULSE_EQ11",
-    "STEP_EQ12",
-)
 
 CSV_HEADER = "bound_id,t1,t2,lhs,rhs,ratio,in_domain,cmax_mode"
 
@@ -129,24 +118,6 @@ def activity_rate(W: RateMatrix, p: ProbVector) -> float:
     return float(np.dot(W.escape, p.p))
 
 
-def dynamical_activity(W: RateMatrix, p0: ProbVector, t: float) -> float:
-    """Expected number of jumps in [0, t]: the time integral of the
-    instantaneous jump rate along the evolving distribution.
-
-    Evaluated exactly through the integrated propagator; non-negative
-    and non-decreasing in t.
-    """
-    _check_dims(W, p0)
-    t = _check_time(t)
-    vec = _integral_apply(W, p0.p, np.array([t]))[0]
-    return max(float(np.dot(W.escape, vec)), 0.0)
-
-
-def _activity_curve(W: RateMatrix, p0: ProbVector, ts: np.ndarray) -> np.ndarray:
-    rows = _integral_apply(W, p0.p, ts)
-    return np.clip(rows @ W.escape, 0.0, None)
-
-
 _GL_LO = np.polynomial.legendre.leggauss(10)
 _GL_HI = np.polynomial.legendre.leggauss(21)
 
@@ -178,31 +149,6 @@ def _adaptive_gauss_legendre(f, a: float, b: float, atol: float) -> float:
     return total
 
 
-def geodesic_arg(W: RateMatrix, p0: ProbVector, t1: float, t2: float) -> float:
-    """Half-integral of sqrt(A(t))/t over [t1, t2].
-
-    This is the arc length controlling every sine/tangent bound. For a
-    stationary start A(t) = a t and the closed form
-    sqrt(a) (sqrt(t2) - sqrt(t1)) is returned directly.
-    """
-    _check_dims(W, p0)
-    if not (0.0 <= t1 <= t2) or not np.isfinite(t1) or not np.isfinite(t2):
-        raise BadIntervalError(f"need 0 <= t1 <= t2, got ({t1}, {t2})")
-    if t1 == t2:
-        return 0.0
-    rate = activity_rate(W, p0)
-    resid = float(np.abs(W.w @ p0.p).max())
-    if resid <= 1e-10 * max(np.abs(W.w).max(), 1.0):
-        return math.sqrt(rate) * (math.sqrt(t2) - math.sqrt(t1))
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return np.sqrt(_activity_curve(W, p0, s * s)) / s
-
-    return _adaptive_gauss_legendre(
-        integrand, math.sqrt(t1), math.sqrt(t2), GEODESIC_ATOL
-    )
-
-
 def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
     """Score-product prefactor.
 
@@ -222,28 +168,208 @@ def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
     raise ValueError(f"unknown cmax mode {mode!r}")
 
 
-def _sine_report(
-    bound_id: str,
-    lhs: float,
-    pref: float,
-    arg: float,
-    t1: float,
-    t2: float,
-    mode: str,
-) -> BoundReport:
+class _Plan:
+    """Evaluation plan of one model on a sorted set of knots.
+
+    Every quantity is an array over the knots, computed on first use and
+    then shared by all bounds; propagation goes through matrix-vector
+    rows, never through per-knot propagator matrices. ``probes`` is a
+    J-point correlation's scores and probe times, one row per knot;
+    by default (S, T, S) at (0, tau/2, tau) for each knot tau.
+    """
+
+    def __init__(
+        self,
+        W: RateMatrix,
+        p0: ProbVector,
+        times,
+        S: ScoreVector | None = None,
+        T: ScoreVector | None = None,
+        mode: str = "standard",
+        chi: float = 0.0,
+        probes=None,
+    ):
+        _check_dims(W, p0, *(v for v in (S, T) if v is not None))
+        self.knots = np.unique([_check_time(t) for t in np.ravel(times)])
+        self.W, self.p0, self.S, self.T = W, p0, S, T
+        self.mode, self.chi = mode, chi
+        self.probes = probes or ((S, T, S), np.outer(self.knots, (0.0, 0.5, 1.0)))
+
+    @cached_property
+    def stationary(self) -> "_Plan":
+        """The same plan started from the stationary law of W."""
+        return _Plan(self.W, steady_state(self.W), self.knots, self.S, self.T, chi=self.chi)
+
+    @cached_property
+    def cmax(self) -> float:
+        return cmax(self.S, self.T, self.mode)
+
+    @cached_property
+    def rate(self) -> float:
+        return activity_rate(self.W, self.p0)
+
+    @cached_property
+    def corr(self) -> np.ndarray:
+        """C(t) = <S(0) T(t)>."""
+        return _propagator_apply(self.W, self.S.s * self.p0.p, self.knots) @ self.T.s
+
+    @cached_property
+    def corr_slope(self) -> np.ndarray:
+        """dC/dt = 1 T e^{Wt} W S P(0)."""
+        v = self.W.w @ (self.S.s * self.p0.p)
+        return _propagator_apply(self.W, v, self.knots) @ self.T.s
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """<S(t)>, contracted as S e^{Wt} P(0)."""
+        return _propagator_apply(self.W, self.p0.p, self.knots) @ self.S.s
+
+    @cached_property
+    def multi(self) -> np.ndarray:
+        """The J-point correlation of the probes at each knot."""
+        return _chain(self.W, self.p0.p, *self.probes)
+
+    def _activity(self, ts: np.ndarray) -> np.ndarray:
+        rows = _integral_apply(self.W, self.p0.p, ts)
+        return np.clip(rows @ self.W.escape, 0.0, None)
+
+    @cached_property
+    def activity(self) -> np.ndarray:
+        """A(t), the expected number of jumps in [0, t]."""
+        return self._activity(self.knots)
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """eta(t), the squared survival overlap of path_space."""
+        return np.array([path_space.eta(self.W, self.p0, t) for t in self.knots])
+
+    @cached_property
+    def arc(self) -> np.ndarray:
+        """Activity integral from the first knot to each knot."""
+        s = np.sqrt(self.knots)
+        if np.abs(self.W.w @ self.p0.p).max() <= 1e-10 * self.W._scale:
+            return math.sqrt(self.rate) * (s - s[0])
+
+        def integrand(x: np.ndarray) -> np.ndarray:
+            return np.sqrt(self._activity(x * x)) / x
+
+        atol = GEODESIC_ATOL / max(s.size - 1, 1)
+        panels = [
+            _adaptive_gauss_legendre(integrand, lo, hi, atol)
+            for lo, hi in zip(s[:-1], s[1:])
+        ]
+        return np.concatenate(([0.0], np.cumsum(panels)))
+
+    def arg(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Activity integral between the knots with indices a and b."""
+        return self.arc[b] - self.arc[a]
+
+    def reports(self, bound_id: str, t1, t2) -> list[BoundReport]:
+        """One bound on the intervals (t1[i], t2[i]), all of them knots."""
+        t1, t2 = np.atleast_1d(t1), np.atleast_1d(t2)
+        if t1.size == 0:
+            return []
+        if np.any(t1 > t2):
+            raise BadIntervalError(f"need t1 <= t2, got ({t1}, {t2})")
+        _, _, uses_mode, formula = _BOUNDS[bound_id]
+        a, b = np.searchsorted(self.knots, t1), np.searchsorted(self.knots, t2)
+        lhs, rhs, in_domain, arg = formula(self, a, b)
+        mode = self.mode if uses_mode else "standard"
+        args = [None] * len(t1) if arg is None else arg.tolist()
+        return [
+            BoundReport(bound_id, x1, x2, l, r, _ratio(l, r), d, mode, g)
+            for x1, x2, l, r, d, g in zip(
+                t1.tolist(), t2.tolist(), lhs.tolist(), rhs.tolist(),
+                in_domain.tolist(), args,
+            )
+        ]
+
+
+def _change(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(x[a] - x[b])
+
+
+def _valid(lhs: np.ndarray, rhs: np.ndarray):
+    """A bound valid at every time."""
+    return lhs, rhs, np.ones(lhs.shape, dtype=bool), None
+
+
+def _sine(lhs: np.ndarray, pref: float, arg: np.ndarray):
+    """2 pref sin(arg) while arg <= pi/2, the trivial 2 pref beyond."""
     in_domain = arg <= math.pi / 2.0
-    rhs = 2.0 * pref * math.sin(arg) if in_domain else 2.0 * pref
-    return BoundReport(
-        bound_id=bound_id,
-        t1=t1,
-        t2=t2,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=in_domain,
-        cmax_mode=mode,
-        geodesic_arg=arg,
-    )
+    return lhs, np.where(in_domain, 2.0 * pref * np.sin(arg), 2.0 * pref), in_domain, arg
+
+
+def _overlap(lhs: np.ndarray, pref: float, eta_t: np.ndarray):
+    """2 pref sqrt(1 - eta), valid for all t (eta stays in (0, 1])."""
+    return _valid(lhs, 2.0 * pref * np.sqrt(np.maximum(1.0 - eta_t, 0.0)))
+
+
+def _tangent(lhs: np.ndarray, pref: float, arg: np.ndarray):
+    """2 pref tan(arg); at arg >= pi/2 the tangent diverges and the right
+    side is infinite with the domain flag cleared."""
+    in_domain = arg < math.pi / 2.0
+    return lhs, np.where(in_domain, 2.0 * pref * np.tan(arg), math.inf), in_domain, arg
+
+
+def _change_sine(P: _Plan, a, b):
+    return _sine(_change(P.corr, a, b), P.cmax, P.arg(a, b))
+
+
+# bound id -> (t1 / t on a grid of times t, starts from the stationary law
+# of W, prefactor follows the cmax mode, formula over the plan and the
+# knot indices a of t1 and b of t2). Bounds at a single time (t1 = t)
+# divide by t, so grids skip t = 0 for them.
+_BOUNDS = {
+    "MAIN_EQ5": (0.5, False, True, _change_sine),
+    "ZERO_T_EQ6": (0.0, False, True, _change_sine),
+    "DERIV_EQ7": (1.0, False, True, lambda P, a, b: _valid(
+        np.abs(P.corr_slope[b]), P.cmax * np.sqrt(P.activity[b]) / P.knots[b])),
+    "ETA_EQ8": (0.0, False, True, lambda P, a, b: _overlap(
+        _change(P.corr, a, b), P.cmax, P.eta[b])),
+    "TANGENT_S29": (0.0, False, True, lambda P, a, b: _tangent(
+        _change(P.corr, a, b), P.cmax, P.arg(a, b))),
+    "MULTI_SIN_S40": (0.0, False, False, lambda P, a, b: _sine(
+        _change(P.multi, a, b), math.prod(s.max_abs for s in P.probes[0]), P.arg(a, b))),
+    "MULTI_ETA_S39": (0.0, False, False, lambda P, a, b: _overlap(
+        _change(P.multi, a, b), math.prod(s.max_abs for s in P.probes[0]), P.eta[b])),
+    "ONEPOINT_SIN_S42": (0.0, False, False, lambda P, a, b: _sine(
+        _change(P.mean, a, b), P.S.max_abs, P.arg(a, b))),
+    "ONEPOINT_ETA_S41": (0.0, False, False, lambda P, a, b: _overlap(
+        _change(P.mean, a, b), P.S.max_abs, P.eta[b])),
+    "ONEPOINT_ACTIVITY_S45": (0.0, False, False, lambda P, a, b: _valid(
+        _change(P.mean, a, b), 2.0 * P.S.max_abs * P.activity[b])),
+    "PULSE_EQ11": (1.0, True, False, lambda P, a, b: _valid(
+        abs(P.chi) * np.abs(P.corr_slope[b]),
+        abs(P.chi) * P.S.max_abs * P.T.max_abs * np.sqrt(P.rate / P.knots[b]))),
+    "STEP_EQ12": (0.0, True, False, lambda P, a, b: _sine(
+        abs(P.chi) * _change(P.corr, a, b), abs(P.chi) * P.S.max_abs * P.T.max_abs,
+        np.sqrt(P.rate * P.knots[b]))),
+}
+BOUND_IDS = tuple(_BOUNDS)
+
+
+def dynamical_activity(W: RateMatrix, p0: ProbVector, t: float) -> float:
+    """Expected number of jumps in [0, t]: the time integral of the
+    instantaneous jump rate along the evolving distribution.
+
+    Evaluated exactly through the integrated propagator; non-negative
+    and non-decreasing in t.
+    """
+    return float(_Plan(W, p0, (t,)).activity[0])
+
+
+def geodesic_arg(W: RateMatrix, p0: ProbVector, t1: float, t2: float) -> float:
+    """Half-integral of sqrt(A(t))/t over [t1, t2].
+
+    This is the arc length controlling every sine/tangent bound. For a
+    stationary start A(t) = a t and the closed form
+    sqrt(a) (sqrt(t2) - sqrt(t1)) is returned directly.
+    """
+    _check_dims(W, p0)
+    if not (0.0 <= t1 <= t2) or not np.isfinite(t1) or not np.isfinite(t2):
+        raise BadIntervalError(f"need 0 <= t1 <= t2, got ({t1}, {t2})")
+    return float(_Plan(W, p0, (t1, t2)).arg(0, -1))
 
 
 def bound_main(
@@ -260,9 +386,7 @@ def bound_main(
     Outside the sine domain (arg > pi/2) the report carries the trivial
     bound with the domain flag cleared.
     """
-    lhs = abs(two_point(W, p0, S, T, t1) - two_point(W, p0, S, T, t2))
-    arg = geodesic_arg(W, p0, t1, t2)
-    return _sine_report("MAIN_EQ5", lhs, cmax(S, T, mode), arg, t1, t2, mode)
+    return _Plan(W, p0, (t1, t2), S, T, mode).reports("MAIN_EQ5", t1, t2)[0]
 
 
 def bound_zero_t(
@@ -274,8 +398,7 @@ def bound_zero_t(
     mode: str = "standard",
 ) -> BoundReport:
     """Zero-to-t corollary of the main bound."""
-    rep = bound_main(W, p0, S, T, 0.0, t, mode)
-    return replace(rep, bound_id="ZERO_T_EQ6")
+    return _Plan(W, p0, (0.0, t), S, T, mode).reports("ZERO_T_EQ6", 0.0, t)[0]
 
 
 def bound_derivative(
@@ -293,18 +416,7 @@ def bound_derivative(
     """
     if t <= 0.0:
         raise NonPositiveTimeError(f"derivative bound needs t > 0, got {t}")
-    lhs = abs(correlation_derivative(W, p0, S, T, t))
-    rhs = cmax(S, T, mode) * math.sqrt(dynamical_activity(W, p0, t)) / t
-    return BoundReport(
-        bound_id="DERIV_EQ7",
-        t1=t,
-        t2=t,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=True,
-        cmax_mode=mode,
-    )
+    return _Plan(W, p0, (t,), S, T, mode).reports("DERIV_EQ7", t, t)[0]
 
 
 def bound_eta(
@@ -320,19 +432,7 @@ def bound_eta(
     Valid for every t >= 0 (the survival overlap stays in (0, 1]), and
     never looser than the sine bound inside the latter's domain.
     """
-    t = _check_time(t)
-    lhs = abs(two_point(W, p0, S, T, 0.0) - two_point(W, p0, S, T, t))
-    rhs = 2.0 * cmax(S, T, mode) * math.sqrt(max(1.0 - eta(W, p0, t), 0.0))
-    return BoundReport(
-        bound_id="ETA_EQ8",
-        t1=0.0,
-        t2=t,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=True,
-        cmax_mode=mode,
-    )
+    return _Plan(W, p0, (0.0, t), S, T, mode).reports("ETA_EQ8", 0.0, t)[0]
 
 
 def bound_tangent_tur(
@@ -349,22 +449,7 @@ def bound_tangent_tur(
     At arg >= pi/2 the tangent diverges: the report carries an infinite
     right side with the domain flag cleared.
     """
-    t = _check_time(t)
-    lhs = abs(two_point(W, p0, S, T, 0.0) - two_point(W, p0, S, T, t))
-    arg = geodesic_arg(W, p0, 0.0, t)
-    in_domain = arg < math.pi / 2.0
-    rhs = 2.0 * cmax(S, T, mode) * math.tan(arg) if in_domain else math.inf
-    return BoundReport(
-        bound_id="TANGENT_S29",
-        t1=0.0,
-        t2=t,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=in_domain,
-        cmax_mode=mode,
-        geodesic_arg=arg,
-    )
+    return _Plan(W, p0, (0.0, t), S, T, mode).reports("TANGENT_S29", 0.0, t)[0]
 
 
 def bound_multipoint(
@@ -380,27 +465,16 @@ def bound_multipoint(
     with the usual domain fallback; ``variant='eta'`` uses
     sqrt(1 - eta(t_J)) and is valid for all t_J.
     """
-    value = multipoint(W, p0, scores, times)
-    equal_time = multipoint(W, p0, scores, np.zeros(len(scores)))
-    lhs = abs(equal_time - value)
-    t_end = float(np.asarray(times, dtype=float)[-1])
-    pref = math.prod(s.max_abs for s in scores)
-    if variant == "sin":
-        arg = geodesic_arg(W, p0, 0.0, t_end)
-        return _sine_report("MULTI_SIN_S40", lhs, pref, arg, 0.0, t_end, "standard")
-    if variant == "eta":
-        rhs = 2.0 * pref * math.sqrt(max(1.0 - eta(W, p0, t_end), 0.0))
-        return BoundReport(
-            bound_id="MULTI_ETA_S39",
-            t1=0.0,
-            t2=t_end,
-            lhs=lhs,
-            rhs=rhs,
-            ratio=_ratio(lhs, rhs),
-            in_validity_domain=True,
-            cmax_mode="standard",
-        )
-    raise ValueError(f"unknown multipoint variant {variant!r}")
+    ts = _check_probes(W, p0, scores, times)
+    bound_id = {"sin": "MULTI_SIN_S40", "eta": "MULTI_ETA_S39"}.get(variant)
+    if bound_id is None:
+        raise ValueError(f"unknown multipoint variant {variant!r}")
+    t_end = float(ts[-1])
+    knots = np.unique([0.0, t_end])
+    # every probe at time 0 on the knot 0, at the given times on t_end
+    probe_times = np.outer(knots == t_end, ts)
+    plan = _Plan(W, p0, knots, probes=(scores, probe_times))
+    return plan.reports(bound_id, 0.0, t_end)[0]
 
 
 def bound_onepoint(
@@ -416,27 +490,12 @@ def bound_onepoint(
     (2 S_max sqrt(1 - eta)), and ``activity`` (2 S_max A(t), linear in t;
     tighter at short times, looser at long times than the sine form).
     """
-    _check_dims(W, p0, S)
-    t = _check_time(t)
-    lhs = abs(float(np.dot(S.s, p0.p)) - float(np.dot(S.s, propagate(W, p0, t).p)))
-    if variant == "sin":
-        arg = geodesic_arg(W, p0, 0.0, t)
-        return _sine_report("ONEPOINT_SIN_S42", lhs, S.max_abs, arg, 0.0, t, "standard")
-    if variant == "eta":
-        rhs = 2.0 * S.max_abs * math.sqrt(max(1.0 - eta(W, p0, t), 0.0))
-        bound_id = "ONEPOINT_ETA_S41"
-    elif variant == "activity":
-        rhs = 2.0 * S.max_abs * dynamical_activity(W, p0, t)
-        bound_id = "ONEPOINT_ACTIVITY_S45"
-    else:
+    plan = _Plan(W, p0, (0.0, t), S)
+    bound_id = {
+        "sin": "ONEPOINT_SIN_S42",
+        "eta": "ONEPOINT_ETA_S41",
+        "activity": "ONEPOINT_ACTIVITY_S45",
+    }.get(variant)
+    if bound_id is None:
         raise ValueError(f"unknown onepoint variant {variant!r}")
-    return BoundReport(
-        bound_id=bound_id,
-        t1=0.0,
-        t2=t,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=True,
-        cmax_mode="standard",
-    )
+    return plan.reports(bound_id, 0.0, t)[0]

@@ -12,17 +12,17 @@ Exit codes are uniform: 0 all checked ratios within tolerance, 1 at
 least one bound violated, 2 input or configuration error. All emitted
 reals carry 17 significant digits (round-trip exact for float64), CSV
 files start with ``# key: value`` metadata lines, and identical seeds
-produce byte-identical output. ``CORRBOUND_THREADS`` caps worker
-threads for the sweep commands.
+produce byte-identical output. Non-finite reals are written as ``inf``,
+``-inf`` and ``nan``, quoted in JSON. The bounds of one model are
+evaluated through one plan over the time grid (``bounds._Plan``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,17 +35,11 @@ from .bounds import (
     GEODESIC_ATOL,
     RATIO_SLACK,
     BoundReport,
+    _BOUNDS,
+    _Plan,
     _ratio,
-    bound_derivative,
-    bound_eta,
-    bound_main,
-    bound_multipoint,
-    bound_onepoint,
-    bound_tangent_tur,
-    bound_zero_t,
     fmt17,
 )
-from .correlation import two_point
 from .errors import CorrboundError
 from .linear_response import bound_pulse, bound_step, pulse_shift, step_shift
 from .markov import (
@@ -61,18 +55,8 @@ from .markov import (
 )
 
 DEFAULT_CHI = 0.01
-DEFAULT_BOUNDS = (
-    "MAIN_EQ5",
-    "ZERO_T_EQ6",
-    "DERIV_EQ7",
-    "ETA_EQ8",
-    "TANGENT_S29",
-    "MULTI_SIN_S40",
-    "MULTI_ETA_S39",
-    "ONEPOINT_SIN_S42",
-    "ONEPOINT_ETA_S41",
-    "ONEPOINT_ACTIVITY_S45",
-)
+# every bound but the response bounds, which need a unique stationary law
+DEFAULT_BOUNDS = tuple(b for b in BOUND_IDS if not _BOUNDS[b][1])
 
 
 def fig2_model() -> tuple[RateMatrix, ProbVector, ScoreVector, ScoreVector]:
@@ -120,24 +104,9 @@ class RunConfig:
         object.__setattr__(self, "bounds", tuple(self.bounds))
 
 
-def _threads() -> int:
-    raw = os.environ.get("CORRBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _threads()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _json17(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits;
+    non-finite floats become the strings "inf", "-inf" and "nan"."""
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
@@ -153,7 +122,8 @@ def _json17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return pad + fmt17(float(obj))
+        text = fmt17(float(obj))
+        return pad + (text if math.isfinite(obj) else json.dumps(text))
     if obj is None:
         return pad + "null"
     return pad + json.dumps(str(obj))
@@ -199,43 +169,29 @@ def evaluate_bounds(
     three probes (S, T, S) at (0, t/2, t). Grid points outside a bound's
     time domain (t = 0 for the derivative and pulse forms) are skipped.
     Pulse/step bounds are evaluated from the stationary state of W.
+    Reports come grid time by grid time, in the order of ``bound_ids``.
     """
-    reports: list[BoundReport] = []
-    need_steady = {"PULSE_EQ11", "STEP_EQ12"} & set(bound_ids)
-    pst = steady_state(W) if need_steady else None
-    for t in map(float, t_grid):
-        for bid in bound_ids:
-            if bid == "MAIN_EQ5":
-                reports.append(bound_main(W, p0, S, T, t / 2.0, t, mode))
-            elif bid == "ZERO_T_EQ6":
-                reports.append(bound_zero_t(W, p0, S, T, t, mode))
-            elif bid == "DERIV_EQ7":
-                if t > 0.0:
-                    reports.append(bound_derivative(W, p0, S, T, t, mode))
-            elif bid == "ETA_EQ8":
-                reports.append(bound_eta(W, p0, S, T, t, mode))
-            elif bid == "TANGENT_S29":
-                reports.append(bound_tangent_tur(W, p0, S, T, t, mode))
-            elif bid == "MULTI_SIN_S40":
-                reports.append(
-                    bound_multipoint(W, p0, [S, T, S], (0.0, t / 2.0, t), "sin")
-                )
-            elif bid == "MULTI_ETA_S39":
-                reports.append(
-                    bound_multipoint(W, p0, [S, T, S], (0.0, t / 2.0, t), "eta")
-                )
-            elif bid == "ONEPOINT_SIN_S42":
-                reports.append(bound_onepoint(W, p0, S, t, "sin"))
-            elif bid == "ONEPOINT_ETA_S41":
-                reports.append(bound_onepoint(W, p0, S, t, "eta"))
-            elif bid == "ONEPOINT_ACTIVITY_S45":
-                reports.append(bound_onepoint(W, p0, S, t, "activity"))
-            elif bid == "PULSE_EQ11":
-                if t > 0.0:
-                    reports.append(bound_pulse(W, pst, S, T, chi, t))
-            elif bid == "STEP_EQ12":
-                reports.append(bound_step(W, pst, S, T, chi, t))
-    return reports
+    grid = np.asarray(t_grid, dtype=float)
+    unknown = set(bound_ids) - set(_BOUNDS)
+    if unknown:
+        raise CorrboundError(f"unknown bound ids: {sorted(unknown)}")
+    # knots: the grid and the interval starts of the selected bounds
+    shares = {_BOUNDS[bid][0] for bid in bound_ids}
+    knots = np.concatenate([grid] + [share * grid for share in shares])
+    plan = _Plan(W, p0, knots, S, T, mode, chi)
+    by_bound = {}
+    for bid in dict.fromkeys(bound_ids):
+        t1_share, stationary, _, _ = _BOUNDS[bid]
+        rows = np.flatnonzero(grid > 0.0) if t1_share == 1.0 else np.arange(grid.size)
+        start = plan.stationary if stationary else plan
+        reports = start.reports(bid, t1_share * grid[rows], grid[rows])
+        by_bound[bid] = dict(zip(rows.tolist(), reports))
+    return [
+        by_bound[bid][k]
+        for k in range(grid.size)
+        for bid in bound_ids
+        if k in by_bound[bid]
+    ]
 
 
 def _apply_rhs_scale(reports: list[BoundReport], scale: float) -> list[BoundReport]:
@@ -285,6 +241,34 @@ def cmd_check(config: RunConfig) -> int:
     return 1 if violations else 0
 
 
+def _flag(rep: BoundReport) -> str:
+    return str(rep.in_validity_domain).lower()
+
+
+_RESPONSE_HEADER = "t,shift,bound_rhs,ratio,in_domain"
+
+
+_RESPONSES = {"pulse": (pulse_shift, bound_pulse), "step": (step_shift, bound_step)}
+
+
+def _response_sweep(W, pst, S, T, chi: float, drive: str, t_grid) -> list:
+    """(t, shift, bound report) per grid time of a pulse or step response;
+    pulse sweeps skip t <= 0, where the pulse bound is undefined."""
+    if drive not in _RESPONSES:
+        raise CorrboundError(f"unknown drive {drive!r}")
+    shift, bound = _RESPONSES[drive]
+    return [
+        (t, shift(W, pst, S, T, chi, t), bound(W, pst, S, T, chi, t))
+        for t in map(float, t_grid)
+        if t > 0.0 or drive == "step"
+    ]
+
+
+def _response_row(t: float, shift: float, rep: BoundReport) -> str:
+    """One CSV row under _RESPONSE_HEADER."""
+    return ",".join((fmt17(t), fmt17(shift), fmt17(rep.rhs), fmt17(rep.ratio), _flag(rep)))
+
+
 FIG2_CURVE_GRID = np.linspace(0.0, 10.0, 201)
 FIG2_RATIO_GRID = np.geomspace(1e-2, 10.0, 20)
 FIG3_STEP_GRID = np.linspace(0.0, 5.0, 101)
@@ -305,48 +289,33 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     W, p0, S, T = fig2_model()
-
-    rows_a, rows_b = [], []
-    for t in FIG2_CURVE_GRID:
-        sin_rep = bound_zero_t(W, p0, S, T, float(t))
-        eta_rep = bound_eta(W, p0, S, T, float(t))
-        rows_a.append(
-            ",".join(
-                (
-                    fmt17(t),
-                    fmt17(sin_rep.lhs),
-                    fmt17(sin_rep.rhs),
-                    fmt17(eta_rep.rhs),
-                    str(sin_rep.in_validity_domain).lower(),
-                )
-            )
-        )
-        if t > 0.0:
-            der = bound_derivative(W, p0, S, T, float(t))
-            rows_b.append(",".join((fmt17(t), fmt17(der.lhs), fmt17(der.rhs))))
-
-    sizes, seeds = _fig2_random_models(n_random, seed)
-    models = [(0, fig2_model()[:3])]
-    models += [
-        (i + 1, random_model(n, s)) for i, (n, s) in enumerate(zip(sizes, seeds))
+    curve = evaluate_bounds(
+        W, p0, S, T, FIG2_CURVE_GRID, ("ZERO_T_EQ6", "ETA_EQ8", "DERIV_EQ7")
+    )
+    sines = [r for r in curve if r.bound_id == "ZERO_T_EQ6"]
+    etas = [r for r in curve if r.bound_id == "ETA_EQ8"]
+    rows_a = [
+        ",".join((fmt17(s.t2), fmt17(s.lhs), fmt17(s.rhs), fmt17(e.rhs), _flag(s)))
+        for s, e in zip(sines, etas)
+    ]
+    rows_b = [
+        ",".join((fmt17(r.t2), fmt17(r.lhs), fmt17(r.rhs)))
+        for r in curve
+        if r.bound_id == "DERIV_EQ7"
     ]
 
-    def ratios_for(entry):
-        idx, (Wm, p0m, Sm) = entry
-        rows_c, rows_d = [], []
-        for t in FIG2_RATIO_GRID:
-            rep6 = bound_zero_t(Wm, p0m, Sm, Sm, float(t))
-            rep7 = bound_derivative(Wm, p0m, Sm, Sm, float(t))
-            rows_c.append(
-                f"{idx},{fmt17(t)},{fmt17(rep6.ratio)},"
-                f"{str(rep6.in_validity_domain).lower()}"
-            )
-            rows_d.append(f"{idx},{fmt17(t)},{fmt17(rep7.ratio)}")
-        return rows_c, rows_d
-
-    per_model = _map_ordered(ratios_for, models)
-    rows_c = [r for rc, _ in per_model for r in rc]
-    rows_d = [r for _, rd in per_model for r in rd]
+    sizes, seeds = _fig2_random_models(n_random, seed)
+    models = [fig2_model()[:3]] + [random_model(n, s) for n, s in zip(sizes, seeds)]
+    rows_c, rows_d = [], []
+    for idx, (Wm, p0m, Sm) in enumerate(models):
+        grid_reports = evaluate_bounds(
+            Wm, p0m, Sm, Sm, FIG2_RATIO_GRID, ("ZERO_T_EQ6", "DERIV_EQ7")
+        )
+        for r in grid_reports:
+            if r.bound_id == "ZERO_T_EQ6":
+                rows_c.append(f"{idx},{fmt17(r.t2)},{fmt17(r.ratio)},{_flag(r)}")
+            else:
+                rows_d.append(f"{idx},{fmt17(r.t2)},{fmt17(r.ratio)}")
 
     meta = _meta(seed=seed, generator=RANDOM_MODEL_METADATA["generator"])
     try:
@@ -380,33 +349,22 @@ def cmd_figure3(out_dir: str, chi: float = DEFAULT_CHI) -> int:
     out.mkdir(parents=True, exist_ok=True)
     W, S, T = fig3_model()
     pst = steady_state(W)
-
-    rows_a = []
-    for t in FIG3_PULSE_GRID:
-        rep = bound_pulse(W, pst, S, T, chi, float(t))
-        shift = pulse_shift(W, pst, S, T, chi, float(t))
-        rows_a.append(
-            f"{fmt17(t)},{fmt17(shift)},{fmt17(rep.rhs)},{fmt17(rep.ratio)},"
-            f"{str(rep.in_validity_domain).lower()}"
+    sweeps = {
+        name: [_response_row(*x) for x in _response_sweep(W, pst, S, T, chi, drive, grid)]
+        for name, drive, grid in (
+            ("fig3a.csv", "pulse", FIG3_PULSE_GRID),
+            ("fig3b.csv", "step", FIG3_STEP_GRID),
         )
-    rows_b = []
-    for t in FIG3_STEP_GRID:
-        rep = bound_step(W, pst, S, T, chi, float(t))
-        shift = step_shift(W, pst, S, T, chi, float(t))
-        rows_b.append(
-            f"{fmt17(t)},{fmt17(shift)},{fmt17(rep.rhs)},{fmt17(rep.ratio)},"
-            f"{str(rep.in_validity_domain).lower()}"
-        )
+    }
     meta = _meta(
         seed="none",
         generator=RANDOM_MODEL_METADATA["generator"],
         chi=fmt17(chi),
         model="two-state symmetric, unit rates",
     )
-    header = "t,shift,bound_rhs,ratio,in_domain"
     try:
-        _write_text(str(out / "fig3a.csv"), _csv_document(header, rows_a, meta))
-        _write_text(str(out / "fig3b.csv"), _csv_document(header, rows_b, meta))
+        for name, rows in sweeps.items():
+            _write_text(str(out / name), _csv_document(_RESPONSE_HEADER, rows, meta))
     except OSError as exc:
         print(f"error: cannot write figure data: {exc}", file=sys.stderr)
         return 2
@@ -435,18 +393,13 @@ def cmd_stress(
     sizes = [int(n_list[i % len(n_list)]) for i in range(n_models)]
     seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=n_models)]
 
-    def run_one(args):
-        n, model_seed = args
-        W, p0, S = random_model(n, model_seed)
-        return evaluate_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi)
-
-    all_reports = _map_ordered(run_one, list(zip(sizes, seeds)))
     tally = {
         bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0}
         for bid in BOUND_IDS
     }
-    for reports in all_reports:
-        for r in reports:
+    for n, model_seed in zip(sizes, seeds):
+        W, p0, S = random_model(n, model_seed)
+        for r in evaluate_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi):
             cell = tally[r.bound_id]
             cell["evaluations"] += 1
             cell["max_ratio"] = max(cell["max_ratio"], r.ratio)
@@ -484,33 +437,8 @@ def cmd_response(
     pst = steady_state(W)
     if t_grid is None:
         t_grid = FIG3_PULSE_GRID if drive == "pulse" else FIG3_STEP_GRID
-    rows, dict_rows = [], []
-    violations = 0
-    for t in map(float, t_grid):
-        if drive == "pulse":
-            if t <= 0.0:
-                continue
-            rep = bound_pulse(W, pst, S, T, chi, t)
-            shift = pulse_shift(W, pst, S, T, chi, t)
-        elif drive == "step":
-            rep = bound_step(W, pst, S, T, chi, t)
-            shift = step_shift(W, pst, S, T, chi, t)
-        else:
-            raise CorrboundError(f"unknown drive {drive!r}")
-        violations += 0 if rep.satisfied else 1
-        rows.append(
-            f"{fmt17(t)},{fmt17(shift)},{fmt17(rep.rhs)},{fmt17(rep.ratio)},"
-            f"{str(rep.in_validity_domain).lower()}"
-        )
-        dict_rows.append(
-            {
-                "t": t,
-                "shift": shift,
-                "bound_rhs": rep.rhs,
-                "ratio": rep.ratio,
-                "in_domain": rep.in_validity_domain,
-            }
-        )
+    sweep = _response_sweep(W, pst, S, T, chi, drive, t_grid)
+    violations = sum(not rep.satisfied for _, _, rep in sweep)
     meta = _meta(
         seed="none",
         generator=RANDOM_MODEL_METADATA["generator"],
@@ -519,10 +447,15 @@ def cmd_response(
         model=model_path or "built-in symmetric",
     )
     if output_format == "json":
+        keys = _RESPONSE_HEADER.split(",")
+        dict_rows = [
+            dict(zip(keys, (t, shift, rep.rhs, rep.ratio, rep.in_validity_domain)))
+            for t, shift, rep in sweep
+        ]
         _write_text(output_path, _json17({"meta": meta, "rows": dict_rows}) + "\n")
     else:
-        doc = _csv_document("t,shift,bound_rhs,ratio,in_domain", rows, meta)
-        _write_text(output_path, doc)
+        rows = [_response_row(*x) for x in sweep]
+        _write_text(output_path, _csv_document(_RESPONSE_HEADER, rows, meta))
     return 1 if violations else 0
 
 

@@ -1,8 +1,10 @@
 """Correlation functions of Markov jump processes, exact and sampled.
 
 The exact routines contract diagonal score matrices around matrix
-exponentials, always as matrix-vector chains evaluated right to left
-(cost O(J n^2), never forming matrix products). The Monte Carlo
+exponentials as matrix-vector chains evaluated right to left. Each link
+is one call of ``markov._propagator_apply``, which gives e^{W t} v for a
+whole array of times without forming a propagator matrix, so a chain
+costs O(J n^2) and a batch of chains one call per link. The Monte Carlo
 estimator draws trajectories with the Gillespie algorithm: exponential
 holding times with the state's escape rate and jump targets chosen
 proportionally to the outgoing rates. Samplers take an explicit
@@ -27,8 +29,8 @@ from .markov import (
     ScoreVector,
     _check_dims,
     _check_time,
+    _propagator_apply,
     make_rng,
-    propagator,
 )
 
 
@@ -45,7 +47,7 @@ def two_point(
     """
     _check_dims(W, p0, S, T)
     t = _check_time(t)
-    v = propagator(W, t) @ (S.s * p0.p)
+    v = _propagator_apply(W, S.s * p0.p, np.array([t]))[0]
     return float(T.s @ v)
 
 
@@ -59,11 +61,12 @@ def correlation_derivative(
     """Time derivative of the two-time correlation: 1 T e^{Wt} W S P(0)."""
     _check_dims(W, p0, S, T)
     t = _check_time(t)
-    v = propagator(W, t) @ (W.w @ (S.s * p0.p))
+    v = _propagator_apply(W, W.w @ (S.s * p0.p), np.array([t]))[0]
     return float(T.s @ v)
 
 
-def _check_times(times) -> np.ndarray:
+def _check_probes(W: RateMatrix, p0: ProbVector, scores, times) -> np.ndarray:
+    """Validated probe times of a J-time correlation: sorted, from 0, one per score."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise TimesNotSortedError("need at least one time point")
@@ -71,7 +74,21 @@ def _check_times(times) -> np.ndarray:
         raise TimesNotSortedError(f"first time must be 0, got {ts[0]}")
     if np.any(np.diff(ts) < 0.0):
         raise TimesNotSortedError("times must be non-decreasing")
+    if len(scores) != ts.size:
+        raise TimesNotSortedError(
+            f"{len(scores)} scores but {ts.size} time points"
+        )
+    _check_dims(W, p0, *scores)
     return ts
+
+
+def _chain(W: RateMatrix, p: np.ndarray, scores, times: np.ndarray) -> np.ndarray:
+    """J-time correlations, one per row of the m x J probe ``times``, with
+    each link of the chain applied to all rows at once."""
+    v = scores[0].s * p
+    for i in range(1, len(scores)):
+        v = scores[i].s * _propagator_apply(W, v, times[:, i] - times[:, i - 1])
+    return np.broadcast_to(v, (times.shape[0], W.n)).sum(axis=1)
 
 
 def multipoint(
@@ -85,19 +102,8 @@ def multipoint(
     Evaluated as the chain 1 S_J e^{W dt_J} ... S_2 e^{W dt_2} S_1 P(0)
     with dt_i = t_i - t_{i-1}.
     """
-    ts = _check_times(times)
-    if len(scores) != ts.size:
-        raise TimesNotSortedError(
-            f"{len(scores)} scores but {ts.size} time points"
-        )
-    _check_dims(W, p0, *scores)
-    v = scores[0].s * p0.p
-    for i in range(1, ts.size):
-        dt = float(ts[i] - ts[i - 1])
-        if dt > 0.0:
-            v = propagator(W, dt) @ v
-        v = scores[i].s * v
-    return float(v.sum())
+    ts = _check_probes(W, p0, scores, times)
+    return float(_chain(W, p0.p, scores, ts[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, _ratio, activity_rate
+from .bounds import BoundReport, _Plan
 from .correlation import correlation_derivative, two_point
 from .errors import (
     NonFiniteError,
@@ -42,7 +42,7 @@ from .markov import (
     steady_state,
 )
 
-_STEADY_ATOL = 1e-8
+_STEADY_RTOL = 1e-8  # times W._scale, as steady_state's own residual check
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def canonical_perturbation(W: RateMatrix, S: ScoreVector) -> np.ndarray:
 def _check_steady(W: RateMatrix, Pst: ProbVector) -> None:
     _check_dims(W, Pst)
     resid = float(np.abs(W.w @ Pst.p).max())
-    if resid > _STEADY_ATOL:
+    if resid > _STEADY_RTOL * W._scale:
         raise NotSteadyStateError(
             f"baseline is not stationary: max |W P| = {resid:.3e}"
         )
@@ -200,19 +200,10 @@ def bound_pulse(
     t: float,
 ) -> BoundReport:
     """Pulse-shift magnitude against chi S_max T_max sqrt(a / t)."""
-    lhs = abs(pulse_shift(W, Pst, S, T, chi, t))
-    rate = activity_rate(W, Pst)
-    rhs = abs(chi) * S.max_abs * T.max_abs * math.sqrt(rate / t)
-    return BoundReport(
-        bound_id="PULSE_EQ11",
-        t1=t,
-        t2=t,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=True,
-        cmax_mode="standard",
-    )
+    if t <= 0.0:
+        raise NonPositiveTimeError(f"pulse response needs t > 0, got {t}")
+    _check_steady(W, Pst)
+    return _Plan(W, Pst, (t,), S, T, chi=chi).reports("PULSE_EQ11", t, t)[0]
 
 
 def bound_step(
@@ -228,22 +219,9 @@ def bound_step(
     For sqrt(a t) beyond pi/2 the report substitutes the trivial bound
     2 chi S_max T_max with the domain flag cleared.
     """
-    lhs = abs(step_shift(W, Pst, S, T, chi, t))
-    arg = math.sqrt(activity_rate(W, Pst) * t)
-    in_domain = arg <= math.pi / 2.0
-    pref = 2.0 * abs(chi) * S.max_abs * T.max_abs
-    rhs = pref * math.sin(arg) if in_domain else pref
-    return BoundReport(
-        bound_id="STEP_EQ12",
-        t1=0.0,
-        t2=t,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        in_validity_domain=in_domain,
-        cmax_mode="standard",
-        geodesic_arg=arg,
-    )
+    t = _check_time(t)
+    _check_steady(W, Pst)
+    return _Plan(W, Pst, (0.0, t), S, T, chi=chi).reports("STEP_EQ12", 0.0, t)[0]
 
 
 def convolved_shift(

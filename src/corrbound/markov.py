@@ -126,6 +126,11 @@ class RateMatrix:
         return r
 
     @cached_property
+    def _scale(self) -> float:
+        """Largest rate magnitude, at least 1: the scale of residual checks."""
+        return max(float(np.abs(self.w).max()), 1.0)
+
+    @cached_property
     def _spectral(self) -> _Spectral | None:
         lam, V = np.linalg.eig(self.w)
         try:
@@ -136,8 +141,7 @@ class RateMatrix:
         except np.linalg.LinAlgError:
             return None
         recon = np.real(V @ np.diag(lam) @ Vinv)
-        scale = max(np.abs(self.w).max(), 1.0)
-        if np.abs(recon - self.w).max() > _EIG_RECON_RTOL * scale:
+        if np.abs(recon - self.w).max() > _EIG_RECON_RTOL * self._scale:
             return None
         return _Spectral(lam, V, Vinv)
 
@@ -247,7 +251,7 @@ def propagator(W: RateMatrix, t: float) -> np.ndarray:
 def propagate(W: RateMatrix, p0: ProbVector, t: float) -> ProbVector:
     """Evolve an initial distribution: P(t) = e^{W t} P(0)."""
     _check_dims(W, p0)
-    return ProbVector(propagator(W, t) @ p0.p)
+    return ProbVector(_propagator_apply(W, p0.p, np.array([_check_time(t)]))[0])
 
 
 def propagator_integral(W: RateMatrix, t: float) -> np.ndarray:
@@ -267,6 +271,21 @@ def propagator_integral(W: RateMatrix, t: float) -> np.ndarray:
     block[:n, :n] = W.w
     block[:n, n:] = np.eye(n)
     return scipy.linalg.expm(block * t)[:n, n:]
+
+
+def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Rows ``e^{W t} @ vec`` for a whole array of times; ``vec`` is one
+    vector or one row per time. No propagator matrix is formed on the
+    eigenvector path, and rows at t = 0 are ``vec`` exactly."""
+    times = np.asarray(times, dtype=float)
+    sd = W._spectral
+    if sd is not None:
+        coeff = vec @ sd.Vinv.T
+        rows = np.real((np.exp(np.multiply.outer(times, sd.lam)) * coeff) @ sd.V.T)
+    else:
+        vecs = np.broadcast_to(vec, times.shape + (W.n,))
+        rows = np.stack([propagator(W, float(t)) @ v for t, v in zip(times, vecs)])
+    return np.where((times == 0.0)[..., None], vec, rows)
 
 
 def _integral_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -307,7 +326,7 @@ def steady_state(W: RateMatrix) -> ProbVector:
         raise NoConvergenceError("kernel vector has genuinely negative entries")
     v = np.clip(v, 0.0, None)
     pst = ProbVector(v / v.sum())
-    if np.abs(W.w @ pst.p).max() > 1e-10 * max(np.abs(W.w).max(), 1.0):
+    if np.abs(W.w @ pst.p).max() > 1e-10 * W._scale:
         raise NoConvergenceError("candidate steady state does not satisfy W P = 0")
     return pst
 

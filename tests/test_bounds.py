@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbound import (
+    BOUND_IDS,
     ScoreVector,
     activity_rate,
     bound_derivative,
@@ -20,7 +23,9 @@ from corrbound import (
     geodesic_arg,
     multipoint,
     propagate,
+    random_model,
 )
+from corrbound.cli import evaluate_bounds
 from corrbound.bounds import CSV_HEADER, RATIO_SLACK, _ratio, fmt17
 from corrbound.errors import (
     BadIntervalError,
@@ -369,6 +374,14 @@ class TestBoundOnepoint:
             sine_l = bound_onepoint(W, p0, S, long, "sin")
             assert sine_l.rhs < act_l.rhs  # bounded beats linear at long times
 
+    def test_fast_rates_do_not_break_normalization(self):
+        # in time units where rates are ~1e6, propagated probabilities
+        # miss a unit sum by ~2e-10; the mean must still be contracted
+        W, p0, S = random_model(4, 3)
+        for variant in ("sin", "eta", "activity"):
+            rep = bound_onepoint(W.scaled(1e6), p0, S, 1.0, variant)
+            assert rep.ratio <= 1.0 + RATIO_SLACK
+
     def test_all_variants_hold_on_random_models(self):
         for W, p0, S in model_sweep(15):
             for t in (0.2, 1.0, 5.0):
@@ -399,6 +412,26 @@ class TestValiditySweep:
                     assert bound_derivative(W, p0, S, S, t, mode).satisfied
                     assert bound_eta(W, p0, S, S, t, mode).satisfied
                     assert bound_tangent_tur(W, p0, S, S, t, mode).satisfied
+
+
+class TestRateScaleInvariance:
+    GRID = np.concatenate(([0.0], np.geomspace(1e-2, 10.0, 6)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        seed=st.integers(0, 2**32),
+        log_c=st.floats(-6.0, 10.0),
+    )
+    def test_scaled_rates_and_times_keep_every_ratio(self, n, seed, log_c):
+        # the same process in other time units: W -> c W, t -> t / c
+        c = 10.0**log_c
+        W, p0, S = random_model(n, seed)
+        ref = evaluate_bounds(W, p0, S, S, self.GRID, BOUND_IDS)
+        got = evaluate_bounds(W.scaled(c), p0, S, S, self.GRID / c, BOUND_IDS)
+        assert [r.bound_id for r in got] == [r.bound_id for r in ref]
+        for a, b in zip(ref, got):
+            assert a.ratio == b.ratio or abs(a.ratio - b.ratio) <= 1e-10, a.bound_id
 
 
 class TestBoundReport:

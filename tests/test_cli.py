@@ -4,6 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from corrbound import (
+    bound_derivative,
+    bound_eta,
+    bound_main,
+    bound_multipoint,
+    bound_onepoint,
+    bound_pulse,
+    bound_step,
+    bound_tangent_tur,
+    bound_zero_t,
+    bounds,
+    random_model,
+    steady_state,
+    validate_rate_matrix,
+)
 from corrbound.cli import (
     RunConfig,
     _json17,
@@ -13,9 +28,16 @@ from corrbound.cli import (
     cmd_figure3,
     cmd_response,
     cmd_stress,
+    evaluate_bounds,
     main,
 )
-from corrbound.errors import CorrboundError
+from corrbound.errors import (
+    CorrboundError,
+    DimensionMismatchError,
+    NegativeTimeError,
+    NonFiniteError,
+    NonUniqueSteadyStateError,
+)
 
 FIG2_JSON = '{"n": 2, "rates": [[0, 1], [0, 0]], "p0": [0, 1], "S": [-1, 1]}'
 
@@ -56,6 +78,79 @@ class TestJson17:
         assert text == _json17(payload)
         parsed = json.loads(text)
         assert parsed["b"][0] == 1.0 / 3.0  # 17 digits round-trip
+
+    def test_non_finite_floats_are_quoted_tokens(self):
+        text = _json17({"x": [math.inf, -math.inf, math.nan, np.float64(math.inf)]})
+        assert json.loads(text)["x"] == ["inf", "-inf", "nan", "inf"]
+
+
+class TestEvaluateBounds:
+    def test_bad_grid_times_rejected(self):
+        W, p0, S = random_model(3, 5)
+        with pytest.raises(NegativeTimeError):
+            evaluate_bounds(W, p0, S, S, np.array([1.0, -1.0]), ("DERIV_EQ7",))
+        with pytest.raises(NonFiniteError):
+            evaluate_bounds(W, p0, S, S, np.array([1.0, math.nan]), ("ETA_EQ8",))
+
+    def test_dimension_mismatch_rejected(self):
+        W, p0, S = random_model(3, 5)
+        _, _, S4 = random_model(4, 5)
+        with pytest.raises(DimensionMismatchError):
+            evaluate_bounds(W, p0, S4, S4, np.array([1.0]), ("ETA_EQ8",))
+
+    def test_steady_state_only_for_response_bounds(self, monkeypatch):
+        # a reducible chain has no unique stationary law
+        W = validate_rate_matrix([[0, 1, 0], [0, 0, 0], [0, 1, 0]])
+        _, p0, S = random_model(3, 5)
+        calls = []
+        real = bounds.steady_state
+        monkeypatch.setattr(bounds, "steady_state", lambda w: calls.append(w) or real(w))
+        grid = np.array([0.0, 1.0])
+        reports = evaluate_bounds(W, p0, S, S, grid, bounds.BOUND_IDS[:10])
+        assert len(reports) == 19 and not calls
+        with pytest.raises(NonUniqueSteadyStateError):
+            evaluate_bounds(W, p0, S, S, grid, ("ETA_EQ8", "STEP_EQ12"))
+        assert len(calls) == 1
+
+    def test_rows_match_single_point_bounds(self):
+        # the grid plan integrates the activity over all knots at once; the
+        # single-point functions integrate each interval on its own
+        chi = 0.01
+        for seed in range(6):
+            W, p0, S = random_model(2 + seed % 3, seed)
+            pst = steady_state(W)
+            single = {
+                "MAIN_EQ5": lambda t: bound_main(W, p0, S, S, t / 2.0, t),
+                "ZERO_T_EQ6": lambda t: bound_zero_t(W, p0, S, S, t),
+                "DERIV_EQ7": lambda t: bound_derivative(W, p0, S, S, t),
+                "ETA_EQ8": lambda t: bound_eta(W, p0, S, S, t),
+                "TANGENT_S29": lambda t: bound_tangent_tur(W, p0, S, S, t),
+                "MULTI_SIN_S40": lambda t: bound_multipoint(W, p0, [S] * 3, (0, t / 2, t), "sin"),
+                "MULTI_ETA_S39": lambda t: bound_multipoint(W, p0, [S] * 3, (0, t / 2, t), "eta"),
+                "ONEPOINT_SIN_S42": lambda t: bound_onepoint(W, p0, S, t, "sin"),
+                "ONEPOINT_ETA_S41": lambda t: bound_onepoint(W, p0, S, t, "eta"),
+                "ONEPOINT_ACTIVITY_S45": lambda t: bound_onepoint(W, p0, S, t, "activity"),
+                "PULSE_EQ11": lambda t: bound_pulse(W, pst, S, S, chi, t),
+                "STEP_EQ12": lambda t: bound_step(W, pst, S, S, chi, t),
+            }
+            grid = np.array([0.0, 0.05, 0.3, 1.0, 4.0])
+            reports = evaluate_bounds(W, p0, S, S, grid, bounds.BOUND_IDS, chi=chi)
+            assert len(reports) == 12 * grid.size - 2
+            for r in reports:
+                ref = single[r.bound_id](r.t2)
+                assert (r.t1, r.t2, r.in_validity_domain) == (ref.t1, ref.t2, ref.in_validity_domain)
+                for x, y in ((r.lhs, ref.lhs), (r.rhs, ref.rhs), (r.ratio, ref.ratio)):
+                    assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12), r.bound_id
+
+    def test_rows_ordered_by_time_then_bound(self):
+        W, p0, S = random_model(2, 8)
+        bids = ("PULSE_EQ11", "MAIN_EQ5", "DERIV_EQ7")
+        reports = evaluate_bounds(W, p0, S, S, np.array([0.0, 0.5, 2.0]), bids)
+        assert [(r.bound_id, r.t1, r.t2) for r in reports] == [
+            ("MAIN_EQ5", 0.0, 0.0),
+            ("PULSE_EQ11", 0.5, 0.5), ("MAIN_EQ5", 0.25, 0.5), ("DERIV_EQ7", 0.5, 0.5),
+            ("PULSE_EQ11", 2.0, 2.0), ("MAIN_EQ5", 1.0, 2.0), ("DERIV_EQ7", 2.0, 2.0),
+        ]
 
 
 class TestCmdCheck:
@@ -111,6 +206,22 @@ class TestCmdCheck:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["bound_id"] == "ETA_EQ8"
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [((), "rhs"), (("--rhs-scale", "0"), "ratio")],
+    )
+    def test_json_output_with_infinite_values_parses(self, tmp_path, extra, field):
+        # past arg = pi/2 the tangent bound's rhs is infinite; a zero rhs
+        # scale makes every ratio infinite
+        out = tmp_path / "out.json"
+        argv = [
+            "check", "--states", "3", "--seed", "1", "--tgrid", "1:10:2:lin",
+            "--bounds", "TANGENT_S29", "--format", "json", "--out", str(out),
+        ]
+        main(argv + list(extra))
+        rows = json.loads(out.read_text())["rows"]
+        assert "inf" in [r[field] for r in rows]
 
     def test_generated_model(self, tmp_path):
         config = RunConfig(
@@ -309,12 +420,3 @@ class TestMainEntry:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_threads_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CORRBOUND_THREADS", "2")
-        out = tmp_path / "t.json"
-        code, _ = cmd_stress(n_models=4, t_grid=np.array([0.5, 2.0]), output_path=str(out))
-        assert code == 0
-        monkeypatch.setenv("CORRBOUND_THREADS", "bogus")
-        code, _ = cmd_stress(n_models=2, t_grid=np.array([0.5]), output_path=str(out))
-        assert code == 0

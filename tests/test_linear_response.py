@@ -144,6 +144,20 @@ class TestBoundPulse:
                 assert bound_pulse(W, pst, S, S, CHI, t).satisfied
 
 
+class TestSteadyCheckAtFastRates:
+    def test_steady_state_output_accepted_in_any_time_unit(self):
+        # the residual of a computed stationary law grows with the rates;
+        # the shift functions must accept what steady_state returns
+        for W, _, S in model_sweep(10, seed=43_000):
+            for c in (1e8, 1e10):
+                Wc = W.scaled(c)
+                pst = steady_state(Wc)
+                for bound in (bound_pulse, bound_step):
+                    ref = bound(W, steady_state(W), S, S, CHI, 1.0)
+                    got = bound(Wc, pst, S, S, CHI, 1.0 / c)
+                    assert abs(got.ratio - ref.ratio) <= 1e-10
+
+
 class TestBoundStep:
     def test_symmetric_values_at_unit_time(self, symmetric_model):
         W, pst, S, T = symmetric_model
