@@ -197,10 +197,8 @@ def evaluate_bounds(
 def _apply_rhs_scale(reports: list[BoundReport], scale: float) -> list[BoundReport]:
     if scale == 1.0:
         return reports
-    return [
-        replace(r, rhs=r.rhs * scale, ratio=_ratio(r.lhs, r.rhs * scale))
-        for r in reports
-    ]
+    scaled = [(r, r.rhs * scale if r.rhs and scale else 0.0) for r in reports]  # 0 * inf = 0
+    return [replace(r, rhs=rhs, ratio=_ratio(r.lhs, rhs)) for r, rhs in scaled]
 
 
 def cmd_check(config: RunConfig) -> int:

@@ -38,7 +38,7 @@ from .markov import (
     ScoreVector,
     _check_dims,
     _check_time,
-    propagator,
+    _propagator_apply,
     steady_state,
 )
 
@@ -151,13 +151,17 @@ def response_function(
     t: float,
 ) -> float:
     """Response kernel 1 G e^{Wt} F P_st for t >= 0, exactly 0 for t < 0."""
+    t = float(t)
+    return float(_kernel(W, Pst, F, G, np.array([t if t < 0.0 else _check_time(t)]))[0])
+
+
+def _kernel(W: RateMatrix, Pst: ProbVector, F, G: ScoreVector, lags: np.ndarray) -> np.ndarray:
+    """The response kernel at an array of lags in one propagation; exactly 0
+    at negative lags."""
     _check_steady(W, Pst)
     _check_dims(W, G)
-    if t < 0.0:
-        return 0.0
-    F = np.asarray(F, dtype=float)
-    v = propagator(W, float(t)) @ (F @ Pst.p)
-    return float(G.s @ v)
+    rows = _propagator_apply(W, np.asarray(F, dtype=float) @ Pst.p, np.maximum(lags, 0.0))
+    return np.where(lags < 0.0, 0.0, rows @ G.s)
 
 
 def pulse_shift(
@@ -239,7 +243,7 @@ def convolved_shift(
     if dt <= 0.0:
         raise StepTooLargeError("convolution step must be > 0")
     grid = np.arange(0.0, t + 0.5 * dt, dt)
-    kernel = np.array([response_function(W, Pst, F, G, t - tp) for tp in grid])
+    kernel = _kernel(W, Pst, F, G, t - grid)
     fvals = np.array([drive.value(tp) for tp in grid])
     return chi * float(np.trapezoid(kernel * fvals, grid))
 

@@ -10,6 +10,14 @@ Conventions used throughout the library:
   recomputed from the off-diagonal entries on construction.
 * All value types are immutable after construction and safe to share
   across threads; the operations below are pure functions.
+
+Every propagation goes through two primitives over whole time arrays,
+``_propagator_apply`` (e^{W t} v) and ``_integral_apply`` (int_0^t e^{W s} ds v).
+Each has two regimes, chosen from W: the eigenvector basis when it is well
+conditioned and reproduces W; otherwise (defective W) one batched
+``scipy.linalg.expm``, for the integral of the augmented generator
+``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals involving the matrix
+exponential", IEEE TAC 1978).
 """
 
 from __future__ import annotations
@@ -63,9 +71,6 @@ class _Spectral:
         self.V = V
         self.Vinv = Vinv
 
-    def expm_t(self, t: float) -> np.ndarray:
-        return np.real((self.V * np.exp(self.lam * t)) @ self.Vinv)
-
     def phi_t(self, t) -> np.ndarray:
         """(e^{lam t} - 1)/lam elementwise, series near lam*t = 0.
 
@@ -81,7 +86,7 @@ class _Spectral:
             out = np.where(small, 0.0, expm1_z) / np.where(small, 1.0, z)
         series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
         out = np.where(small, series, out)
-        return out * t[..., None] if t.ndim else out * t
+        return out * t[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +148,8 @@ class RateMatrix:
         recon = np.real(V @ np.diag(lam) @ Vinv)
         if np.abs(recon - self.w).max() > _EIG_RECON_RTOL * self._scale:
             return None
+        # 0 is exact (columns sum to 0); pin it, or e^{lam t} drifts by eps*max|W|*t
+        lam = np.where(np.abs(lam) <= self.n * np.finfo(float).eps * self._scale, 0.0, lam)
         return _Spectral(lam, V, Vinv)
 
     def scaled(self, factor: float) -> "RateMatrix":
@@ -234,18 +241,9 @@ def _check_time(t: float) -> float:
 
 def propagator(W: RateMatrix, t: float) -> np.ndarray:
     """Transition-probability matrix e^{W t}; column ``mu`` is the law at
-    time ``t`` started from state ``mu``.
-
-    Uses the eigenvector basis when it is well conditioned, otherwise
-    falls back to scaling-and-squaring.
-    """
+    time ``t`` started from state ``mu``."""
     t = _check_time(t)
-    if t == 0.0:
-        return np.eye(W.n)
-    sd = W._spectral
-    if sd is not None:
-        return sd.expm_t(t)
-    return scipy.linalg.expm(W.w * t)
+    return _propagator_apply(W, np.eye(W.n), np.full(W.n, t)).T
 
 
 def propagate(W: RateMatrix, p0: ProbVector, t: float) -> ProbVector:
@@ -255,22 +253,9 @@ def propagate(W: RateMatrix, p0: ProbVector, t: float) -> ProbVector:
 
 
 def propagator_integral(W: RateMatrix, t: float) -> np.ndarray:
-    """Time-integrated propagator: the matrix ``int_0^t e^{W s} ds``.
-
-    Computed in the eigenvector basis when available; otherwise as the
-    upper-right block of the exponential of ``[[W, I], [0, 0]] * t``.
-    """
+    """Time-integrated propagator: the matrix ``int_0^t e^{W s} ds``."""
     t = _check_time(t)
-    n = W.n
-    if t == 0.0:
-        return np.zeros((n, n))
-    sd = W._spectral
-    if sd is not None:
-        return np.real((sd.V * sd.phi_t(t)) @ sd.Vinv)
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = W.w
-    block[:n, n:] = np.eye(n)
-    return scipy.linalg.expm(block * t)[:n, n:]
+    return _integral_apply(W, np.eye(W.n), np.full(W.n, t)).T
 
 
 def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -283,23 +268,26 @@ def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.n
         coeff = vec @ sd.Vinv.T
         rows = np.real((np.exp(np.multiply.outer(times, sd.lam)) * coeff) @ sd.V.T)
     else:
-        vecs = np.broadcast_to(vec, times.shape + (W.n,))
-        rows = np.stack([propagator(W, float(t)) @ v for t, v in zip(times, vecs)])
+        rows = (scipy.linalg.expm(np.multiply.outer(times, W.w)) @ vec[..., None])[..., 0]
     return np.where((times == 0.0)[..., None], vec, rows)
 
 
 def _integral_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times.
+    """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times;
+    ``vec`` is one vector or one row per time, and rows at t = 0 are 0.
 
-    Quadratures over the dynamical activity call this in batch; the
-    eigenvector path evaluates all times in one shot.
+    Quadratures over the dynamical activity call this in batch; both
+    paths evaluate all times in one shot.
     """
     times = np.asarray(times, dtype=float)
     sd = W._spectral
     if sd is not None:
-        coeff = sd.Vinv @ vec
-        return np.real(sd.phi_t(times) * coeff @ sd.V.T)
-    return np.stack([propagator_integral(W, float(t)) @ vec for t in times])
+        coeff = vec @ sd.Vinv.T
+        return np.real((sd.phi_t(times) * coeff) @ sd.V.T)
+    n = W.n
+    aug = np.zeros(times.shape + (n + 1, n + 1))
+    aug[..., :n, :n], aug[..., :n, n] = W.w, vec
+    return scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
 
 
 def steady_state(W: RateMatrix) -> ProbVector:

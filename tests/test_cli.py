@@ -222,6 +222,7 @@ class TestCmdCheck:
         main(argv + list(extra))
         rows = json.loads(out.read_text())["rows"]
         assert "inf" in [r[field] for r in rows]
+        assert "nan" not in [v for r in rows for v in r.values()]
 
     def test_generated_model(self, tmp_path):
         config = RunConfig(

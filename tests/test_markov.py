@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbound import (
     ProbVector,
@@ -15,6 +19,8 @@ from corrbound import (
     steady_state,
     validate_rate_matrix,
 )
+from corrbound.bounds import RATIO_SLACK
+from corrbound.cli import DEFAULT_BOUNDS, evaluate_bounds
 from corrbound.errors import (
     BadDimensionError,
     DimensionMismatchError,
@@ -26,6 +32,7 @@ from corrbound.errors import (
     NonUniqueSteadyStateError,
     NotNormalizedError,
 )
+from corrbound.markov import _integral_apply, _propagator_apply
 from conftest import model_sweep
 
 
@@ -176,6 +183,25 @@ class TestPropagate:
                 assert abs(p.sum() - 1.0) < 1e-12
                 assert p.min() >= 0.0
 
+    def test_fast_rates_stay_normalized(self):
+        # the computed zero eigenvalue drifts by eps * max|W| unless pinned to 0
+        W, p0, _ = random_model(4, 3)
+        p = propagate(W.scaled(1e6), p0, 1.0).p
+        assert abs(p.sum() - 1.0) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32),
+        log_c=st.floats(-6.0, 10.0),
+        t=st.floats(0.0, 10.0),
+    )
+    def test_scaled_rates_and_times_give_the_same_law(self, n, seed, log_c, t):
+        c = 10.0**log_c
+        W, p0, _ = random_model(n, seed)
+        got = propagate(W.scaled(c), p0, t / c)
+        assert np.abs(got.p - propagate(W, p0, t).p).max() <= 1e-10
+
 
 class TestPropagatorIntegral:
     def test_zero_time_is_zero_matrix(self, decay_model):
@@ -205,6 +231,65 @@ class TestPropagatorIntegral:
             for t in (0.4, 2.0):
                 fd = (propagator_integral(W, t + h) - propagator_integral(W, t - h)) / (2 * h)
                 assert np.abs(fd - propagator(W, t)).max() < 1e-6
+
+
+class TestDefectiveFallback:
+    """Chain 0 -> 1 -> 2 -> 3 at one rate k: a 3x3 Jordan block, so the
+    eigenbasis is rejected and propagation takes the expm fallback."""
+
+    K = 1.3
+
+    @pytest.fixture
+    def chain(self):
+        w = np.zeros((4, 4))
+        for i in range(3):
+            w[i + 1, i] = self.K
+        return validate_rate_matrix(w)
+
+    def closed_form(self, t):
+        # from state j the jump count is Poisson(k t); state 3 absorbs the tail
+        pmf = [math.exp(-self.K * t) * (self.K * t) ** m / math.factorial(m) for m in range(4)]
+        P = np.zeros((4, 4))
+        for j in range(4):
+            for i in range(j, 3):
+                P[i, j] = pmf[i - j]
+            P[3, j] = 1.0 - sum(pmf[: 3 - j])
+        return P
+
+    def test_eigenbasis_rejected(self, chain):
+        assert chain._spectral is None
+
+    def test_propagator_closed_form(self, chain):
+        for t in (0.1, 1.0, 4.0, 20.0):
+            assert np.abs(propagator(chain, t) - self.closed_form(t)).max() < 1e-12
+
+    def test_propagator_integral_matches_quadrature(self, chain):
+        t = 2.3
+        M = propagator_integral(chain, t)
+        for i in range(4):
+            for j in range(4):
+                ref, _ = scipy.integrate.quad(
+                    lambda s, i=i, j=j: self.closed_form(s)[i, j], 0.0, t, epsabs=1e-13
+                )
+                assert abs(M[i, j] - ref) < 1e-9
+
+    def test_primitives_match_wrappers_and_are_exact_at_zero(self, chain):
+        times = np.array([0.0, 0.2, 1.0, 5.0])
+        v = np.array([0.4, -0.3, 0.2, 0.7])
+        rows = _propagator_apply(chain, v, times)
+        integrals = _integral_apply(chain, v, times)
+        assert np.array_equal(rows[0], v)
+        assert np.array_equal(integrals[0], np.zeros(4))
+        for t, row, integral in zip(times, rows, integrals):
+            assert np.abs(row - propagator(chain, t) @ v).max() < 1e-13
+            assert np.abs(integral - propagator_integral(chain, t) @ v).max() < 1e-13
+
+    def test_default_bounds_hold(self, chain):
+        p0 = ProbVector(np.array([0.4, 0.3, 0.2, 0.1]))
+        S = ScoreVector(np.array([1.0, -0.5, 0.25, -1.0]))
+        reports = evaluate_bounds(chain, p0, S, S, np.geomspace(1e-2, 10.0, 12), DEFAULT_BOUNDS)
+        assert reports
+        assert max(r.ratio for r in reports) <= 1.0 + RATIO_SLACK
 
 
 class TestSteadyState:
