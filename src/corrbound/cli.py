@@ -273,12 +273,12 @@ FIG3_STEP_GRID = np.linspace(0.0, 5.0, 101)
 FIG3_PULSE_GRID = np.linspace(0.05, 5.0, 100)
 
 
-def _fig2_random_models(n_models: int, seed: int):
-    """The randomized sweep protocol: states cycling 2, 3, 4 and per-model
-    seeds drawn from one master stream; scores are reused for both probes."""
-    master = make_rng(seed)
-    sizes = [2 + (i % 3) for i in range(n_models)]
-    seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=n_models)]
+def _random_sweep(n_models: int, seed: int, n_list=(2, 3, 4)):
+    """The randomized sweep protocol of figure2 and stress: state counts
+    cycling ``n_list`` and per-model seeds drawn from one master stream;
+    scores are reused for both probes."""
+    sizes = [int(n_list[i % len(n_list)]) for i in range(n_models)]
+    seeds = [int(s) for s in make_rng(seed).integers(0, 2**63 - 1, size=n_models)]
     return sizes, seeds
 
 
@@ -302,7 +302,7 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
         if r.bound_id == "DERIV_EQ7"
     ]
 
-    sizes, seeds = _fig2_random_models(n_random, seed)
+    sizes, seeds = _random_sweep(n_random, seed)
     models = [fig2_model()[:3]] + [random_model(n, s) for n, s in zip(sizes, seeds)]
     rows_c, rows_d = [], []
     for idx, (Wm, p0m, Sm) in enumerate(models):
@@ -387,10 +387,7 @@ def cmd_stress(
         raise CorrboundError("n_models must be >= 0")
     if t_grid is None:
         t_grid = np.geomspace(1e-2, 10.0, 20)
-    master = make_rng(seed)
-    sizes = [int(n_list[i % len(n_list)]) for i in range(n_models)]
-    seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=n_models)]
-
+    sizes, seeds = _random_sweep(n_models, seed, n_list)
     tally = {
         bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0}
         for bid in BOUND_IDS

@@ -72,21 +72,16 @@ class _Spectral:
         self.Vinv = Vinv
 
     def phi_t(self, t) -> np.ndarray:
-        """(e^{lam t} - 1)/lam elementwise, series near lam*t = 0.
+        """(e^{lam t} - 1)/lam elementwise, as expm1(z)/z * t with z = lam t.
 
-        Accepts scalar or array ``t``; result broadcasts t against lam.
+        numpy's complex expm1 has no cancellation for small |z|; z = 0
+        (the pinned zero eigenvalue, or t = 0) gives exactly t. Accepts
+        scalar or array ``t``; result broadcasts t against lam.
         """
         t = np.asarray(t, dtype=float)
         z = np.multiply.outer(t, self.lam)
-        small = np.abs(z) < 1e-4
-        # e^z - 1 without cancellation: expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y
-        x, y = z.real, z.imag
-        expm1_z = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2) + 1j * np.exp(x) * np.sin(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(small, 0.0, expm1_z) / np.where(small, 1.0, z)
-        series = 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0
-        out = np.where(small, series, out)
-        return out * t[..., None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(z == 0, 1, np.expm1(z) / z) * t[..., None]
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,11 +98,6 @@ def skeleton_distribution(
     return FiniteDistribution.from_sorted(range(count), flat)
 
 
-def skeleton_final_marginal(dist: FiniteDistribution, n_states: int) -> np.ndarray:
-    """Sum path weights over everything but the last coordinate."""
-    return dist.probs.reshape(-1, n_states).sum(axis=0)
-
-
 def bhat_survival(W: RateMatrix, p0: ProbVector, t: float) -> float:
     """Closed-form Bhattacharyya overlap between the frozen (all rates
     zero) and full-speed rescaled path measures on a horizon of length t.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corrbound import (
     BOUND_IDS,
+    ProbVector,
     ScoreVector,
     activity_rate,
     bound_derivative,
@@ -24,6 +25,8 @@ from corrbound import (
     multipoint,
     propagate,
     random_model,
+    steady_state,
+    validate_rate_matrix,
 )
 from corrbound.cli import evaluate_bounds
 from corrbound.bounds import CSV_HEADER, RATIO_SLACK, _ratio, fmt17
@@ -113,6 +116,19 @@ class TestGeodesicArg:
                 math.sqrt(t), abs=1e-12
             )
         assert geodesic_arg(W, pst, 1.0, 4.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stationary_closed_form_on_random_models(self):
+        # a stationary start has A(t) = a t, so the substituted integrand is
+        # the constant sqrt(a) and the quadrature gives the closed form
+        for n in (2, 3, 4, 6, 10):
+            for seed in range(4):
+                W, _, _ = random_model(n, 9_100 + seed)
+                pst = steady_state(W)
+                a = activity_rate(W, pst)
+                for t1, t2 in ((0.0, 1.0), (0.3, 2.5), (1e-2, 10.0)):
+                    ref = math.sqrt(a) * (math.sqrt(t2) - math.sqrt(t1))
+                    got = geodesic_arg(W, pst, t1, t2)
+                    assert abs(got - ref) <= 1e-12 * ref, (n, seed, t1, t2)
 
     def test_frozen_is_zero(self, frozen_model):
         W, p0, _, _ = frozen_model
@@ -429,6 +445,24 @@ class TestRateScaleInvariance:
         W, p0, S = random_model(n, seed)
         ref = evaluate_bounds(W, p0, S, S, self.GRID, BOUND_IDS)
         got = evaluate_bounds(W.scaled(c), p0, S, S, self.GRID / c, BOUND_IDS)
+        assert [r.bound_id for r in got] == [r.bound_id for r in ref]
+        for a, b in zip(ref, got):
+            assert a.ratio == b.ratio or abs(a.ratio - b.ratio) <= 1e-10, a.bound_id
+
+
+class TestPermutationInvariance:
+    GRID = np.concatenate(([0.0], np.geomspace(1e-2, 10.0, 6)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32))
+    def test_relabelled_states_keep_every_ratio(self, data, n, seed):
+        # the same process with its states listed in another order
+        perm = np.array(data.draw(st.permutations(range(n))))
+        W, p0, S = random_model(n, seed)
+        Wp = validate_rate_matrix(W.w[np.ix_(perm, perm)])
+        p0p, Sp = ProbVector(p0.p[perm]), ScoreVector(S.s[perm])
+        ref = evaluate_bounds(W, p0, S, S, self.GRID, BOUND_IDS)
+        got = evaluate_bounds(Wp, p0p, Sp, Sp, self.GRID, BOUND_IDS)
         assert [r.bound_id for r in got] == [r.bound_id for r in ref]
         for a, b in zip(ref, got):
             assert a.ratio == b.ratio or abs(a.ratio - b.ratio) <= 1e-10, a.bound_id

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -32,7 +33,7 @@ from corrbound.errors import (
     NonUniqueSteadyStateError,
     NotNormalizedError,
 )
-from corrbound.markov import _integral_apply, _propagator_apply
+from corrbound.markov import _integral_apply, _propagator_apply, _Spectral
 from conftest import model_sweep
 
 
@@ -231,6 +232,47 @@ class TestPropagatorIntegral:
             for t in (0.4, 2.0):
                 fd = (propagator_integral(W, t + h) - propagator_integral(W, t - h)) / (2 * h)
                 assert np.abs(fd - propagator(W, t)).max() < 1e-6
+
+
+class TestPhiT:
+    """(e^{lam t} - 1)/lam against a 40-digit reference from the exact
+    float inputs lam and t."""
+
+    @staticmethod
+    def reference(lam, t):
+        with mpmath.workdps(40):
+            z = mpmath.mpc(lam.real, lam.imag) * mpmath.mpf(t)
+            if z == 0:
+                return complex(t)
+            return complex(mpmath.expm1(z) / z * t)
+
+    @staticmethod
+    def phi(lam, t):
+        lam = np.asarray(lam, dtype=complex)
+        return _Spectral(lam, np.eye(lam.size), np.eye(lam.size)).phi_t(t)
+
+    def check(self, lam, ts):
+        got = self.phi(lam, ts)
+        for i, t in enumerate(ts):
+            for k, l in enumerate(lam):
+                ref = self.reference(complex(l), float(t))
+                assert abs(got[i, k] - ref) <= 1e-15 * abs(ref), (l, t)
+
+    def test_real_eigenvalues_over_sixteen_decades(self):
+        # |lam t| from 1e-12 to 1e4
+        self.check([-1.0, -0.37], np.geomspace(1e-12, 1e4, 49))
+
+    def test_complex_pair(self):
+        self.check([-0.3 + 1.7j, -0.3 - 1.7j], np.geomspace(1e-12, 1e4, 49))
+
+    def test_zero_eigenvalue_gives_exactly_t(self):
+        ts = np.array([0.0, 1e-12, 0.3, 2.5, 1e4])
+        got = self.phi([0.0, -1.0], ts)
+        assert np.array_equal(got[:, 0], ts)
+
+    def test_zero_time_gives_exactly_zero(self):
+        got = self.phi([0.0, -2.0, -0.3 + 1.7j], 0.0)
+        assert np.array_equal(got, np.zeros(3))
 
 
 class TestDefectiveFallback:
