@@ -1,7 +1,8 @@
 """Activity-based upper bounds on correlation changes, with reports.
 
 Every bound evaluation returns a :class:`BoundReport` carrying both
-sides, their ratio, and a validity-domain flag. Sine-type bounds are
+sides, their ratio, and a validity-domain flag; sweeps that only tally
+read the same values as arrays (``_Plan.sides``). Sine-type bounds are
 valid while the activity integral
 
     arg(t1, t2) = (1/2) * int_{t1}^{t2} sqrt(A(t)) / t dt
@@ -18,12 +19,18 @@ functions evaluate it on a plan over their own times.
 
 The activity integral is evaluated after substituting t = s^2, which
 removes the integrable endpoint singularity at t1 = 0, as a cumulative
-sum of adaptive Gauss-Legendre panels between neighbouring knots, each
-refined to GEODESIC_ATOL / panels, so every interval is within
-GEODESIC_ATOL. Failure to converge within 20 refinement levels raises
-instead of returning a silently loose value. For a steady-state start
-A(t) = a t, the substituted integrand is the constant sqrt(a), so the
-quadrature reproduces the closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
+sum over the intervals between neighbouring knots, each refined to
+GEODESIC_ATOL / intervals, so every interval is within GEODESIC_ATOL.
+The adaptive Gauss-Legendre quadrature is level-synchronous: at each
+refinement level the 10 and 21 nodes of every open panel of every
+interval go to A(t) in one batch, and only the panels whose two
+estimates disagree are bisected for the next level. A batch is split
+into ``_integral_apply`` calls of at most ``_APPLY_ELEMENTS`` times x
+states, which caps the memory of large models. Failure to converge
+within 20 refinement levels raises instead of returning a silently
+loose value. For a steady-state start A(t) = a t, the substituted
+integrand is the constant sqrt(a), so the quadrature reproduces the
+closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .markov import (
     RateMatrix,
     ScoreVector,
     _check_dims,
-    _check_time,
+    _check_times,
     _integral_apply,
     _propagator_apply,
     steady_state,
@@ -53,6 +60,9 @@ RATIO_SLACK = 1e-9
 
 GEODESIC_ATOL = 1e-9
 _QUAD_MAX_DEPTH = 20
+# Memory cap of the activity integrand: at most this many times x states
+# elements per _integral_apply call, however many panels a level holds.
+_APPLY_ELEMENTS = 2**15
 
 CSV_HEADER = "bound_id,t1,t2,lhs,rhs,ratio,in_domain,cmax_mode"
 
@@ -107,10 +117,10 @@ class BoundReport:
         }
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else math.inf
-    return lhs / rhs
+def _ratio(lhs, rhs):
+    """lhs / rhs elementwise, with 0/0 taken as 0 and x/0 as inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs == 0.0, np.where(lhs == 0.0, 0.0, math.inf), np.divide(lhs, rhs))
 
 
 def activity_rate(W: RateMatrix, p: ProbVector) -> float:
@@ -124,33 +134,42 @@ _GL_HI = np.polynomial.legendre.leggauss(21)
 _GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
 
 
-def _adaptive_gauss_legendre(f, a: float, b: float, atol: float) -> float:
-    """Panel-adaptive Gauss-Legendre with embedded 10/21-node error estimate.
+def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
+    """Level-synchronous panel-adaptive Gauss-Legendre over many intervals.
 
-    ``f`` must accept an array of nodes; it is called once per panel, on
-    the 10 and 21 nodes together. Panels are bisected until the two
-    estimates agree within the panel's share of ``atol``; exceeding 20
-    bisection levels is a hard error.
+    ``lo``, ``hi`` and ``tol`` are arrays with one entry per interval;
+    returns the integral of ``f`` over each interval. At every refinement
+    level the 10 and 21 nodes of all open panels go to ``f`` in one call
+    (``f`` must accept an array of nodes). A panel whose embedded 10/21-node
+    estimates agree within its tolerance adds its 21-node value to its
+    interval; any other panel is bisected, each half with half the
+    tolerance. A panel still open after 20 bisection levels is a hard error.
     """
-    total = 0.0
-    stack = [(a, b, atol, 0)]
-    while stack:
-        lo, hi, tol, depth = stack.pop()
+    lo, hi, tol = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi, tol))
+    totals = np.zeros(lo.size)
+    owner = np.arange(lo.size)
+    n_lo = _GL_LO[0].size
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        if owner.size == 0:
+            break
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        values = f(mid + half * _GL_NODES)
-        coarse = half * float(np.dot(_GL_LO[1], values[: _GL_LO[0].size]))
-        fine = half * float(np.dot(_GL_HI[1], values[_GL_LO[0].size :]))
-        if abs(fine - coarse) <= max(tol, 1e-16):
-            total += fine
-        else:
-            if depth >= _QUAD_MAX_DEPTH:
-                raise QuadratureError(
-                    f"activity integral did not converge on [{lo}, {hi}]"
-                )
-            stack.append((lo, mid, 0.5 * tol, depth + 1))
-            stack.append((mid, hi, 0.5 * tol, depth + 1))
-    return total
+        values = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(owner.size, -1)
+        coarse = half * (values[:, :n_lo] @ _GL_LO[1])
+        fine = half * (values[:, n_lo:] @ _GL_HI[1])
+        done = np.abs(fine - coarse) <= np.maximum(tol, 1e-16)
+        np.add.at(totals, owner[done], fine[done])
+        open_ = ~done
+        if open_.any() and depth == _QUAD_MAX_DEPTH:
+            k = np.flatnonzero(open_)[0]
+            raise QuadratureError(
+                f"activity integral did not converge on [{float(lo[k])}, {float(hi[k])}]"
+            )
+        lo, mid, hi = lo[open_], mid[open_], hi[open_]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        tol = np.tile(0.5 * tol[open_], 2)
+        owner = np.tile(owner[open_], 2)
+    return totals
 
 
 def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
@@ -194,7 +213,7 @@ class _Plan:
         probes=None,
     ):
         _check_dims(W, p0, *(v for v in (S, T) if v is not None))
-        self.knots = np.unique([_check_time(t) for t in np.ravel(times)])
+        self.knots = np.unique(_check_times(np.ravel(times)))
         self.W, self.p0, self.S, self.T = W, p0, S, T
         self.mode, self.chi = mode, chi
         self.probes = probes or ((S, T, S), np.outer(self.knots, (0.0, 0.5, 1.0)))
@@ -234,8 +253,12 @@ class _Plan:
         return _chain(self.W, self.p0.p, *self.probes)
 
     def _activity(self, ts: np.ndarray) -> np.ndarray:
-        rows = _integral_apply(self.W, self.p0.p, ts)
-        return np.clip(rows @ self.W.escape, 0.0, None)
+        """A at the times ts, in _integral_apply calls of at most
+        _APPLY_ELEMENTS times x states each."""
+        step = max(_APPLY_ELEMENTS // self.W.n, 1)
+        chunks = np.split(ts, np.arange(step, ts.size, step))
+        rates = [_integral_apply(self.W, self.p0.p, c) @ self.W.escape for c in chunks]
+        return np.clip(np.concatenate(rates), 0.0, None)
 
     @cached_property
     def activity(self) -> np.ndarray:
@@ -245,7 +268,7 @@ class _Plan:
     @cached_property
     def eta(self) -> np.ndarray:
         """eta(t), the squared survival overlap of path_space."""
-        return np.array([path_space.eta(self.W, self.p0, t) for t in self.knots])
+        return path_space._survival(self.W, self.p0, self.knots) ** 2
 
     @cached_property
     def arc(self) -> np.ndarray:
@@ -255,34 +278,38 @@ class _Plan:
         def integrand(x: np.ndarray) -> np.ndarray:
             return np.sqrt(self._activity(x * x)) / x
 
-        atol = GEODESIC_ATOL / max(s.size - 1, 1)
-        panels = [
-            _adaptive_gauss_legendre(integrand, lo, hi, atol)
-            for lo, hi in zip(s[:-1], s[1:])
-        ]
+        tol = np.full(s.size - 1, GEODESIC_ATOL / max(s.size - 1, 1))
+        panels = _adaptive_gauss_legendre(integrand, s[:-1], s[1:], tol)
         return np.concatenate(([0.0], np.cumsum(panels)))
 
     def arg(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Activity integral between the knots with indices a and b."""
         return self.arc[b] - self.arc[a]
 
+    def sides(self, bound_id: str, t1, t2):
+        """One bound on the intervals (t1[i], t2[i]), all of them knots:
+        arrays lhs, rhs, ratio, in_domain, and arg (None for bounds that
+        do not read the activity integral)."""
+        t1, t2 = np.atleast_1d(t1), np.atleast_1d(t2)
+        if np.any(t1 > t2):
+            raise BadIntervalError(f"need t1 <= t2, got ({t1}, {t2})")
+        a, b = np.searchsorted(self.knots, t1), np.searchsorted(self.knots, t2)
+        lhs, rhs, in_domain, arg = _BOUNDS[bound_id][3](self, a, b)
+        return lhs, rhs, _ratio(lhs, rhs), in_domain, arg
+
     def reports(self, bound_id: str, t1, t2) -> list[BoundReport]:
-        """One bound on the intervals (t1[i], t2[i]), all of them knots."""
+        """The sides of one bound as one report per interval."""
         t1, t2 = np.atleast_1d(t1), np.atleast_1d(t2)
         if t1.size == 0:
             return []
-        if np.any(t1 > t2):
-            raise BadIntervalError(f"need t1 <= t2, got ({t1}, {t2})")
-        _, _, uses_mode, formula = _BOUNDS[bound_id]
-        a, b = np.searchsorted(self.knots, t1), np.searchsorted(self.knots, t2)
-        lhs, rhs, in_domain, arg = formula(self, a, b)
-        mode = self.mode if uses_mode else "standard"
+        lhs, rhs, ratio, in_domain, arg = self.sides(bound_id, t1, t2)
+        mode = self.mode if _BOUNDS[bound_id][2] else "standard"
         args = [None] * len(t1) if arg is None else arg.tolist()
         return [
-            BoundReport(bound_id, x1, x2, l, r, _ratio(l, r), d, mode, g)
-            for x1, x2, l, r, d, g in zip(
+            BoundReport(bound_id, *row, mode, g)
+            for *row, g in zip(
                 t1.tolist(), t2.tolist(), lhs.tolist(), rhs.tolist(),
-                in_domain.tolist(), args,
+                ratio.tolist(), in_domain.tolist(), args,
             )
         ]
 

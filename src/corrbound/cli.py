@@ -153,6 +153,29 @@ def _csv_document(header: str, rows: list[str], meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi):
+    """The intervals of each selected bound on one model's plan.
+
+    Yields (bound id, grid rows, plan, t1, t2): the start plan (the
+    stationary one for pulse/step) and the applicable intervals at grid
+    rows ``rows``, with t1 the bound's share of t2; single-time bounds
+    (share 1) skip t = 0, where they divide by t.
+    """
+    grid = np.asarray(t_grid, dtype=float)
+    unknown = set(bound_ids) - set(_BOUNDS)
+    if unknown:
+        raise CorrboundError(f"unknown bound ids: {sorted(unknown)}")
+    # knots: the grid and the interval starts of the selected bounds
+    shares = {_BOUNDS[bid][0] for bid in bound_ids}
+    knots = np.concatenate([grid] + [share * grid for share in shares])
+    plan = _Plan(W, p0, knots, S, T, mode, chi)
+    for bid in dict.fromkeys(bound_ids):
+        t1_share, stationary, _, _ = _BOUNDS[bid]
+        rows = np.flatnonzero(grid > 0.0) if t1_share == 1.0 else np.arange(grid.size)
+        start = plan.stationary if stationary else plan
+        yield bid, rows, start, t1_share * grid[rows], grid[rows]
+
+
 def evaluate_bounds(
     W: RateMatrix,
     p0: ProbVector,
@@ -171,24 +194,13 @@ def evaluate_bounds(
     Pulse/step bounds are evaluated from the stationary state of W.
     Reports come grid time by grid time, in the order of ``bound_ids``.
     """
-    grid = np.asarray(t_grid, dtype=float)
-    unknown = set(bound_ids) - set(_BOUNDS)
-    if unknown:
-        raise CorrboundError(f"unknown bound ids: {sorted(unknown)}")
-    # knots: the grid and the interval starts of the selected bounds
-    shares = {_BOUNDS[bid][0] for bid in bound_ids}
-    knots = np.concatenate([grid] + [share * grid for share in shares])
-    plan = _Plan(W, p0, knots, S, T, mode, chi)
-    by_bound = {}
-    for bid in dict.fromkeys(bound_ids):
-        t1_share, stationary, _, _ = _BOUNDS[bid]
-        rows = np.flatnonzero(grid > 0.0) if t1_share == 1.0 else np.arange(grid.size)
-        start = plan.stationary if stationary else plan
-        reports = start.reports(bid, t1_share * grid[rows], grid[rows])
-        by_bound[bid] = dict(zip(rows.tolist(), reports))
+    by_bound = {
+        bid: dict(zip(rows.tolist(), plan.reports(bid, t1, t2)))
+        for bid, rows, plan, t1, t2 in _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi)
+    }
     return [
         by_bound[bid][k]
-        for k in range(grid.size)
+        for k in range(len(t_grid))
         for bid in bound_ids
         if k in by_bound[bid]
     ]
@@ -198,7 +210,7 @@ def _apply_rhs_scale(reports: list[BoundReport], scale: float) -> list[BoundRepo
     if scale == 1.0:
         return reports
     scaled = [(r, r.rhs * scale if r.rhs and scale else 0.0) for r in reports]  # 0 * inf = 0
-    return [replace(r, rhs=rhs, ratio=_ratio(r.lhs, rhs)) for r, rhs in scaled]
+    return [replace(r, rhs=rhs, ratio=float(_ratio(r.lhs, rhs))) for r, rhs in scaled]
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -389,17 +401,25 @@ def cmd_stress(
         t_grid = np.geomspace(1e-2, 10.0, 20)
     sizes, seeds = _random_sweep(n_models, seed, n_list)
     tally = {
-        bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0}
+        bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0, "worst": None}
         for bid in BOUND_IDS
     }
     for n, model_seed in zip(sizes, seeds):
         W, p0, S = random_model(n, model_seed)
-        for r in evaluate_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi):
-            cell = tally[r.bound_id]
-            cell["evaluations"] += 1
-            cell["max_ratio"] = max(cell["max_ratio"], r.ratio)
-            if not r.satisfied:
-                cell["violations"] += 1
+        for bid, _, plan, t1, t2 in _walk_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi):
+            ratio = plan.sides(bid, t1, t2)[2]
+            if ratio.size == 0:
+                continue
+            cell = tally[bid]
+            cell["evaluations"] += ratio.size
+            cell["violations"] += int(np.count_nonzero(~(ratio <= 1.0 + RATIO_SLACK)))
+            # NaN never becomes the maximum; ties keep the first in sweep order
+            k = int(np.argmax(np.where(np.isnan(ratio), -math.inf, ratio)))
+            if cell["worst"] is None or ratio[k] > cell["max_ratio"]:
+                cell["max_ratio"] = max(cell["max_ratio"], float(ratio[k]))
+                cell["worst"] = {
+                    "states": n, "seed": model_seed, "t1": float(t1[k]), "t2": float(t2[k])
+                }
     total_violations = sum(c["violations"] for c in tally.values())
     payload = {
         "meta": _meta(

@@ -225,13 +225,20 @@ def _check_dims(W: RateMatrix, *others) -> None:
             raise DimensionMismatchError(f"expected dimension {W.n}, got {o.n}")
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not np.isfinite(t):
-        raise NonFiniteError("time must be finite")
-    if t < 0.0:
+def _check_times(times) -> np.ndarray:
+    """Times as a float array, all finite and >= 0; the first bad one raises."""
+    times = np.asarray(times, dtype=float)
+    bad = ~(np.isfinite(times) & (times >= 0.0))
+    if bad.any():
+        t = float(times[bad].flat[0])
+        if not np.isfinite(t):
+            raise NonFiniteError("time must be finite")
         raise NegativeTimeError(f"time must be >= 0, got {t}")
-    return t
+    return times
+
+
+def _check_time(t: float) -> float:
+    return float(_check_times(float(t)))
 
 
 def propagator(W: RateMatrix, t: float) -> np.ndarray:

@@ -106,8 +106,13 @@ def bhat_survival(W: RateMatrix, p0: ProbVector, t: float) -> float:
     the overlap collapses to ``sum_mu p0[mu] exp(-t R(mu) / 2)``.
     """
     _check_dims(W, p0)
-    t = _check_time(t)
-    return min(float(np.dot(p0.p, np.exp(-0.5 * t * W.escape))), 1.0)
+    return float(_survival(W, p0, _check_time(t)))
+
+
+def _survival(W: RateMatrix, p0: ProbVector, times) -> np.ndarray:
+    """``sum_mu p0[mu] exp(-t R(mu) / 2)`` for each t of ``times``, capped at 1."""
+    decay = np.exp(np.multiply.outer(-0.5 * np.asarray(times), W.escape))
+    return np.minimum(decay @ p0.p, 1.0)
 
 
 def eta(W: RateMatrix, p0: ProbVector, t: float) -> float:

@@ -29,11 +29,21 @@ from corrbound import (
     validate_rate_matrix,
 )
 from corrbound.cli import evaluate_bounds
-from corrbound.bounds import CSV_HEADER, RATIO_SLACK, _ratio, fmt17
+from corrbound import bounds
+from corrbound.bounds import (
+    CSV_HEADER,
+    GEODESIC_ATOL,
+    RATIO_SLACK,
+    _adaptive_gauss_legendre,
+    _Plan,
+    _ratio,
+    fmt17,
+)
 from corrbound.errors import (
     BadIntervalError,
     NegativeTimeError,
     NonPositiveTimeError,
+    QuadratureError,
 )
 from conftest import model_sweep
 
@@ -170,6 +180,91 @@ class TestGeodesicArg:
             geodesic_arg(W, p0, 1.0, 0.5)
         with pytest.raises(BadIntervalError):
             geodesic_arg(W, p0, -0.1, 0.5)
+
+
+def stiff_chain(seed):
+    """Dense 6-state chain, rates log-uniform on [1e-4, 1e4]."""
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(-4.0, 4.0, size=(6, 6))
+    np.fill_diagonal(w, 0.0)
+    return validate_rate_matrix(w), ProbVector(rng.dirichlet(np.ones(6)))
+
+
+class TestActivityQuadrature:
+    def test_intervals_batched_equal_intervals_alone(self):
+        # an interval gets the same panels whether or not other intervals
+        # share its refinement levels
+        lo, hi = np.array([0.0, 0.5, 2.0, 2.0]), np.array([0.5, 2.0, 9.0, 2.5])
+        tol = np.array([1e-12, 1e-9, 1e-6, 1e-13])
+
+        def f(x):
+            return 1.0 / (1e-3 + (x - 0.4) ** 2) + np.sqrt(1.0 + x)
+
+        both = _adaptive_gauss_legendre(f, lo, hi, tol)
+        alone = [_adaptive_gauss_legendre(f, *panel)[0] for panel in zip(lo, hi, tol)]
+        np.testing.assert_allclose(both, alone, rtol=1e-14, atol=0)
+        for got, a, b in zip(both, lo, hi):
+            ref, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, limit=200)
+            assert abs(got - ref) < 1e-6
+
+    def test_one_integrand_call_per_level(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 1.0 / (1e-3 + (x - 0.3) ** 2)
+
+        _adaptive_gauss_legendre(f, [0.0, 1.0], [1.0, 2.0], [1e-10, 1e-10])
+        assert calls[0] == 2 * 31  # both intervals, 10 + 21 nodes each
+        assert all(size % 31 == 0 for size in calls)
+        assert len(calls) <= bounds._QUAD_MAX_DEPTH + 1
+
+    def test_no_intervals_no_call(self):
+        got = _adaptive_gauss_legendre(None, [], [], [])
+        assert got.shape == (0,)
+
+    def test_unconverged_refinement_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_QUAD_MAX_DEPTH", 0)
+        with pytest.raises(QuadratureError, match=r"\[-1.0, 1.0\]"):
+            _adaptive_gauss_legendre(np.abs, [0.0, -1.0], [1.0, 1.0], [1e-9, 1e-9])
+        W, p0 = stiff_chain(0)
+        with pytest.raises(QuadratureError):
+            geodesic_arg(W, p0, 0.0, 1e4)
+
+    def test_memory_cap_splits_integrand_calls(self, monkeypatch):
+        W, p0, _ = random_model(5, 3)
+        knots = np.geomspace(1e-2, 10.0, 20)
+        ref = _Plan(W, p0, knots).arc
+        monkeypatch.setattr(bounds, "_APPLY_ELEMENTS", 7 * W.n)
+        sizes = []
+        real_apply = bounds._integral_apply
+
+        def counted(W_, vec, times):
+            sizes.append(np.size(times))
+            return real_apply(W_, vec, times)
+
+        monkeypatch.setattr(bounds, "_integral_apply", counted)
+        got = _Plan(W, p0, knots).arc
+        assert max(sizes) == 7
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stiff_chain_matches_quad(self, seed):
+        # rates 1e-4..1e4 and intervals up to t = 1e4, against QUADPACK on
+        # the raw integrand sqrt(A(t)) / t, one call per knot interval
+        W, p0 = stiff_chain(seed)
+        knots = np.concatenate(([0.0], np.geomspace(1e-2, 1e4, 13)))
+        arc = _Plan(W, p0, knots).arc
+
+        def f(t):
+            return 0.5 * math.sqrt(dynamical_activity(W, p0, t)) / t
+
+        pieces = [
+            scipy.integrate.quad(f, a, b, epsabs=1e-10, epsrel=0.0, limit=200)
+            for a, b in zip(knots[:-1], knots[1:])
+        ]
+        ref = np.concatenate(([0.0], np.cumsum([value for value, _ in pieces])))
+        assert np.abs(arc - ref).max() <= GEODESIC_ATOL
 
 
 class TestCmax:
@@ -487,3 +582,8 @@ class TestBoundReport:
         assert _ratio(0.0, 0.0) == 0.0
         assert math.isinf(_ratio(1.0, 0.0))
         assert _ratio(1.0, math.inf) == 0.0
+
+    def test_ratio_conventions_elementwise(self):
+        lhs = np.array([0.0, 1.0, 1.0, math.nan, 3.0])
+        rhs = np.array([0.0, 0.0, math.inf, 0.0, 2.0])
+        assert _ratio(lhs, rhs).tolist() == [0.0, math.inf, 0.0, math.inf, 1.5]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrbound import (
+    BOUND_IDS,
     bound_derivative,
     bound_eta,
     bound_main,
@@ -23,6 +24,7 @@ from corrbound.cli import (
     RunConfig,
     _json17,
     _parse_tgrid,
+    _random_sweep,
     cmd_check,
     cmd_figure2,
     cmd_figure3,
@@ -390,6 +392,69 @@ class TestCmdStress:
             assert cell["violations"] == 0, bid
             assert cell["max_ratio"] <= 1.0 + 1e-9
             assert cell["evaluations"] >= 9_500  # pulse skips t = 0 rows only
+
+
+def tally_from_reports(n_models, seed, t_grid, mode="standard"):
+    """The stress tally built one BoundReport at a time: counts, Python's
+    max over the ratios, and the first report that reaches it."""
+    tally = {
+        bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0, "worst": None}
+        for bid in BOUND_IDS
+    }
+    for n, seed in zip(*_random_sweep(n_models, seed)):
+        W, p0, S = random_model(n, seed)
+        for r in evaluate_bounds(W, p0, S, S, t_grid, BOUND_IDS, mode):
+            cell = tally[r.bound_id]
+            cell["evaluations"] += 1
+            cell["violations"] += not r.satisfied
+            if cell["worst"] is None or r.ratio > cell["max_ratio"]:
+                cell["max_ratio"] = max(cell["max_ratio"], r.ratio)
+                cell["worst"] = {"states": n, "seed": seed, "t1": r.t1, "t2": r.t2}
+    return tally
+
+
+class TestStressTally:
+    GRID = np.geomspace(1e-2, 10.0, 6)
+
+    @pytest.mark.parametrize("seed, mode", [(777, "standard"), (2_024, "tight")])
+    def test_array_tally_equals_report_tally(self, tmp_path, seed, mode):
+        out = tmp_path / "tally.json"
+        _, tally = cmd_stress(
+            n_models=9, seed=seed, t_grid=self.GRID, cmax_mode=mode, output_path=str(out)
+        )
+        assert tally == tally_from_reports(9, seed, self.GRID, mode)
+        assert json.loads(out.read_text())["tally"] == tally
+
+    def test_no_report_objects_built(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stress built a BoundReport")
+
+        monkeypatch.setattr(bounds, "BoundReport", forbidden)
+        code, _ = cmd_stress(n_models=3, t_grid=self.GRID, output_path=str(tmp_path / "t.json"))
+        assert code == 0
+
+    def test_worst_case_replays_with_check(self, tmp_path):
+        _, tally = cmd_stress(
+            n_models=9, seed=777, t_grid=self.GRID, output_path=str(tmp_path / "t.json")
+        )
+        for bid, cell in tally.items():
+            worst = cell["worst"]
+            t2 = bounds.fmt17(worst["t2"])
+            out = tmp_path / f"{bid}.json"
+            main([
+                "check", "--states", str(worst["states"]), "--seed", str(worst["seed"]),
+                "--tgrid", f"{t2}:{t2}:1:lin", "--bounds", bid,
+                "--format", "json", "--out", str(out),
+            ])
+            (row,) = json.loads(out.read_text())["rows"]
+            assert (row["t1"], row["t2"]) == (worst["t1"], worst["t2"]), bid
+            assert row["ratio"] == pytest.approx(cell["max_ratio"], rel=1e-8, abs=0), bid
+
+    def test_no_evaluations_no_worst(self, tmp_path):
+        out = tmp_path / "t.json"
+        _, tally = cmd_stress(n_models=0, t_grid=np.array([1.0]), output_path=str(out))
+        assert all(cell["worst"] is None for cell in tally.values())
+        assert json.loads(out.read_text())["tally"] == tally
 
 
 class TestCmdResponse:

@@ -33,7 +33,13 @@ from corrbound.errors import (
     NonUniqueSteadyStateError,
     NotNormalizedError,
 )
-from corrbound.markov import _integral_apply, _propagator_apply, _Spectral
+from corrbound.markov import (
+    _check_time,
+    _check_times,
+    _integral_apply,
+    _propagator_apply,
+    _Spectral,
+)
 from conftest import model_sweep
 
 
@@ -154,6 +160,29 @@ class TestPropagator:
         # cross-implementation check: eigenbasis path vs scaling-and-squaring
         for W, _, _ in model_sweep(10):
             assert np.abs(propagator(W, 0.7) - scipy.linalg.expm(W.w * 0.7)).max() < 1e-12
+
+
+class TestCheckTimes:
+    def test_valid_times_pass_as_floats(self):
+        got = _check_times([0, 0.5, 3])
+        assert got.dtype == float and got.tolist() == [0.0, 0.5, 3.0]
+        assert _check_time(2) == 2.0 and isinstance(_check_time(2), float)
+
+    @pytest.mark.parametrize(
+        "times, error, message",
+        [
+            ([1.0, -2.0, math.nan], NegativeTimeError, "time must be >= 0, got -2.0"),
+            ([1.0, math.inf, -2.0], NonFiniteError, "time must be finite"),
+            ([math.nan], NonFiniteError, "time must be finite"),
+            ([[0.5, -0.25]], NegativeTimeError, "time must be >= 0, got -0.25"),
+        ],
+    )
+    def test_first_bad_time_raises_as_the_scalar_check(self, times, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            _check_times(times)
+        first_bad = next(t for t in np.ravel(times) if not 0.0 <= t < math.inf)
+        with pytest.raises(error, match=f"^{message}$"):
+            _check_time(first_bad)
 
 
 class TestPropagate:

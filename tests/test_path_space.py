@@ -19,6 +19,7 @@ from corrbound import (
     verify_path_inequalities,
 )
 from corrbound.errors import BadIntervalError, NegativeTimeError, TooManyPathsError
+from corrbound.path_space import _survival
 from conftest import model_sweep
 
 
@@ -129,6 +130,15 @@ class TestBhatSurvival:
         W, p0, _ = model_sweep(1, states=(4,), seed=3)[0]
         vals = [bhat_survival(W, p0, t) for t in np.linspace(0.0, 5.0, 21)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+    def test_array_kernel_matches_scalar_calls(self):
+        times = np.array([0.0, 1e-3, 0.4, 2.0, 30.0])
+        for W, p0, _ in model_sweep(6):
+            got = _survival(W, p0, times)
+            ref = [bhat_survival(W, p0, t) for t in times]
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+            assert got[0] == 1.0
 
 
 class TestEta:
