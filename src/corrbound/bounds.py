@@ -24,13 +24,15 @@ GEODESIC_ATOL / intervals, so every interval is within GEODESIC_ATOL.
 The adaptive Gauss-Legendre quadrature is level-synchronous: at each
 refinement level the 10 and 21 nodes of every open panel of every
 interval go to A(t) in one batch, and only the panels whose two
-estimates disagree are bisected for the next level. A batch is split
-into ``_integral_apply`` calls of at most ``_APPLY_ELEMENTS`` times x
-states, which caps the memory of large models. Failure to converge
-within 20 refinement levels raises instead of returning a silently
-loose value. For a steady-state start A(t) = a t, the substituted
-integrand is the constant sqrt(a), so the quadrature reproduces the
-closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
+estimates disagree are bisected for the next level (``_integral_apply``
+splits a large batch into blocks of bounded memory). A non-finite
+integrand, more than ``_QUAD_MAX_PANELS`` open panels in one interval
+at one level, or a panel still open after 20 levels raises instead of
+returning a silently loose value; the panel cap keeps a refinement that
+cannot converge (roundoff above the halved tolerance on every panel)
+from doubling its work at every level. For a steady-state start
+A(t) = a t, the substituted integrand is the constant sqrt(a), so the
+quadrature reproduces the closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ RATIO_SLACK = 1e-9
 
 GEODESIC_ATOL = 1e-9
 _QUAD_MAX_DEPTH = 20
-# Memory cap of the activity integrand: at most this many times x states
-# elements per _integral_apply call, however many panels a level holds.
-_APPLY_ELEMENTS = 2**15
+# Work cap of the refinement: the open panels one interval may hold at one
+# level. Past it every panel keeps failing, and each level would double them.
+_QUAD_MAX_PANELS = 64
 
 CSV_HEADER = "bound_id,t1,t2,lhs,rhs,ratio,in_domain,cmax_mode"
 
@@ -143,7 +145,9 @@ def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
     (``f`` must accept an array of nodes). A panel whose embedded 10/21-node
     estimates agree within its tolerance adds its 21-node value to its
     interval; any other panel is bisected, each half with half the
-    tolerance. A panel still open after 20 bisection levels is a hard error.
+    tolerance. Non-finite values, more than ``_QUAD_MAX_PANELS`` open
+    panels of one interval at one level, or a panel still open after
+    ``_QUAD_MAX_DEPTH`` levels are hard errors naming a failing panel.
     """
     lo, hi, tol = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi, tol))
     totals = np.zeros(lo.size)
@@ -155,13 +159,24 @@ def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         values = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(owner.size, -1)
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise QuadratureError(
+                f"activity integrand is not finite on [{float(lo[k])}, {float(hi[k])}]"
+            )
         coarse = half * (values[:, :n_lo] @ _GL_LO[1])
         fine = half * (values[:, n_lo:] @ _GL_HI[1])
         done = np.abs(fine - coarse) <= np.maximum(tol, 1e-16)
         np.add.at(totals, owner[done], fine[done])
         open_ = ~done
-        if open_.any() and depth == _QUAD_MAX_DEPTH:
-            k = np.flatnonzero(open_)[0]
+        if not open_.any():
+            break
+        # bisection doubles each interval's open panels for the next level
+        crowded = 2 * np.bincount(owner[open_], minlength=totals.size) > _QUAD_MAX_PANELS
+        stuck = open_ & crowded[owner] if depth < _QUAD_MAX_DEPTH else open_
+        if stuck.any():
+            k = np.flatnonzero(stuck)[0]
             raise QuadratureError(
                 f"activity integral did not converge on [{float(lo[k])}, {float(hi[k])}]"
             )
@@ -253,12 +268,8 @@ class _Plan:
         return _chain(self.W, self.p0.p, *self.probes)
 
     def _activity(self, ts: np.ndarray) -> np.ndarray:
-        """A at the times ts, in _integral_apply calls of at most
-        _APPLY_ELEMENTS times x states each."""
-        step = max(_APPLY_ELEMENTS // self.W.n, 1)
-        chunks = np.split(ts, np.arange(step, ts.size, step))
-        rates = [_integral_apply(self.W, self.p0.p, c) @ self.W.escape for c in chunks]
-        return np.clip(np.concatenate(rates), 0.0, None)
+        """A at the times ts."""
+        return np.clip(_integral_apply(self.W, self.p0.p, ts, self.W.escape), 0.0, None)
 
     @cached_property
     def activity(self) -> np.ndarray:

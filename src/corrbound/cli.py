@@ -413,9 +413,10 @@ def cmd_stress(
             cell = tally[bid]
             cell["evaluations"] += ratio.size
             cell["violations"] += int(np.count_nonzero(~(ratio <= 1.0 + RATIO_SLACK)))
-            # NaN never becomes the maximum; ties keep the first in sweep order
+            # NaN is never the maximum or the worst case; ties keep the
+            # first in sweep order
             k = int(np.argmax(np.where(np.isnan(ratio), -math.inf, ratio)))
-            if cell["worst"] is None or ratio[k] > cell["max_ratio"]:
+            if not np.isnan(ratio[k]) and (cell["worst"] is None or ratio[k] > cell["max_ratio"]):
                 cell["max_ratio"] = max(cell["max_ratio"], float(ratio[k]))
                 cell["worst"] = {
                     "states": n, "seed": model_seed, "t1": float(t1[k]), "t2": float(t2[k])

@@ -53,6 +53,11 @@ _EIG_RECON_RTOL = 1e-12
 _PROB_SUM_ATOL = 1e-10
 _PROB_NEG_DEFICIT = 1e-12
 
+# Memory cap of one _integral_apply block: times x n elements on the
+# eigenvector path, times x (n + 1)^2 (the augmented generators) on the
+# expm path. Longer time arrays are evaluated block by block.
+_APPLY_ELEMENTS = 2**15
+
 
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -274,22 +279,44 @@ def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.n
     return np.where((times == 0.0)[..., None], vec, rows)
 
 
-def _integral_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times;
-    ``vec`` is one vector or one row per time, and rows at t = 0 are 0.
+def _integral_apply(
+    W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times, or
+    with ``left`` given their dot products with it; ``vec`` is one vector
+    or one row per time, and rows at t = 0 are 0.
 
-    Quadratures over the dynamical activity call this in batch; both
-    paths evaluate all times in one shot.
+    Quadratures over the dynamical activity call this in batch, with
+    ``left`` the escape rates. Both paths evaluate the times in blocks of
+    at most ``_APPLY_ELEMENTS`` elements, so their working memory does
+    not grow with the times.
     """
     times = np.asarray(times, dtype=float)
+    width = W.n if W._spectral is not None else (W.n + 1) ** 2
+    step = max(_APPLY_ELEMENTS // width, 1)
+    if times.size <= step:
+        return _integral_block(W, vec, times, left)
+    per_time = np.ndim(vec) > 1
+    return np.concatenate([
+        _integral_block(W, vec[i:i + step] if per_time else vec, times[i:i + step], left)
+        for i in range(0, times.size, step)
+    ])
+
+
+def _integral_block(W: RateMatrix, vec: np.ndarray, times: np.ndarray, left) -> np.ndarray:
+    """One block of ``_integral_apply``, all times in one shot."""
     sd = W._spectral
     if sd is not None:
         coeff = vec @ sd.Vinv.T
-        return np.real((sd.phi_t(times) * coeff) @ sd.V.T)
-    n = W.n
-    aug = np.zeros(times.shape + (n + 1, n + 1))
-    aug[..., :n, :n], aug[..., :n, n] = W.w, vec
-    return scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
+        # real rows first: folding left into V.T (a complex matrix-vector
+        # product) measured 1.6x slower on the hard_generators benchmark
+        rows = np.real((sd.phi_t(times) * coeff) @ sd.V.T)
+    else:
+        n = W.n
+        aug = np.zeros(times.shape + (n + 1, n + 1))
+        aug[..., :n, :n], aug[..., :n, n] = W.w, vec
+        rows = scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
+    return rows if left is None else rows @ left
 
 
 def steady_state(W: RateMatrix) -> ProbVector:

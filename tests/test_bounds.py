@@ -29,7 +29,7 @@ from corrbound import (
     validate_rate_matrix,
 )
 from corrbound.cli import evaluate_bounds
-from corrbound import bounds
+from corrbound import bounds, markov
 from corrbound.bounds import (
     CSV_HEADER,
     GEODESIC_ATOL,
@@ -231,19 +231,60 @@ class TestActivityQuadrature:
         with pytest.raises(QuadratureError):
             geodesic_arg(W, p0, 0.0, 1e4)
 
+    @pytest.mark.parametrize(
+        "f, match",
+        [
+            (lambda x: np.full(x.shape, np.nan), "not finite"),
+            # roundoff of a 1e10 panel stays above every halved tolerance
+            (lambda x: np.full(x.shape, 1e10), "did not converge"),
+        ],
+    )
+    def test_hopeless_refinement_fails_fast(self, f, match):
+        # at the real _QUAD_MAX_DEPTH: the error comes from the panel cap or
+        # the first level, long before 2^20 panels per interval
+        nodes = []
+
+        def counted(x):
+            nodes.append(x.size)
+            return f(x)
+
+        lo, hi = np.arange(40.0), np.arange(1.0, 41.0)
+        with pytest.raises(QuadratureError, match=match):
+            _adaptive_gauss_legendre(counted, lo, hi, np.full(40, 1e-12))
+        assert sum(nodes) <= 40 * 31 * 2 * bounds._QUAD_MAX_PANELS
+
+    def test_panel_cap_is_per_interval(self):
+        # 100 intervals with a kink each keep more than _QUAD_MAX_PANELS
+        # panels open per level in total, but only one or two per interval
+        opened = []
+
+        def f(x):
+            opened.append(x.size // 31)
+            return np.abs(np.sin(np.pi * x))
+
+        k = np.arange(100.0)
+        got = _adaptive_gauss_legendre(f, k - 0.3, k + 0.7, np.full(k.size, 1e-7))
+        assert max(opened[1:]) > bounds._QUAD_MAX_PANELS
+        ref = [
+            scipy.integrate.quad(lambda x: abs(math.sin(math.pi * x)), a - 0.3, a + 0.7,
+                                 points=[a], epsabs=1e-12)[0]
+            for a in k
+        ]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-7)
+
     def test_memory_cap_splits_integrand_calls(self, monkeypatch):
         W, p0, _ = random_model(5, 3)
         knots = np.geomspace(1e-2, 10.0, 20)
         ref = _Plan(W, p0, knots).arc
-        monkeypatch.setattr(bounds, "_APPLY_ELEMENTS", 7 * W.n)
+        monkeypatch.setattr(markov, "_APPLY_ELEMENTS", 7 * W.n)
         sizes = []
-        real_apply = bounds._integral_apply
+        real_block = markov._integral_block
 
-        def counted(W_, vec, times):
+        def counted(W_, vec, times, left):
             sizes.append(np.size(times))
-            return real_apply(W_, vec, times)
+            return real_block(W_, vec, times, left)
 
-        monkeypatch.setattr(bounds, "_integral_apply", counted)
+        monkeypatch.setattr(markov, "_integral_block", counted)
         got = _Plan(W, p0, knots).arc
         assert max(sizes) == 7
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)

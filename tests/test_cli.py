@@ -407,7 +407,7 @@ def tally_from_reports(n_models, seed, t_grid, mode="standard"):
             cell = tally[r.bound_id]
             cell["evaluations"] += 1
             cell["violations"] += not r.satisfied
-            if cell["worst"] is None or r.ratio > cell["max_ratio"]:
+            if not math.isnan(r.ratio) and (cell["worst"] is None or r.ratio > cell["max_ratio"]):
                 cell["max_ratio"] = max(cell["max_ratio"], r.ratio)
                 cell["worst"] = {"states": n, "seed": seed, "t1": r.t1, "t2": r.t2}
     return tally
@@ -449,6 +449,28 @@ class TestStressTally:
             (row,) = json.loads(out.read_text())["rows"]
             assert (row["t1"], row["t2"]) == (worst["t1"], worst["t2"]), bid
             assert row["ratio"] == pytest.approx(cell["max_ratio"], rel=1e-8, abs=0), bid
+
+    def test_nan_ratios_never_worst(self, tmp_path, monkeypatch):
+        # every ratio of the first model is NaN and every later one is 0:
+        # the NaNs count as violations, and the worst case is the first 0
+        real_sides = bounds._Plan.sides
+        first = {}
+
+        def nan_then_zero(plan, bid, t1, t2):
+            lhs, rhs, ratio, in_domain, arg = real_sides(plan, bid, t1, t2)
+            nan = first.setdefault(bid, plan.W) is plan.W
+            return lhs, rhs, np.full(ratio.shape, math.nan if nan else 0.0), in_domain, arg
+
+        monkeypatch.setattr(bounds._Plan, "sides", nan_then_zero)
+        _, tally = cmd_stress(n_models=3, t_grid=self.GRID, output_path=str(tmp_path / "t.json"))
+        sizes, seeds = _random_sweep(3, 31415)
+        for bid, cell in tally.items():
+            assert cell["violations"] == cell["evaluations"] // 3, bid
+            assert cell["max_ratio"] == 0.0, bid
+            assert (cell["worst"]["states"], cell["worst"]["seed"]) == (sizes[1], seeds[1]), bid
+            assert cell["worst"]["t2"] == self.GRID[0], bid
+        first.clear()
+        assert tally == tally_from_reports(3, 31415, self.GRID)
 
     def test_no_evaluations_no_worst(self, tmp_path):
         out = tmp_path / "t.json"

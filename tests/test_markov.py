@@ -20,6 +20,7 @@ from corrbound import (
     steady_state,
     validate_rate_matrix,
 )
+from corrbound import markov
 from corrbound.bounds import RATIO_SLACK
 from corrbound.cli import DEFAULT_BOUNDS, evaluate_bounds
 from corrbound.errors import (
@@ -354,6 +355,34 @@ class TestDefectiveFallback:
         for t, row, integral in zip(times, rows, integrals):
             assert np.abs(row - propagator(chain, t) @ v).max() < 1e-13
             assert np.abs(integral - propagator_integral(chain, t) @ v).max() < 1e-13
+
+    def test_left_contraction_is_dot_of_rows(self, chain):
+        # on the expm path here and on the eigenvector path of a random model
+        times = np.linspace(0.0, 5.0, 11)
+        for W in (chain, random_model(4, 3)[0]):
+            v, left = np.array([0.4, -0.3, 0.2, 0.7]), W.escape
+            expect = _integral_apply(W, v, times) @ left
+            np.testing.assert_allclose(_integral_apply(W, v, times, left), expect, rtol=1e-14)
+
+    def test_blocks_cap_augmented_generators(self, chain, monkeypatch):
+        # the expm path holds (n + 1)^2 elements per time, so a cap of three
+        # augmented generators gives blocks of three times
+        times = np.linspace(0.0, 5.0, 11)
+        v = np.array([0.4, -0.3, 0.2, 0.7])
+        ref, ref_matrix = _integral_apply(chain, v, times), propagator_integral(chain, 2.3)
+        monkeypatch.setattr(markov, "_APPLY_ELEMENTS", 3 * 5**2)
+        sizes = []
+        real_block = markov._integral_block
+
+        def counted(W, vec, ts, left):
+            sizes.append(ts.size)
+            return real_block(W, vec, ts, left)
+
+        monkeypatch.setattr(markov, "_integral_block", counted)
+        np.testing.assert_allclose(_integral_apply(chain, v, times), ref, rtol=0, atol=1e-15)
+        # one row of vec per time (the identity's columns) is blocked with them
+        np.testing.assert_allclose(propagator_integral(chain, 2.3), ref_matrix, rtol=0, atol=1e-15)
+        assert sizes == [3, 3, 3, 2, 3, 1]
 
     def test_default_bounds_hold(self, chain):
         p0 = ProbVector(np.array([0.4, 0.3, 0.2, 0.1]))
