@@ -4,14 +4,18 @@ Outcome keys are opaque; two distributions are comparable only when
 their key sets are identical, with no implicit zero padding: a silent
 support mismatch is the classic bug in path-space distances. Keys are
 kept in sorted order so every pairwise quantity is evaluated in a fixed
-order and the distances are exactly symmetric. Sums are accumulated
-with compensated summation (``math.fsum``) because path spaces grow to
-~1e5 outcomes.
+order and the distances are exactly symmetric. A ``range`` of keys is
+kept as a ``range``, so a path space of 10^6 outcomes costs no key tuple.
+
+Sums are numpy's pairwise ``np.sum`` over the contiguous summand array.
+Every summand is >= 0, so the relative error grows like log2(N) eps rather
+than the N eps of a running sum; against ``math.fsum`` it measures within
+ceil(log2 N) eps (under 5e-15 at N = 10^6), far below the tolerances the
+distances meet (1e-9 in ``path_space``, 1e-10 here).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,7 @@ _SUM_ATOL = 1e-10
 class FiniteDistribution:
     """Probability weights over an arbitrary finite outcome set."""
 
-    keys: tuple
+    keys: tuple | range
     probs: np.ndarray
 
     def __post_init__(self):
@@ -37,13 +41,14 @@ class FiniteDistribution:
             if worst < -1e-12:
                 raise NegativeProbabilityError(f"negative weight {worst!r}")
             probs = np.clip(probs, 0.0, None)
-        total = math.fsum(probs.tolist())
+        total = float(np.sum(probs))
         if abs(total - 1.0) > _SUM_ATOL:
             raise NotNormalizedError(f"weights sum to {total!r}, expected 1")
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "keys", tuple(self.keys))
+        if not isinstance(self.keys, range):
+            object.__setattr__(self, "keys", tuple(self.keys))
 
     @classmethod
     def from_weights(cls, weights: dict) -> "FiniteDistribution":
@@ -53,14 +58,18 @@ class FiniteDistribution:
     @classmethod
     def from_sorted(cls, keys, probs) -> "FiniteDistribution":
         """Trusted constructor for keys already in canonical sorted order."""
-        return cls(tuple(keys), np.asarray(probs, dtype=float))
+        return cls(keys, np.asarray(probs, dtype=float))
 
     def weight(self, key) -> float:
         return float(self.probs[self.keys.index(key)])
 
 
 def _aligned(p: FiniteDistribution, q: FiniteDistribution):
-    if p.keys != q.keys:
+    # a range never equals a tuple, so a mixed pair is compared element-wise
+    same = p.keys == q.keys or (
+        type(p.keys) is not type(q.keys) and tuple(p.keys) == tuple(q.keys)
+    )
+    if not same:
         raise KeyMismatchError("distributions defined over different outcome sets")
     return p.probs, q.probs
 
@@ -68,13 +77,13 @@ def _aligned(p: FiniteDistribution, q: FiniteDistribution):
 def tvd(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Total variation distance, (1/2) sum |p - q|, in [0, 1]."""
     a, b = _aligned(p, q)
-    return 0.5 * math.fsum(np.abs(a - b).tolist())
+    return 0.5 * float(np.sum(np.abs(a - b)))
 
 
 def bhattacharyya(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Bhattacharyya coefficient, sum sqrt(p q), in [0, 1]."""
     a, b = _aligned(p, q)
-    return math.fsum(np.sqrt(a * b).tolist())
+    return float(np.sum(np.sqrt(a * b)))
 
 
 def hellinger_sq(p: FiniteDistribution, q: FiniteDistribution) -> float:
@@ -83,4 +92,4 @@ def hellinger_sq(p: FiniteDistribution, q: FiniteDistribution) -> float:
     Equals ``1 - bhattacharyya(p, q)`` up to roundoff.
     """
     a, b = _aligned(p, q)
-    return 0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist())
+    return 0.5 * float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))

@@ -14,7 +14,11 @@ perturbed master equation is provided as the oracle for all of the
 above. A true delta drive is ill-posed in a fixed-step scheme, so
 pulse drives enter the oracle as narrow unit-area rectangles; the
 integrator splits steps at drive discontinuities so each sub-step sees
-smooth (for rectangles, constant) coefficients.
+smooth (for rectangles, constant) coefficients. RK4 on dP/dt = A(t) P
+is linear in P, so a step adds one matrix times P, the matrix being the
+step's increment from the identity; it is built once per repeated
+(length, drive values) and reused, so a step or pulse drive costs one
+to three matrices however many steps it takes.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .markov import (
     ScoreVector,
     _check_dims,
     _check_time,
+    _clamped_probs,
     _propagator_apply,
     steady_state,
 )
@@ -100,8 +105,10 @@ class SampledDrive:
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "values", vs)
 
-    def value(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values, left=0.0, right=0.0))
+    def value(self, t):
+        """Drive at time ``t``, or at each time of an array ``t``."""
+        v = np.interp(t, self.times, self.values, left=0.0, right=0.0)
+        return float(v) if np.ndim(v) == 0 else v
 
     def breakpoints(self) -> tuple:
         return tuple(self.times)
@@ -244,28 +251,33 @@ def convolved_shift(
         raise StepTooLargeError("convolution step must be > 0")
     grid = np.arange(0.0, t + 0.5 * dt, dt)
     kernel = _kernel(W, Pst, F, G, t - grid)
-    fvals = np.array([drive.value(tp) for tp in grid])
+    fvals = drive.value(grid)
     return chi * float(np.trapezoid(kernel * fvals, grid))
 
 
 @dataclass(frozen=True, eq=False)
 class OracleSeries:
-    """Fixed-grid solution of the perturbed master equation."""
+    """Fixed-grid solution of the perturbed master equation.
+
+    ``probs`` is a read-only array with one validated probability vector
+    per time of ``times``, under the rule of :class:`ProbVector`.
+    """
 
     times: np.ndarray
-    probs: tuple
+    probs: np.ndarray
 
     def shift(self, G: ScoreVector) -> np.ndarray:
         """Series of <G> displacements from the initial (stationary) value."""
-        means = np.array([float(G.s @ pv.p) for pv in self.probs])
+        means = self.probs @ G.s
         return means - means[0]
 
 
-def _rk4_step(W, chi, F, drive, a: float, h: float, P: np.ndarray) -> np.ndarray:
-    if drive.piecewise_constant:
-        f_lo = f_mid = f_hi = drive.value(a + 0.5 * h)
-    else:
-        f_lo, f_mid, f_hi = drive.value(a), drive.value(a + 0.5 * h), drive.value(a + h)
+def _rk4_step(W, chi, F, fvals: tuple, h: float, P: np.ndarray) -> np.ndarray:
+    """Increment of one classical RK4 step of length h from P, with the
+    drive at the step's start, middle and end given as ``fvals``. P may be
+    a matrix of column vectors; from the identity this is the increment
+    matrix D, and the step is P + D P."""
+    f_lo, f_mid, f_hi = fvals
 
     def rhs(fval, vec):
         return W.w @ vec + (chi * fval) * (F @ vec)
@@ -274,7 +286,16 @@ def _rk4_step(W, chi, F, drive, a: float, h: float, P: np.ndarray) -> np.ndarray
     k2 = rhs(f_mid, P + 0.5 * h * k1)
     k3 = rhs(f_mid, P + 0.5 * h * k2)
     k4 = rhs(f_hi, P + h * k3)
-    return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _drive_values(drive, a: float, h: float) -> tuple:
+    """The drive at the start, middle and end of a sub-step; a piecewise
+    constant drive is read at the middle, away from its jumps."""
+    if drive.piecewise_constant:
+        f = drive.value(a + 0.5 * h)
+        return f, f, f
+    return drive.value(a), drive.value(a + 0.5 * h), drive.value(a + h)
 
 
 def perturbed_oracle(
@@ -292,6 +313,20 @@ def perturbed_oracle(
     resolve the fastest escape rate (dt <= 1e-3 / max R). Probability
     is conserved exactly when the columns of F sum to zero, which the
     canonical perturbation guarantees.
+
+    Every uncut step but the last has length dt exactly (the grid
+    differences differ from it only by the rounding of k dt), so one
+    increment matrix serves each stretch of constant drive. A (length,
+    drive values) pair seen for the first time steps the vector itself;
+    its matrix is built when it comes again, so a drive whose values
+    never repeat (a sampled ramp) costs n^2 per step, not n^3. Steps add
+    D P to P rather than multiply by I + D: the rounding of the small D
+    then stays small, where that of I + D would add up coherently over
+    the steps (on the symmetric two-state chain, an error in <S> of
+    1.6e-14 against 4e-17 after 1000 steps). A step whose vector is
+    non-finite, sums to 1 +- more than 1e-6 or has an entry below -1e-6
+    raises ``NonFiniteError`` naming its time; the vectors before it must
+    pass the rule of :class:`ProbVector`.
     """
     pert = Perturbation(F, chi, drive)
     t_end = _check_time(t_end)
@@ -306,18 +341,38 @@ def perturbed_oracle(
     n_steps = max(int(math.ceil(t_end / dt - 1e-12)), 0) if t_end > 0 else 0
     times = np.minimum(np.arange(n_steps + 1) * dt, t_end)
     cuts = sorted(b for b in drive.breakpoints() if 0.0 < b < t_end)
-    P = Pst.p.copy()
-    out = [ProbVector(P)]
-    for k in range(n_steps):
-        a, b = times[k], times[k + 1]
-        mesh = [a] + [c for c in cuts if a < c < b] + [b]
-        for lo, hi in zip(mesh[:-1], mesh[1:]):
-            P = _rk4_step(W, pert.chi, pert.F, drive, lo, hi - lo, P)
-        if (
-            not np.all(np.isfinite(P))
-            or abs(P.sum() - 1.0) > 1e-6
-            or P.min() < -1e-6
-        ):
-            raise NonFiniteError(f"integration diverged at t = {b}")
-        out.append(ProbVector(P))
-    return OracleSeries(times=times, probs=tuple(out))
+    seen, matrices = set(), {}
+
+    def step(lo: float, h: float, P: np.ndarray) -> np.ndarray:
+        key = (h, *_drive_values(drive, lo, h))
+        D = matrices.get(key)
+        if D is None:
+            if key not in seen:
+                seen.add(key)
+                return P + _rk4_step(W, pert.chi, pert.F, key[1:], h, P)
+            D = matrices[key] = _rk4_step(W, pert.chi, pert.F, key[1:], h, np.eye(W.n))
+        return P + D @ P
+
+    out = np.empty((n_steps + 1, W.n))
+    out[0] = Pst.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            a, b = times[k], times[k + 1]
+            mesh = [a, *(c for c in cuts if a < c < b), b]
+            P = out[k]
+            if len(mesh) == 2 and k + 1 < n_steps:
+                P = step(a, dt, P)
+            else:
+                for lo, hi in zip(mesh[:-1], mesh[1:]):
+                    P = step(lo, hi - lo, P)
+            out[k + 1] = P
+        diverged = (
+            ~np.isfinite(out).all(axis=1)
+            | (np.abs(out.sum(axis=1) - 1.0) > 1e-6)
+            | (out.min(axis=1) < -1e-6)
+        )
+    if diverged.any():
+        k = int(np.argmax(diverged))
+        _clamped_probs(out[:k])
+        raise NonFiniteError(f"integration diverged at t = {times[k]}")
+    return OracleSeries(times=times, probs=_clamped_probs(out))

@@ -61,7 +61,7 @@ _APPLY_ELEMENTS = 2**15
 
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
@@ -159,6 +159,35 @@ class RateMatrix:
         return RateMatrix(self.w * factor)
 
 
+def _clamped_probs(p: np.ndarray) -> np.ndarray:
+    """Probability vectors along the last axis of finite ``p``, clamped and
+    renormalized as a new read-only array: the rule of :class:`ProbVector`.
+
+    Negative entries are set to zero when a vector's negative mass is
+    roundoff sized (< 1e-12) and each vector is renormalized exactly;
+    larger negative mass, or a sum off 1 by more than 1e-10, raises for
+    the first vector at fault.
+    """
+    q = np.maximum(p, 0.0)
+    deficit = (q - p).sum(axis=-1)  # exactly the negative mass
+    total = p.sum(axis=-1)
+    negative = deficit > _PROB_NEG_DEFICIT
+    bad = negative | (abs(total - 1.0) > _PROB_SUM_ATOL)
+    if np.count_nonzero(bad):
+        first = np.argmax(bad) if p.ndim > 1 else ()
+        if negative[first]:
+            raise NegativeProbabilityError(
+                f"negative probability mass {float(deficit[first]):.3e} "
+                "exceeds roundoff tolerance"
+            )
+        raise NotNormalizedError(
+            f"probabilities sum to {float(total[first])!r}, expected 1"
+        )
+    q /= q.sum(axis=-1, keepdims=True)
+    q.setflags(write=False)
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class ProbVector:
     """Probability distribution over ``n`` states.
@@ -174,18 +203,7 @@ class ProbVector:
         p = _as_float_array(self.p, "probability vector")
         if p.ndim != 1:
             raise BadDimensionError("probability vector must be one-dimensional")
-        deficit = float(-p[p < 0.0].sum())
-        if deficit > _PROB_NEG_DEFICIT:
-            raise NegativeProbabilityError(
-                f"negative probability mass {deficit:.3e} exceeds roundoff tolerance"
-            )
-        total = float(p.sum())
-        if abs(total - 1.0) > _PROB_SUM_ATOL:
-            raise NotNormalizedError(f"probabilities sum to {total!r}, expected 1")
-        q = np.clip(p, 0.0, None)
-        q /= q.sum()
-        q.setflags(write=False)
-        object.__setattr__(self, "p", q)
+        object.__setattr__(self, "p", _clamped_probs(p))
 
     @property
     def n(self) -> int:

@@ -43,6 +43,18 @@ class TestConstruction:
             FiniteDistribution((0, 1, 2), np.array([0.5, 0.5]))
 
 
+    def test_range_and_tuple_keys_stay_comparable(self):
+        a = FiniteDistribution.from_sorted(range(3), np.array([0.2, 0.3, 0.5]))
+        b = dist([0.5, 0.5, 0.0], keys=(0, 1, 2))
+        assert isinstance(a.keys, range) and isinstance(b.keys, tuple)
+        assert tvd(a, b) == tvd(b, a) == pytest.approx(0.5, abs=1e-15)
+        assert a.weight(2) == 0.5 and b.weight(1) == 0.5
+        with pytest.raises(KeyMismatchError):
+            tvd(a, dist([0.5, 0.5, 0.0], keys=(0, 1, 3)))
+        with pytest.raises(KeyMismatchError):
+            tvd(a, FiniteDistribution(range(1, 4), np.array([0.2, 0.3, 0.5])))
+
+
 class TestTvd:
     def test_identical_is_zero(self):
         d = dist([0.3, 0.7])
@@ -110,6 +122,23 @@ class TestInequalityChain:
             p, q = random_pair(rng, int(rng.integers(2, 21)))
             assert tvd(p, q) == tvd(q, p)
             assert bhattacharyya(p, q) == bhattacharyya(q, p)
+
+
+class TestPairwiseSummation:
+    def test_within_log2_n_eps_of_compensated_sum(self):
+        # np.sum is pairwise; with nonnegative summands its relative error
+        # grows like log2(N) eps, far below the 1e-9 the path checks allow
+        rng = np.random.default_rng(23)
+        for size in (3**11, 10**6):
+            bound = math.ceil(math.log2(size)) * np.finfo(float).eps
+            for _ in range(2):
+                a, b = rng.exponential(1.0, (2, size)) ** 3
+                p = FiniteDistribution.from_sorted(range(size), a / a.sum())
+                q = FiniteDistribution.from_sorted(range(size), b / b.sum())
+                ref_tvd = 0.5 * math.fsum(np.abs(p.probs - q.probs).tolist())
+                ref_bhat = math.fsum(np.sqrt(p.probs * q.probs).tolist())
+                assert abs(tvd(p, q) - ref_tvd) <= bound * ref_tvd
+                assert abs(bhattacharyya(p, q) - ref_bhat) <= bound * ref_bhat
 
 
 @st.composite

@@ -22,7 +22,9 @@ from corrbound import (
     step_shift,
     validate_rate_matrix,
 )
+from corrbound import linear_response
 from corrbound.errors import (
+    NegativeProbabilityError,
     NonFiniteError,
     NonPositiveTimeError,
     NotSteadyStateError,
@@ -197,7 +199,7 @@ class TestPerturbedOracle:
         W, pst, S, _ = symmetric_model
         F = canonical_perturbation(W, S)
         series = perturbed_oracle(W, F, 1e-12, StepDrive(), 1.0, 1e-3)
-        drift = max(np.abs(pv.p - pst.p).max() for pv in series.probs)
+        drift = max(np.abs(row - pst.p).max() for row in series.probs)
         assert drift < 1e-10
 
     def test_step_drive_matches_first_order_prediction(self, symmetric_model):
@@ -242,9 +244,9 @@ class TestPerturbedOracle:
         W, _, S, _ = symmetric_model
         F = canonical_perturbation(W, S)
         series = perturbed_oracle(W, F, CHI, StepDrive(), 2.0, 1e-3)
-        for pv in series.probs:
-            assert abs(pv.p.sum() - 1.0) < 1e-12
-            assert pv.p.min() >= 0.0
+        for row in series.probs:
+            assert abs(row.sum() - 1.0) < 1e-12
+            assert row.min() >= 0.0
 
     def test_step_too_large_rejected(self, symmetric_model):
         W, _, S, _ = symmetric_model
@@ -255,8 +257,99 @@ class TestPerturbedOracle:
     def test_divergence_detected(self, symmetric_model):
         W, _, S, _ = symmetric_model
         F = canonical_perturbation(W, S)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match=r"at t = 0\.001$"):
             perturbed_oracle(W, F, 1e7, StepDrive(), 1.0, 1e-3)
+        # a drive switched on at t = 0.25 diverges there, not at the end
+        late = SampledDrive(np.array([0.25, 0.5]), np.array([1.0, 1.0]))
+        with pytest.raises(NonFiniteError, match=r"at t = 0\.25$"):
+            perturbed_oracle(W, F, 1e4, late, 1.0, 1e-3)
+
+    def test_negative_mass_row_rejected(self):
+        # F moves mass out of state 0 at the rate state 1 holds it: from a
+        # stationary P0 of 5e-7, one step leaves P0 near -5e-7, inside the
+        # divergence limit but far beyond ProbVector's roundoff allowance
+        eps = 5e-7 / (1.0 - 5e-7)
+        W = validate_rate_matrix([[0.0, eps], [1.0, 0.0]])
+        F = np.array([[0.0, -1.0], [0.0, 1.0]])
+        with pytest.raises(NegativeProbabilityError, match="negative probability mass"):
+            perturbed_oracle(W, F, 1e-3, StepDrive(), 0.01, 1e-3)
+
+
+def _per_vector_oracle(W, F, chi, drive, t_end, dt):
+    """Reference: RK4 on the probability vector itself, four right-hand
+    sides per sub-step, steps cut at the drive's breakpoints."""
+    n_steps = int(math.ceil(t_end / dt - 1e-12))
+    times = np.minimum(np.arange(n_steps + 1) * dt, t_end)
+    cuts = [c for c in drive.breakpoints() if 0.0 < c < t_end]
+    P = steady_state(W).p.copy()
+    rows = [P]
+    for a, b in zip(times[:-1], times[1:]):
+        mesh = [a] + [c for c in cuts if a < c < b] + [b]
+        for lo, hi in zip(mesh[:-1], mesh[1:]):
+            h = hi - lo
+            A = W.w + chi * drive.value(lo + 0.5 * h) * F
+            k1 = A @ P
+            k2 = A @ (P + 0.5 * h * k1)
+            k3 = A @ (P + 0.5 * h * k2)
+            k4 = A @ (P + h * k3)
+            P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(P)
+    return times, np.array(rows)
+
+
+class TestStepMatrixCache:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        step = linear_response._rk4_step
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(linear_response, "_rk4_step", counting)
+        return calls
+
+    def test_step_drive_makes_at_most_three_rk4_calls(self, counted):
+        # the first step, the one matrix, and the last step (its length
+        # is t_end - t_1999, which need not equal dt bit for bit)
+        W, _, S = model_sweep(1, states=(3,), seed=2_022)[0]
+        F = canonical_perturbation(W, S)
+        dt = 1e-3 / float(W.escape.max())
+        series = perturbed_oracle(W, F, CHI, StepDrive(), 2000 * dt, dt)
+        assert len(series.times) == 2001
+        assert 1 <= len(counted) <= 3
+        assert sum(np.array_equal(args[-1], np.eye(3)) for args in counted) == 1
+
+    def test_sampled_drive_makes_one_rk4_call_per_sub_step(self, counted, symmetric_model):
+        # a strictly rising drive never repeats its values; the sample at
+        # 0.1005 cuts step 100 in two, so 200 steps make 201 sub-steps
+        W, _, S, _ = symmetric_model
+        F = canonical_perturbation(W, S)
+        drive = SampledDrive(np.array([0.0, 0.1005, 2.0]), np.array([0.0, 1.0, 3.0]))
+        perturbed_oracle(W, F, CHI, drive, 0.2, 1e-3)
+        assert len(counted) == 201
+
+    def test_pulse_cut_inside_step_matches_per_vector_steps(self):
+        # the pulse ends inside step 1, so that step runs as two sub-steps
+        W, _, S = model_sweep(1, states=(3,), seed=2_022)[0]
+        F = canonical_perturbation(W, S)
+        dt = 1e-3 / float(W.escape.max())
+        drive = PulseDrive(width=1.5 * dt)
+        series = perturbed_oracle(W, F, CHI, drive, 300 * dt, dt)
+        times, rows = _per_vector_oracle(W, F, CHI, drive, 300 * dt, dt)
+        assert np.array_equal(series.times, times)
+        ref = rows @ S.s
+        np.testing.assert_allclose(series.shift(S), ref - ref[0], rtol=0, atol=1e-12)
+        assert np.abs(series.shift(S)).max() > 1e-4  # the pulse moved <S>
+
+    def test_probs_are_read_only_rows(self, symmetric_model):
+        W, _, S, _ = symmetric_model
+        F = canonical_perturbation(W, S)
+        series = perturbed_oracle(W, F, CHI, StepDrive(), 0.1, 1e-3)
+        assert series.probs.shape == (101, 2)
+        with pytest.raises(ValueError):
+            series.probs[0, 0] = 1.0
 
 
 class TestSampledDriveConvolution:
@@ -267,6 +360,13 @@ class TestSampledDriveConvolution:
         got = convolved_shift(W, pst, F, T, CHI, drive, 1.5, 1e-3)
         expect = step_shift(W, pst, S, T, CHI, 1.5)
         assert got == pytest.approx(expect, rel=1e-4, abs=1e-9)
+
+    def test_array_values_match_per_point_values(self):
+        drive = SampledDrive(np.array([0.0, 0.3, 1.1]), np.array([0.2, -1.0, 2.5]))
+        grid = np.concatenate([np.arange(-0.5, 1.6, 1e-3), drive.times])
+        got = drive.value(grid)
+        assert np.array_equal(got, [drive.value(float(t)) for t in grid])
+        assert isinstance(drive.value(0.3), float)
 
     def test_sampled_drive_validation(self):
         with pytest.raises(NonFiniteError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from corrbound.bounds import RATIO_SLACK
 from corrbound.cli import DEFAULT_BOUNDS, evaluate_bounds
 from corrbound.errors import (
     BadDimensionError,
+    CorrboundError,
     DimensionMismatchError,
     NegativeProbabilityError,
     NegativeRateError,
@@ -104,6 +106,23 @@ class TestProbVector:
     def test_bad_sum_rejected(self):
         with pytest.raises(NotNormalizedError):
             ProbVector(np.array([0.5, 0.4]))
+
+    def test_rows_follow_the_vector_rule(self):
+        rows = np.array([
+            [0.2, 0.3, 0.5],
+            [1.0 + 5e-13, -5e-13, 0.0],
+            [0.1, 0.9 + 3e-11, -1e-13],
+        ])
+        got = markov._clamped_probs(rows)
+        for row, ref in zip(got, rows):
+            assert np.array_equal(row, ProbVector(ref).p)
+        assert not got.flags.writeable
+        # the first row at fault raises what ProbVector raises on it
+        for bad in ([0.5, 0.4, 0.05], [1.01, -0.01, 0.0]):
+            with pytest.raises(CorrboundError) as vec_err:
+                ProbVector(np.array(bad))
+            with pytest.raises(type(vec_err.value), match=f"^{re.escape(str(vec_err.value))}$"):
+                markov._clamped_probs(np.array([rows[0], bad, [0.0, 0.0, 2.0]]))
 
 
 class TestScoreVector:

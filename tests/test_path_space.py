@@ -174,6 +174,20 @@ class TestRefinement:
             assert all(a <= b + 1e-12 for a, b in zip(tvds, tvds[1:]))
 
 
+    def test_bhattacharyya_matches_transfer_matrix_product(self):
+        # sum over paths of sqrt(p1 p2) factorises step by step:
+        # 1^T (sqrt(M1 o M2))^L p0, with M_i the one-step expm matrices
+        tau, t1, t2 = 1.0, 0.3, 0.8
+        for n, L in ((3, 10), (4, 8)):
+            for W, p0, _ in model_sweep(3, states=(n,), seed=6_100 + n):
+                m1 = scipy.linalg.expm((t1 / tau) * W.w * (tau / L))
+                m2 = scipy.linalg.expm((t2 / tau) * W.w * (tau / L))
+                closed = np.linalg.matrix_power(np.sqrt(m1 * m2), L) @ p0.p
+                d1 = skeleton_distribution(W, p0, tau, L, t1)
+                d2 = skeleton_distribution(W, p0, tau, L, t2)
+                assert abs(bhattacharyya(d1, d2) - closed.sum()) < 1e-14
+
+
 class TestVerifyPathInequalities:
     def test_equal_endpoints_degenerate(self, decay_model):
         W, p0, _, _ = decay_model
