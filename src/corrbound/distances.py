@@ -33,6 +33,8 @@ class FiniteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.keys, range):
+            object.__setattr__(self, "keys", tuple(self.keys))
         probs = np.asarray(self.probs, dtype=float)
         if len(self.keys) != probs.shape[0]:
             raise KeyMismatchError("keys and probabilities differ in length")
@@ -47,8 +49,6 @@ class FiniteDistribution:
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if not isinstance(self.keys, range):
-            object.__setattr__(self, "keys", tuple(self.keys))
 
     @classmethod
     def from_weights(cls, weights: dict) -> "FiniteDistribution":

@@ -16,7 +16,7 @@ pulse drives enter the oracle as narrow unit-area rectangles; the
 integrator splits steps at drive discontinuities so each sub-step sees
 smooth (for rectangles, constant) coefficients. RK4 on dP/dt = A(t) P
 is linear in P, so a step adds one matrix times P, the matrix being the
-step's increment from the identity; it is built once per repeated
+step's increment from the identity; it is built once per distinct
 (length, drive values) and reused, so a step or pulse drive costs one
 to three matrices however many steps it takes.
 """
@@ -316,10 +316,10 @@ def perturbed_oracle(
 
     Every uncut step but the last has length dt exactly (the grid
     differences differ from it only by the rounding of k dt), so one
-    increment matrix serves each stretch of constant drive. A (length,
-    drive values) pair seen for the first time steps the vector itself;
-    its matrix is built when it comes again, so a drive whose values
-    never repeat (a sampled ramp) costs n^2 per step, not n^3. Steps add
+    increment matrix serves each stretch of constant drive. The matrix of
+    each distinct (length, drive values) pair is built once, by stepping
+    the identity, and kept for the call; a drive whose values never
+    repeat (a sampled ramp) builds one per sub-step. Steps add
     D P to P rather than multiply by I + D: the rounding of the small D
     then stays small, where that of I + D would add up coherently over
     the steps (on the symmetric two-state chain, an error in <S> of
@@ -341,15 +341,12 @@ def perturbed_oracle(
     n_steps = max(int(math.ceil(t_end / dt - 1e-12)), 0) if t_end > 0 else 0
     times = np.minimum(np.arange(n_steps + 1) * dt, t_end)
     cuts = sorted(b for b in drive.breakpoints() if 0.0 < b < t_end)
-    seen, matrices = set(), {}
+    matrices = {}
 
     def step(lo: float, h: float, P: np.ndarray) -> np.ndarray:
         key = (h, *_drive_values(drive, lo, h))
         D = matrices.get(key)
         if D is None:
-            if key not in seen:
-                seen.add(key)
-                return P + _rk4_step(W, pert.chi, pert.F, key[1:], h, P)
             D = matrices[key] = _rk4_step(W, pert.chi, pert.F, key[1:], h, np.eye(W.n))
         return P + D @ P
 

@@ -49,6 +49,8 @@ class TestConstruction:
         assert isinstance(a.keys, range) and isinstance(b.keys, tuple)
         assert tvd(a, b) == tvd(b, a) == pytest.approx(0.5, abs=1e-15)
         assert a.weight(2) == 0.5 and b.weight(1) == 0.5
+        c = FiniteDistribution.from_sorted(iter((0, 1, 2)), np.array([0.2, 0.3, 0.5]))
+        assert c.keys == (0, 1, 2) and tvd(a, c) == 0.0 and c.weight(1) == 0.3
         with pytest.raises(KeyMismatchError):
             tvd(a, dist([0.5, 0.5, 0.0], keys=(0, 1, 3)))
         with pytest.raises(KeyMismatchError):
