@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .correlation import _chain, _check_probes
-from .errors import BadIntervalError, NonPositiveTimeError, QuadratureError
+from .errors import BadIntervalError, NonFiniteError, NonPositiveTimeError, QuadratureError
 from .markov import (
     ProbVector,
     RateMatrix,
@@ -228,6 +228,8 @@ class _Plan:
         probes=None,
     ):
         _check_dims(W, p0, *(v for v in (S, T) if v is not None))
+        if not math.isfinite(chi):
+            raise NonFiniteError(f"perturbation strength chi must be finite, got {chi}")
         self.knots = np.unique(_check_times(np.ravel(times)))
         self.W, self.p0, self.S, self.T = W, p0, S, T
         self.mode, self.chi = mode, chi

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, _Plan
-from .correlation import correlation_derivative, two_point
 from .errors import (
     NonFiniteError,
     NonPositiveTimeError,
@@ -40,6 +39,7 @@ from .markov import (
     ProbVector,
     RateMatrix,
     ScoreVector,
+    _as_float_array,
     _check_dims,
     _check_time,
     _clamped_probs,
@@ -47,7 +47,7 @@ from .markov import (
     steady_state,
 )
 
-_STEADY_RTOL = 1e-8  # times W._scale, as steady_state's own residual check
+_STEADY_RTOL = 1e-8  # times the largest escape rate, as steady_state's residual check
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,11 @@ class SampledDrive:
     piecewise_constant = False
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        vs = np.asarray(self.values, dtype=float)
+        ts, vs = (_as_float_array(x, "sampled drive") for x in (self.times, self.values))
         if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:
             raise NonFiniteError("sampled drive needs matching 1-d time/value arrays")
         if np.any(np.diff(ts) <= 0.0):
             raise NonFiniteError("sampled drive times must be strictly increasing")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
-            raise NonFiniteError("sampled drive contains non-finite entries")
         ts.setflags(write=False)
         vs.setflags(write=False)
         object.__setattr__(self, "times", ts)
@@ -123,16 +120,17 @@ class Perturbation:
     drive: object
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
+        F = _as_float_array(self.F, "perturbation matrix").copy()
         if F.ndim != 2 or F.shape[0] != F.shape[1]:
             raise NonFiniteError("perturbation matrix must be square")
-        if not np.all(np.isfinite(F)):
-            raise NonFiniteError("perturbation matrix contains non-finite entries")
         if self.chi == 0.0 or not np.isfinite(self.chi):
             raise NonFiniteError("perturbation strength chi must be finite and nonzero")
-        F = F.copy()
         F.setflags(write=False)
         object.__setattr__(self, "F", F)
+
+    @property
+    def n(self) -> int:
+        return self.F.shape[0]
 
 
 def canonical_perturbation(W: RateMatrix, S: ScoreVector) -> np.ndarray:
@@ -144,7 +142,7 @@ def canonical_perturbation(W: RateMatrix, S: ScoreVector) -> np.ndarray:
 def _check_steady(W: RateMatrix, Pst: ProbVector) -> None:
     _check_dims(W, Pst)
     resid = float(np.abs(W.w @ Pst.p).max())
-    if resid > _STEADY_RTOL * W._scale:
+    if resid > _STEADY_RTOL * W.escape.max():
         raise NotSteadyStateError(
             f"baseline is not stationary: max |W P| = {resid:.3e}"
         )
@@ -159,16 +157,25 @@ def response_function(
 ) -> float:
     """Response kernel 1 G e^{Wt} F P_st for t >= 0, exactly 0 for t < 0."""
     t = float(t)
-    return float(_kernel(W, Pst, F, G, np.array([t if t < 0.0 else _check_time(t)]))[0])
+    pert = Perturbation(F, 1.0, None)  # the kernel is per unit strength
+    return float(_kernel(W, Pst, pert, G, np.array([t if t < 0.0 else _check_time(t)]))[0])
 
 
-def _kernel(W: RateMatrix, Pst: ProbVector, F, G: ScoreVector, lags: np.ndarray) -> np.ndarray:
-    """The response kernel at an array of lags in one propagation; exactly 0
-    at negative lags."""
+def _kernel(W: RateMatrix, Pst: ProbVector, pert: Perturbation, G: ScoreVector, lags):
+    """The response kernel of ``pert.F`` at an array of lags in one
+    propagation; exactly 0 at negative lags."""
     _check_steady(W, Pst)
-    _check_dims(W, G)
-    rows = _propagator_apply(W, np.asarray(F, dtype=float) @ Pst.p, np.maximum(lags, 0.0))
+    _check_dims(W, G, pert)
+    rows = _propagator_apply(W, pert.F @ Pst.p, np.maximum(lags, 0.0))
     return np.where(lags < 0.0, 0.0, rows @ G.s)
+
+
+def _response_plan(W, Pst, S, T, chi: float, t: float, pulse: bool) -> _Plan:
+    """The plan from a stationary Pst that a shift and its bound both read."""
+    if pulse and t <= 0.0:
+        raise NonPositiveTimeError(f"pulse response needs t > 0, got {t}")
+    _check_steady(W, Pst)
+    return _Plan(W, Pst, (t,) if pulse else (0.0, t), S, T, chi=chi)
 
 
 def pulse_shift(
@@ -180,10 +187,7 @@ def pulse_shift(
     t: float,
 ) -> float:
     """First-order shift of <T> after a delta kick: chi * dC/dt."""
-    if t <= 0.0:
-        raise NonPositiveTimeError(f"pulse response needs t > 0, got {t}")
-    _check_steady(W, Pst)
-    return chi * correlation_derivative(W, Pst, S, T, t)
+    return chi * float(_response_plan(W, Pst, S, T, chi, t, pulse=True).corr_slope[0])
 
 
 def step_shift(
@@ -195,11 +199,8 @@ def step_shift(
     t: float,
 ) -> float:
     """First-order shift of <T> under a held drive: chi * (C(t) - C(0))."""
-    t = _check_time(t)
-    _check_steady(W, Pst)
-    return chi * (
-        two_point(W, Pst, S, T, t) - two_point(W, Pst, S, T, 0.0)
-    )
+    corr = _response_plan(W, Pst, S, T, chi, t, pulse=False).corr
+    return chi * float(corr[-1] - corr[0])
 
 
 def bound_pulse(
@@ -211,10 +212,7 @@ def bound_pulse(
     t: float,
 ) -> BoundReport:
     """Pulse-shift magnitude against chi S_max T_max sqrt(a / t)."""
-    if t <= 0.0:
-        raise NonPositiveTimeError(f"pulse response needs t > 0, got {t}")
-    _check_steady(W, Pst)
-    return _Plan(W, Pst, (t,), S, T, chi=chi).reports("PULSE_EQ11", t, t)[0]
+    return _response_plan(W, Pst, S, T, chi, t, pulse=True).reports("PULSE_EQ11", t, t)[0]
 
 
 def bound_step(
@@ -231,8 +229,7 @@ def bound_step(
     2 chi S_max T_max with the domain flag cleared.
     """
     t = _check_time(t)
-    _check_steady(W, Pst)
-    return _Plan(W, Pst, (0.0, t), S, T, chi=chi).reports("STEP_EQ12", 0.0, t)[0]
+    return _response_plan(W, Pst, S, T, chi, t, pulse=False).reports("STEP_EQ12", 0.0, t)[0]
 
 
 def convolved_shift(
@@ -246,13 +243,14 @@ def convolved_shift(
     dt: float,
 ) -> float:
     """Trapezoidal convolution of the response kernel with a sampled drive."""
+    pert = Perturbation(F, chi, drive)
     t = _check_time(t)
     if dt <= 0.0:
         raise StepTooLargeError("convolution step must be > 0")
     grid = np.arange(0.0, t + 0.5 * dt, dt)
-    kernel = _kernel(W, Pst, F, G, t - grid)
+    kernel = _kernel(W, Pst, pert, G, t - grid)
     fvals = drive.value(grid)
-    return chi * float(np.trapezoid(kernel * fvals, grid))
+    return pert.chi * float(np.trapezoid(kernel * fvals, grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +327,7 @@ def perturbed_oracle(
     pass the rule of :class:`ProbVector`.
     """
     pert = Perturbation(F, chi, drive)
+    _check_dims(W, pert)
     t_end = _check_time(t_end)
     max_rate = float(W.escape.max())
     if dt <= 0.0:

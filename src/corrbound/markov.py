@@ -18,6 +18,11 @@ conditioned and reproduces W; otherwise (defective W) one batched
 ``scipy.linalg.expm``, for the integral of the augmented generator
 ``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals involving the matrix
 exponential", IEEE TAC 1978).
+
+Tolerances in rate dimension are relative to the largest escape rate max R,
+with no unit floor, so no result depends on the rate unit (max R = max|W|:
+a float sum of nonnegative rates is never below any of them). Probability
+and ratio tolerances are dimensionless and absolute.
 """
 
 from __future__ import annotations
@@ -66,15 +71,13 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True, eq=False)
 class _Spectral:
     """Eigendecomposition W = V diag(lam) V^{-1}, kept only if trustworthy."""
 
-    __slots__ = ("lam", "V", "Vinv")
-
-    def __init__(self, lam: np.ndarray, V: np.ndarray, Vinv: np.ndarray):
-        self.lam = lam
-        self.V = V
-        self.Vinv = Vinv
+    lam: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
 
     def phi_t(self, t) -> np.ndarray:
         """(e^{lam t} - 1)/lam elementwise, as expm1(z)/z * t with z = lam t.
@@ -125,15 +128,9 @@ class RateMatrix:
     @cached_property
     def escape(self) -> np.ndarray:
         """Escape rate R(mu) = total rate of leaving state mu."""
-        r = -np.diag(self.w).copy()
-        r[r < 0.0] = 0.0
+        r = -np.diag(self.w)
         r.setflags(write=False)
         return r
-
-    @cached_property
-    def _scale(self) -> float:
-        """Largest rate magnitude, at least 1: the scale of residual checks."""
-        return max(float(np.abs(self.w).max()), 1.0)
 
     @cached_property
     def _spectral(self) -> _Spectral | None:
@@ -145,11 +142,12 @@ class RateMatrix:
             Vinv = np.linalg.inv(V)
         except np.linalg.LinAlgError:
             return None
+        scale = float(self.escape.max())
         recon = np.real(V @ np.diag(lam) @ Vinv)
-        if np.abs(recon - self.w).max() > _EIG_RECON_RTOL * self._scale:
+        if np.abs(recon - self.w).max() > _EIG_RECON_RTOL * scale:
             return None
         # 0 is exact (columns sum to 0); pin it, or e^{lam t} drifts by eps*max|W|*t
-        lam = np.where(np.abs(lam) <= self.n * np.finfo(float).eps * self._scale, 0.0, lam)
+        lam = np.where(np.abs(lam) <= self.n * np.finfo(float).eps * scale, 0.0, lam)
         return _Spectral(lam, V, Vinv)
 
     def scaled(self, factor: float) -> "RateMatrix":
@@ -348,8 +346,7 @@ def steady_state(W: RateMatrix) -> ProbVector:
         _, sing, vt = np.linalg.svd(W.w)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD of generator failed: {exc}") from exc
-    tol = max(float(sing.max(initial=0.0)), 1.0) * W.n * 1e-13
-    kernel_dim = int(np.sum(sing <= tol))
+    kernel_dim = int(np.sum(sing <= W.n * 1e-13 * W.escape.max()))
     if kernel_dim != 1:
         raise NonUniqueSteadyStateError(
             f"generator kernel has dimension {kernel_dim}; need exactly 1"
@@ -361,7 +358,7 @@ def steady_state(W: RateMatrix) -> ProbVector:
         raise NoConvergenceError("kernel vector has genuinely negative entries")
     v = np.clip(v, 0.0, None)
     pst = ProbVector(v / v.sum())
-    if np.abs(W.w @ pst.p).max() > 1e-10 * W._scale:
+    if np.abs(W.w @ pst.p).max() > 1e-10 * W.escape.max():
         raise NoConvergenceError("candidate steady state does not satisfy W P = 0")
     return pst
 

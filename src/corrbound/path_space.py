@@ -94,8 +94,8 @@ def skeleton_distribution(
     for _ in range(L):
         # axis order (x_0, ..., x_k); append x_{k+1} via M[x_{k+1}, x_k]
         probs = probs[..., :, None] * step.T
-    flat = np.clip(probs.reshape(count), 0.0, None)
-    return FiniteDistribution.from_sorted(range(count), flat)
+    # FiniteDistribution clamps roundoff-sized negative weights and rejects larger ones
+    return FiniteDistribution.from_sorted(range(count), probs.reshape(count))
 
 
 def bhat_survival(W: RateMatrix, p0: ProbVector, t: float) -> float:

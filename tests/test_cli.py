@@ -508,3 +508,74 @@ class TestMainEntry:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["check", "stress"])
+    @pytest.mark.parametrize("chi", ["nan", "inf"])
+    def test_non_finite_strength_exits_two(self, tmp_path, command, chi):
+        args = ["--states", "3"] if command == "check" else ["--models", "2"]
+        out = tmp_path / "out.txt"
+        assert main([command, *args, "--chi", chi, "--out", str(out)]) == 2
+
+
+def check_rows(tmp_path, model: dict, t: float, bound_ids=None):
+    """Exit code and JSON rows of `check` on one model at the one time t."""
+    path, out = tmp_path / "model.json", tmp_path / "out.json"
+    path.write_text(json.dumps(model))
+    args = ["check", "--model", str(path), "--tgrid", f"{t!r}:{t!r}:1:lin"]
+    if bound_ids:
+        args += ["--bounds", ",".join(bound_ids)]
+    code = main([*args, "--format", "json", "--out", str(out)])
+    return code, json.loads(out.read_text())["rows"]
+
+
+def decay_chain(rate: float, S) -> dict:
+    """State 1 decays into state 2 at ``rate``, starting in state 1."""
+    return {"n": 2, "rates": [[0, 0], [rate, 0]], "p0": [1, 0], "S": S}
+
+
+STIFF_CHAIN = {
+    "n": 3,
+    "rates": [
+        [0, 0.6726373598215467, 6.682599195426244],
+        [0.9344090639659682, 0, 0.33104227312181395],
+        [0.12959294692925413, 145563431034.58908, 0],
+    ],
+    "p0": [0, 1, 0],
+    "S": [0.9454828756428364, -0.9454828756502844, 0.9454828756487182],
+}
+
+
+class TestDefectReplays:
+    """Models on which `check` reported false violations. The bounds are
+    theorems, so a ratio above 1 + RATIO_SLACK is a numerical defect."""
+
+    def test_sub_unit_rates_give_the_ratios_of_unit_rates(self, tmp_path):
+        # rate 3.3e-16 at t = 2e15 is rate 3.3 at t = 0.2 in other time
+        # units; no eigenvalue or tolerance may depend on the unit
+        code, slow = check_rows(tmp_path, decay_chain(3.3e-16, [-1, 1]), 2e15)
+        assert code == 0
+        _, fast = check_rows(tmp_path, decay_chain(3.3, [-1, 1]), 0.2)
+        assert [r["bound_id"] for r in slow] == [r["bound_id"] for r in fast]
+        for a, b in zip(slow, fast):
+            assert abs(float(a["ratio"]) - float(b["ratio"])) <= 1e-10, a["bound_id"]
+        assert min(float(r["lhs"]) for r in slow if r["bound_id"] != "DERIV_EQ7") > 0.4
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="<S>(0) - <S>(t) is a difference of two O(1) levels, relative "
+        "error eps / (rate t): ratio 1.0000112 at t = 1e-11; ROADMAP item 2 "
+        "(cancellation-free bound sides)",
+    )
+    def test_decay_chain_at_short_time(self, tmp_path):
+        code, rows = check_rows(tmp_path, decay_chain(1.0, [1, -1]), 1e-11, ["ONEPOINT_ACTIVITY_S45"])
+        assert code == 0, rows
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the reconstruction check rejects a basis of cond 3.2 and the "
+        "expm path's C(t) is off by 4.5e-7: ratio 1 + 2.2e-7; ROADMAP item 4 "
+        "(choose the propagation regime by accuracy)",
+    )
+    def test_stiff_chain(self, tmp_path):
+        code, rows = check_rows(tmp_path, STIFF_CHAIN, 0.17587951097468535, ["ETA_EQ8"])
+        assert code == 0, rows

@@ -24,6 +24,7 @@ from corrbound import (
 )
 from corrbound import linear_response
 from corrbound.errors import (
+    DimensionMismatchError,
     NegativeProbabilityError,
     NonFiniteError,
     NonPositiveTimeError,
@@ -105,6 +106,62 @@ class TestShifts:
     def test_step_long_time_limit(self, symmetric_model):
         W, pst, S, T = symmetric_model
         assert step_shift(W, pst, S, T, CHI, 40.0) == pytest.approx(-0.01, abs=1e-12)
+
+
+class TestShiftsAreBoundSides:
+    def test_shift_magnitudes_equal_the_bound_lhs_bit_for_bit(self):
+        # the response CSVs print |shift| / rhs as the bound's ratio
+        for W, _, S in model_sweep(60, seed=44_000):
+            pst = steady_state(W)
+            for t in (0.01, 0.3, 2.0, 7.0):
+                for chi in (CHI, -0.3):
+                    step = step_shift(W, pst, S, S, chi, t)
+                    assert abs(step) == bound_step(W, pst, S, S, chi, t).lhs
+                    pulse = pulse_shift(W, pst, S, S, chi, t)
+                    assert abs(pulse) == bound_pulse(W, pst, S, S, chi, t).lhs
+
+
+class TestBadInputsRaiseTypedErrors:
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "entry", [bound_pulse, bound_step, pulse_shift, step_shift], ids=lambda f: f.__name__
+    )
+    def test_non_finite_strength_in_closed_forms(self, symmetric_model, entry, chi):
+        W, pst, S, T = symmetric_model
+        with pytest.raises(NonFiniteError):
+            entry(W, pst, S, T, chi, 1.0)
+
+    def test_non_finite_matrix_in_response_function(self, symmetric_model):
+        W, pst, S, T = symmetric_model
+        F = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(NonFiniteError):
+            response_function(W, pst, F, T, 1.0)
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf, 0.0])
+    def test_bad_strength_in_convolved_shift(self, symmetric_model, chi):
+        W, pst, S, T = symmetric_model
+        F = canonical_perturbation(W, S)
+        drive = SampledDrive(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(NonFiniteError):
+            convolved_shift(W, pst, F, T, chi, drive, 0.5, 1e-2)
+
+    def test_non_finite_matrix_in_convolved_shift(self, symmetric_model):
+        W, pst, S, T = symmetric_model
+        F = np.array([[0.0, np.inf], [0.0, 0.0]])
+        drive = SampledDrive(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(NonFiniteError):
+            convolved_shift(W, pst, F, T, CHI, drive, 0.5, 1e-2)
+
+    def test_matrix_of_another_size(self, symmetric_model):
+        W, pst, S, T = symmetric_model
+        F = np.zeros((3, 3))
+        drive = SampledDrive(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(DimensionMismatchError):
+            response_function(W, pst, F, T, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            convolved_shift(W, pst, F, T, CHI, drive, 0.5, 1e-2)
+        with pytest.raises(DimensionMismatchError):
+            perturbed_oracle(W, F, CHI, StepDrive(), 0.01, 1e-3)
 
 
 class TestPerturbationType:

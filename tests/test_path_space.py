@@ -18,7 +18,13 @@ from corrbound import (
     two_point,
     verify_path_inequalities,
 )
-from corrbound.errors import BadIntervalError, NegativeTimeError, TooManyPathsError
+from corrbound import path_space
+from corrbound.errors import (
+    BadIntervalError,
+    NegativeProbabilityError,
+    NegativeTimeError,
+    TooManyPathsError,
+)
 from corrbound.path_space import _survival
 from conftest import model_sweep
 
@@ -93,6 +99,15 @@ class TestSkeletonDistribution:
             joint = grid.sum(axis=tuple(range(1, L)))  # keep first and last
             expect = float(S.s @ joint @ S.s)
             assert expect == pytest.approx(two_point(W, p0, S, S, t), abs=1e-9)
+
+    def test_negative_path_mass_is_rejected_not_clipped(self, decay_model, monkeypatch):
+        # a one-step matrix with a -1e-9 entry gives paths of negative
+        # weight far beyond roundoff; they must raise, not vanish
+        W, p0, _, _ = decay_model
+        bad = np.array([[1.0 + 1e-9, 0.5], [-1e-9, 0.5]])
+        monkeypatch.setattr(path_space, "propagator", lambda W, t: bad)
+        with pytest.raises(NegativeProbabilityError):
+            skeleton_distribution(W, p0, 1.0, 2, 1.0)
 
     def test_negative_time_rejected(self, decay_model):
         W, p0, _, _ = decay_model
