@@ -41,7 +41,7 @@ from .bounds import (
     fmt17,
 )
 from .errors import CorrboundError
-from .linear_response import bound_pulse, bound_step, pulse_shift, step_shift
+from .linear_response import _response
 from .markov import (
     RANDOM_MODEL_METADATA,
     ProbVector,
@@ -258,19 +258,17 @@ def _flag(rep: BoundReport) -> str:
 _RESPONSE_HEADER = "t,shift,bound_rhs,ratio,in_domain"
 
 
-_RESPONSES = {"pulse": (pulse_shift, bound_pulse), "step": (step_shift, bound_step)}
-
-
 def _response_sweep(W, pst, S, T, chi: float, drive: str, t_grid) -> list:
-    """(t, shift, bound report) per grid time of a pulse or step response;
-    pulse sweeps skip t <= 0, where the pulse bound is undefined."""
-    if drive not in _RESPONSES:
+    """(t, shift, bound report) per grid time of a pulse or step response,
+    the shift and the report read from one plan; pulse sweeps skip t <= 0,
+    where the pulse bound is undefined."""
+    if drive not in ("pulse", "step"):
         raise CorrboundError(f"unknown drive {drive!r}")
-    shift, bound = _RESPONSES[drive]
+    pulse = drive == "pulse"
     return [
-        (t, shift(W, pst, S, T, chi, t), bound(W, pst, S, T, chi, t))
+        (t, *_response(W, pst, S, T, chi, t, pulse))
         for t in map(float, t_grid)
-        if t > 0.0 or drive == "step"
+        if t > 0.0 or not pulse
     ]
 
 

@@ -10,6 +10,17 @@ holding times with the state's escape rate and jump targets chosen
 proportionally to the outgoing rates. Samplers take an explicit
 generator (or seed), so callers can shard sampling across threads and
 merge means and variances themselves.
+
+The estimator runs the whole ensemble at once, one jump per sweep. It
+keeps only the live samples, compacted in sample-index order into three
+arrays (position in the ensemble, state, clock); a sample leaves them
+when its clock passes the horizon or it reaches an absorbing state, so
+a sweep costs O(live samples), not O(ensemble). The per-trajectory
+sampler builds each visited state's jump CDF once per trajectory, as
+``Generator.choice`` would, and draws a target by bisection on it, which
+takes the same uniform and gives the same index as ``Generator.choice``.
+Tests pin the output of both samplers for fixed seeds, so any change to
+the order or number of draws shows.
 """
 
 from __future__ import annotations
@@ -161,7 +172,17 @@ def sample_trajectory(
     """
     _check_dims(W, p0)
     horizon = _check_time(horizon)
-    state = int(rng.choice(W.n, p=p0.p))
+    cdfs = {}
+
+    def jump_cdf(state: int) -> np.ndarray:
+        cdf = cdfs.get(state)
+        if cdf is None:
+            out = W.w[:, state].copy()
+            out[state] = 0.0
+            cdf = cdfs[state] = _cdf(out / out.sum())
+        return cdf
+
+    state = _draw(_cdf(p0.p), rng)
     initial = state
     jumps = []
     t = 0.0
@@ -172,11 +193,22 @@ def sample_trajectory(
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
-        out = W.w[:, state].copy()
-        out[state] = 0.0
-        state = int(rng.choice(W.n, p=out / out.sum()))
+        state = _draw(jump_cdf(state), rng)
         jumps.append((t, state))
     return Trajectory(initial, tuple(jumps), horizon)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice`` builds from ``p``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from ``cdf``: the same uniform and the same index
+    as ``rng.choice(cdf.size, p=p)`` for the ``p`` of :func:`_cdf`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _sample_states_at(
@@ -188,37 +220,56 @@ def _sample_states_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble Gillespie: initial states and states at time t.
 
-    Holds the whole ensemble in vectors and advances every still-active
-    sample by one jump per sweep; samples whose next holding time passes
-    the horizon are frozen at their current state. Distributionally
-    identical to per-trajectory sampling, orders of magnitude faster.
+    Advances the live samples (not yet absorbed, clock inside the
+    horizon) by one jump per sweep; the others keep their state. The live
+    samples are held compacted, in sample-index order, as three arrays:
+    their positions in the ensemble, their states and their clocks, so a
+    sweep costs O(live samples). A sweep draws one standard exponential
+    holding time per live sample, drops those whose clock passes t, then
+    draws one uniform per remaining sample and picks its target as the
+    number of cumulative jump probabilities of its state below the
+    uniform. Distributionally identical to per-trajectory sampling,
+    orders of magnitude faster.
     """
     n = W.n
     init = rng.choice(n, size=n_samples, p=p0.p)
+    states = init.copy()
     if t == 0.0:
-        return init, init.copy()
+        return init, states
     jump = W.w.copy()
     np.fill_diagonal(jump, 0.0)
     col = jump.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         jump = np.where(col > 0.0, jump / col, 0.0)
-    cum = np.cumsum(jump, axis=0)
-    states = init.copy()
-    clock = np.zeros(n_samples)
-    active = W.escape[states] > 0.0
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        rates = W.escape[states[idx]]
-        clock[idx] += rng.exponential(1.0, size=idx.size) / rates
-        alive = clock[idx] < t
-        movers = idx[alive]
-        if movers.size:
-            u = rng.random(movers.size)
-            rows = cum[:, states[movers]].T
-            states[movers] = np.minimum((rows < u[:, None]).sum(axis=1), n - 1)
-        active[:] = False
-        active[movers] = W.escape[states[movers]] > 0.0
+    # Row j, state s: probability of a jump from s to a state <= j. The
+    # last row (1 up to rounding) is never needed: a target is at most n-1.
+    thresholds = np.cumsum(jump, axis=0)[:-1]
+    escape = W.escape
+    pos = np.flatnonzero(escape.take(init) > 0.0)
+    cur = init.take(pos)
+    clock = np.zeros(pos.size)
+    while pos.size:
+        hold = rng.standard_exponential(pos.size)
+        hold /= escape.take(cur)
+        clock += hold
+        pos, cur, clock = _compact(np.flatnonzero(clock < t), pos, cur, clock)
+        if not pos.size:
+            break
+        u = rng.random(pos.size)
+        target = np.zeros(pos.size, dtype=states.dtype)
+        for row in thresholds:
+            target += row.take(cur) < u
+        states[pos] = target
+        pos, cur, clock = _compact(np.flatnonzero(escape.take(target) > 0.0), pos, target, clock)
     return init, states
+
+
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """The entries ``keep`` of each array; the arrays themselves when
+    ``keep`` is all of them."""
+    if keep.size == arrays[0].size:
+        return arrays
+    return tuple(a.take(keep) for a in arrays)
 
 
 def mc_two_point(

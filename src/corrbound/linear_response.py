@@ -24,7 +24,9 @@ to three matrices however many steps it takes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -92,7 +94,7 @@ class SampledDrive:
     piecewise_constant = False
 
     def __post_init__(self):
-        ts, vs = (_as_float_array(x, "sampled drive") for x in (self.times, self.values))
+        ts, vs = (_as_float_array(x, "sampled drive").copy() for x in (self.times, self.values))
         if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:
             raise NonFiniteError("sampled drive needs matching 1-d time/value arrays")
         if np.any(np.diff(ts) <= 0.0):
@@ -178,6 +180,27 @@ def _response_plan(W, Pst, S, T, chi: float, t: float, pulse: bool) -> _Plan:
     return _Plan(W, Pst, (t,) if pulse else (0.0, t), S, T, chi=chi)
 
 
+def _shift(plan: _Plan, pulse: bool) -> float:
+    """The first-order shift a response plan gives: chi dC/dt at its one
+    knot after a pulse, chi (C(t) - C(0)) under a step."""
+    if pulse:
+        return plan.chi * float(plan.corr_slope[0])
+    return plan.chi * float(plan.corr[-1] - plan.corr[0])
+
+
+def _report(plan: _Plan, pulse: bool, t: float) -> BoundReport:
+    """The pulse or step bound report a response plan gives at time t."""
+    if pulse:
+        return plan.reports("PULSE_EQ11", t, t)[0]
+    return plan.reports("STEP_EQ12", 0.0, t)[0]
+
+
+def _response(W, Pst, S, T, chi: float, t: float, pulse: bool) -> tuple[float, BoundReport]:
+    """The shift at time t and its bound report, both from one plan."""
+    plan = _response_plan(W, Pst, S, T, chi, t, pulse)
+    return _shift(plan, pulse), _report(plan, pulse, t)
+
+
 def pulse_shift(
     W: RateMatrix,
     Pst: ProbVector,
@@ -187,7 +210,7 @@ def pulse_shift(
     t: float,
 ) -> float:
     """First-order shift of <T> after a delta kick: chi * dC/dt."""
-    return chi * float(_response_plan(W, Pst, S, T, chi, t, pulse=True).corr_slope[0])
+    return _shift(_response_plan(W, Pst, S, T, chi, t, pulse=True), True)
 
 
 def step_shift(
@@ -199,8 +222,7 @@ def step_shift(
     t: float,
 ) -> float:
     """First-order shift of <T> under a held drive: chi * (C(t) - C(0))."""
-    corr = _response_plan(W, Pst, S, T, chi, t, pulse=False).corr
-    return chi * float(corr[-1] - corr[0])
+    return _shift(_response_plan(W, Pst, S, T, chi, t, pulse=False), False)
 
 
 def bound_pulse(
@@ -212,7 +234,7 @@ def bound_pulse(
     t: float,
 ) -> BoundReport:
     """Pulse-shift magnitude against chi S_max T_max sqrt(a / t)."""
-    return _response_plan(W, Pst, S, T, chi, t, pulse=True).reports("PULSE_EQ11", t, t)[0]
+    return _report(_response_plan(W, Pst, S, T, chi, t, pulse=True), True, t)
 
 
 def bound_step(
@@ -229,7 +251,7 @@ def bound_step(
     2 chi S_max T_max with the domain flag cleared.
     """
     t = _check_time(t)
-    return _response_plan(W, Pst, S, T, chi, t, pulse=False).reports("STEP_EQ12", 0.0, t)[0]
+    return _report(_response_plan(W, Pst, S, T, chi, t, pulse=False), False, t)
 
 
 def convolved_shift(
@@ -317,7 +339,9 @@ def perturbed_oracle(
     increment matrix serves each stretch of constant drive. The matrix of
     each distinct (length, drive values) pair is built once, by stepping
     the identity, and kept for the call; a drive whose values never
-    repeat (a sampled ramp) builds one per sub-step. Steps add
+    repeat (a sampled ramp) builds one per sub-step. A piecewise-constant
+    drive looks its matrix up once per run of uncut steps up to the next
+    cut, and a step finds the cuts inside it by bisection. Steps add
     D P to P rather than multiply by I + D: the rounding of the small D
     then stays small, where that of I + D would add up coherently over
     the steps (on the symmetric two-state chain, an error in <S> of
@@ -342,26 +366,40 @@ def perturbed_oracle(
     cuts = sorted(b for b in drive.breakpoints() if 0.0 < b < t_end)
     matrices = {}
 
-    def step(lo: float, h: float, P: np.ndarray) -> np.ndarray:
+    def increment(lo: float, h: float) -> np.ndarray:
         key = (h, *_drive_values(drive, lo, h))
         D = matrices.get(key)
         if D is None:
             D = matrices[key] = _rk4_step(W, pert.chi, pert.F, key[1:], h, np.eye(W.n))
-        return P + D @ P
+        return D
 
     out = np.empty((n_steps + 1, W.n))
     out[0] = Pst.p
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        k = 0
+        while k < n_steps:
             a, b = times[k], times[k + 1]
-            mesh = [a, *(c for c in cuts if a < c < b), b]
+            first, stop = bisect_right(cuts, a), bisect_left(cuts, b)
             P = out[k]
-            if len(mesh) == 2 and k + 1 < n_steps:
-                P = step(a, dt, P)
-            else:
-                for lo, hi in zip(mesh[:-1], mesh[1:]):
-                    P = step(lo, hi - lo, P)
-            out[k + 1] = P
+            if first < stop or k + 1 == n_steps:
+                for lo, hi in pairwise([a, *cuts[first:stop], b]):
+                    P = P + increment(lo, hi - lo) @ P
+                out[k + 1] = P
+                k += 1
+                continue
+            # An uncut step of length dt. A piecewise-constant drive holds
+            # its value, and so the matrix, over every uncut step that ends
+            # by the next cut.
+            end = k + 1
+            if drive.piecewise_constant:
+                end = n_steps - 1
+                if first < len(cuts):
+                    end = min(end, bisect_right(times, cuts[first]) - 1)
+            D = increment(a, dt)
+            for j in range(k, end):
+                P = P + D @ P
+                out[j + 1] = P
+            k = end
         diverged = (
             ~np.isfinite(out).all(axis=1)
             | (np.abs(out.sum(axis=1) - 1.0) > 1e-6)

@@ -335,6 +335,20 @@ class TestCmdFigure3:
         assert float(rows[0][2]) == 0.0
         assert abs(float(rows[1][1])) < 2e-3 and float(rows[1][2]) < 5e-3
 
+    def test_one_plan_per_grid_time(self, tmp_path, monkeypatch):
+        # the shift and the bound report of a grid time read one plan:
+        # 100 pulse and 101 step times
+        plans = []
+        init = bounds._Plan.__init__
+
+        def counting(self, *args, **kwargs):
+            plans.append(args[2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bounds._Plan, "__init__", counting)
+        assert cmd_figure3(str(tmp_path)) == 0
+        assert len(plans) == 201
+
 
 class TestCmdStress:
     def test_small_sweep_no_violations(self, tmp_path):

@@ -401,6 +401,21 @@ class TestStepMatrixCache:
         np.testing.assert_allclose(series.shift(S), ref - ref[0], rtol=0, atol=1e-12)
         assert np.abs(series.shift(S)).max() > 1e-4  # the pulse moved <S>
 
+    def test_pulse_ending_on_a_grid_time_matches_per_vector_steps(self, counted):
+        # the cut at 7 dt is a grid time, so no step is split, yet the
+        # steps after it see another drive value: one matrix for the pulse
+        # steps, one for the later steps and at most one for the last step
+        W, _, S = model_sweep(1, states=(3,), seed=2_022)[0]
+        F = canonical_perturbation(W, S)
+        dt = 1e-3 / float(W.escape.max())
+        drive = PulseDrive(width=7 * dt)
+        series = perturbed_oracle(W, F, CHI, drive, 300 * dt, dt)
+        times, rows = _per_vector_oracle(W, F, CHI, drive, 300 * dt, dt)
+        assert series.times[7] == drive.width
+        ref = rows @ S.s
+        np.testing.assert_allclose(series.shift(S), ref - ref[0], rtol=0, atol=1e-12)
+        assert 2 <= len(counted) <= 3
+
     def test_probs_are_read_only_rows(self, symmetric_model):
         W, _, S, _ = symmetric_model
         F = canonical_perturbation(W, S)
@@ -431,6 +446,15 @@ class TestSampledDriveConvolution:
             SampledDrive(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(NonFiniteError):
             SampledDrive(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+
+    def test_caller_arrays_stay_writable_and_detached(self):
+        ts, vs = np.linspace(0.0, 1.0, 5), np.ones(5)
+        drive = SampledDrive(ts, vs)
+        ts[0], vs[:] = 3.0, 2.0
+        assert drive.times[0] == 0.0
+        assert drive.value(0.5) == 1.0
+        with pytest.raises(ValueError):
+            drive.times[0] = 3.0
 
     def test_oracle_with_sampled_ramp(self, symmetric_model):
         # smooth ramp drive: oracle vs trapezoidal convolution
