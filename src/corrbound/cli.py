@@ -41,7 +41,7 @@ from .bounds import (
     fmt17,
 )
 from .errors import CorrboundError
-from .linear_response import _response
+from .linear_response import _report, _response_plan, _shift
 from .markov import (
     RANDOM_MODEL_METADATA,
     ProbVector,
@@ -260,16 +260,16 @@ _RESPONSE_HEADER = "t,shift,bound_rhs,ratio,in_domain"
 
 def _response_sweep(W, pst, S, T, chi: float, drive: str, t_grid) -> list:
     """(t, shift, bound report) per grid time of a pulse or step response,
-    the shift and the report read from one plan; pulse sweeps skip t <= 0,
-    where the pulse bound is undefined."""
+    all read from one plan over the grid; pulse sweeps skip t <= 0, where
+    the pulse bound is undefined."""
     if drive not in ("pulse", "step"):
         raise CorrboundError(f"unknown drive {drive!r}")
     pulse = drive == "pulse"
-    return [
-        (t, *_response(W, pst, S, T, chi, t, pulse))
-        for t in map(float, t_grid)
-        if t > 0.0 or not pulse
-    ]
+    ts = np.asarray(t_grid, dtype=float)
+    if pulse:
+        ts = ts[ts > 0.0]
+    plan, idx = _response_plan(W, pst, S, T, chi, ts, pulse)
+    return list(zip(ts.tolist(), _shift(plan, idx, pulse).tolist(), _report(plan, idx, pulse)))
 
 
 def _response_row(t: float, shift: float, rep: BoundReport) -> str:
@@ -395,6 +395,8 @@ def cmd_stress(
     """
     if n_models < 0:
         raise CorrboundError("n_models must be >= 0")
+    if not n_list:
+        raise CorrboundError("need at least one state count")
     if t_grid is None:
         t_grid = np.geomspace(1e-2, 10.0, 20)
     sizes, seeds = _random_sweep(n_models, seed, n_list)

@@ -55,11 +55,6 @@ class FiniteDistribution:
         keys = sorted(weights)
         return cls(tuple(keys), np.array([weights[k] for k in keys], dtype=float))
 
-    @classmethod
-    def from_sorted(cls, keys, probs) -> "FiniteDistribution":
-        """Trusted constructor for keys already in canonical sorted order."""
-        return cls(keys, np.asarray(probs, dtype=float))
-
     def weight(self, key) -> float:
         return float(self.probs[self.keys.index(key)])
 
@@ -84,12 +79,3 @@ def bhattacharyya(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Bhattacharyya coefficient, sum sqrt(p q), in [0, 1]."""
     a, b = _aligned(p, q)
     return float(np.sum(np.sqrt(a * b)))
-
-
-def hellinger_sq(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Squared Hellinger distance, (1/2) sum (sqrt p - sqrt q)^2.
-
-    Equals ``1 - bhattacharyya(p, q)`` up to roundoff.
-    """
-    a, b = _aligned(p, q)
-    return 0.5 * float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))

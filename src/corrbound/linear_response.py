@@ -7,7 +7,10 @@ kernel, and for the canonical perturbation ``F = W diag(S)`` that
 kernel coincides with the time derivative of the two-time correlation
 <S(0) G(t)>. Pulse and step drives therefore have closed-form shifts
 (``chi dC/dt`` and ``chi (C(t) - C(0))``) and are never convolved
-numerically; sampled drives use trapezoidal convolution.
+numerically; sampled drives use trapezoidal convolution. The shifts and
+their bounds read one evaluation plan (``bounds._Plan``) over an array
+of times, so a pulse or step sweep builds one plan and checks the
+stationarity of its baseline once, whatever its number of times.
 
 An independent fixed-step Runge-Kutta integrator of the fully
 perturbed master equation is provided as the oracle for all of the
@@ -172,33 +175,32 @@ def _kernel(W: RateMatrix, Pst: ProbVector, pert: Perturbation, G: ScoreVector, 
     return np.where(lags < 0.0, 0.0, rows @ G.s)
 
 
-def _response_plan(W, Pst, S, T, chi: float, t: float, pulse: bool) -> _Plan:
-    """The plan from a stationary Pst that a shift and its bound both read."""
-    if pulse and t <= 0.0:
-        raise NonPositiveTimeError(f"pulse response needs t > 0, got {t}")
+def _response_plan(W, Pst, S, T, chi: float, ts, pulse: bool) -> tuple[_Plan, np.ndarray]:
+    """One plan from a stationary Pst over the times ts (and the knot 0
+    under a step), which every shift and bound of a sweep reads, with the
+    knot index of each time."""
+    ts = np.array(ts, dtype=float, ndmin=1)
+    if pulse and np.count_nonzero(ts <= 0.0):
+        raise NonPositiveTimeError(f"pulse response needs t > 0, got {float(ts[ts <= 0.0][0])}")
+    plan = _Plan(W, Pst, ts if pulse else np.concatenate(([0.0], ts)), S, T, chi=chi)
     _check_steady(W, Pst)
-    return _Plan(W, Pst, (t,) if pulse else (0.0, t), S, T, chi=chi)
+    return plan, plan.knots.searchsorted(ts)
 
 
-def _shift(plan: _Plan, pulse: bool) -> float:
-    """The first-order shift a response plan gives: chi dC/dt at its one
-    knot after a pulse, chi (C(t) - C(0)) under a step."""
+def _shift(plan: _Plan, idx: np.ndarray, pulse: bool) -> np.ndarray:
+    """The first-order shifts at the knots idx of a response plan: chi
+    dC/dt after a pulse, chi (C(t) - C(0)) under a step."""
     if pulse:
-        return plan.chi * float(plan.corr_slope[0])
-    return plan.chi * float(plan.corr[-1] - plan.corr[0])
+        return plan.chi * plan.corr_slope[idx]
+    return plan.chi * (plan.corr[idx] - plan.corr[0])
 
 
-def _report(plan: _Plan, pulse: bool, t: float) -> BoundReport:
-    """The pulse or step bound report a response plan gives at time t."""
+def _report(plan: _Plan, idx: np.ndarray, pulse: bool) -> list[BoundReport]:
+    """The pulse or step bound reports at the knots idx of a response plan."""
+    t = plan.knots[idx]
     if pulse:
-        return plan.reports("PULSE_EQ11", t, t)[0]
-    return plan.reports("STEP_EQ12", 0.0, t)[0]
-
-
-def _response(W, Pst, S, T, chi: float, t: float, pulse: bool) -> tuple[float, BoundReport]:
-    """The shift at time t and its bound report, both from one plan."""
-    plan = _response_plan(W, Pst, S, T, chi, t, pulse)
-    return _shift(plan, pulse), _report(plan, pulse, t)
+        return plan.reports("PULSE_EQ11", t, t)
+    return plan.reports("STEP_EQ12", np.zeros_like(t), t)
 
 
 def pulse_shift(
@@ -210,7 +212,8 @@ def pulse_shift(
     t: float,
 ) -> float:
     """First-order shift of <T> after a delta kick: chi * dC/dt."""
-    return _shift(_response_plan(W, Pst, S, T, chi, t, pulse=True), True)
+    plan, idx = _response_plan(W, Pst, S, T, chi, t, pulse=True)
+    return float(_shift(plan, idx, True)[0])
 
 
 def step_shift(
@@ -222,7 +225,8 @@ def step_shift(
     t: float,
 ) -> float:
     """First-order shift of <T> under a held drive: chi * (C(t) - C(0))."""
-    return _shift(_response_plan(W, Pst, S, T, chi, t, pulse=False), False)
+    plan, idx = _response_plan(W, Pst, S, T, chi, t, pulse=False)
+    return float(_shift(plan, idx, False)[0])
 
 
 def bound_pulse(
@@ -234,7 +238,8 @@ def bound_pulse(
     t: float,
 ) -> BoundReport:
     """Pulse-shift magnitude against chi S_max T_max sqrt(a / t)."""
-    return _report(_response_plan(W, Pst, S, T, chi, t, pulse=True), True, t)
+    plan, idx = _response_plan(W, Pst, S, T, chi, t, pulse=True)
+    return _report(plan, idx, True)[0]
 
 
 def bound_step(
@@ -250,8 +255,8 @@ def bound_step(
     For sqrt(a t) beyond pi/2 the report substitutes the trivial bound
     2 chi S_max T_max with the domain flag cleared.
     """
-    t = _check_time(t)
-    return _report(_response_plan(W, Pst, S, T, chi, t, pulse=False), False, t)
+    plan, idx = _response_plan(W, Pst, S, T, chi, t, pulse=False)
+    return _report(plan, idx, False)[0]
 
 
 def convolved_shift(

@@ -95,7 +95,7 @@ def skeleton_distribution(
         # axis order (x_0, ..., x_k); append x_{k+1} via M[x_{k+1}, x_k]
         probs = probs[..., :, None] * step.T
     # FiniteDistribution clamps roundoff-sized negative weights and rejects larger ones
-    return FiniteDistribution.from_sorted(range(count), probs.reshape(count))
+    return FiniteDistribution(range(count), probs.reshape(count))
 
 
 def bhat_survival(W: RateMatrix, p0: ProbVector, t: float) -> float:

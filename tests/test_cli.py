@@ -16,8 +16,12 @@ from corrbound import (
     bound_tangent_tur,
     bound_zero_t,
     bounds,
+    linear_response,
+    load_model,
+    pulse_shift,
     random_model,
     steady_state,
+    step_shift,
     validate_rate_matrix,
 )
 from corrbound.cli import (
@@ -31,6 +35,7 @@ from corrbound.cli import (
     cmd_response,
     cmd_stress,
     evaluate_bounds,
+    fig3_model,
     main,
 )
 from corrbound.errors import (
@@ -312,6 +317,24 @@ class TestCmdFigure2:
                 assert float(r[2]) <= 1.0 + 1e-9
 
 
+def count_response_plans(monkeypatch):
+    """Lists that collect every plan built and every stationarity check run."""
+    plans, steady = [], []
+    init, check = bounds._Plan.__init__, linear_response._check_steady
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        plans.append(self)
+
+    def counting_check(*args):
+        steady.append(args)
+        check(*args)
+
+    monkeypatch.setattr(bounds._Plan, "__init__", counting_init)
+    monkeypatch.setattr(linear_response, "_check_steady", counting_check)
+    return plans, steady
+
+
 class TestCmdFigure3:
     def test_pulse_values_at_unit_time(self, fig3_dir):
         _, _, rows = read_csv(fig3_dir / "fig3a.csv")
@@ -335,19 +358,13 @@ class TestCmdFigure3:
         assert float(rows[0][2]) == 0.0
         assert abs(float(rows[1][1])) < 2e-3 and float(rows[1][2]) < 5e-3
 
-    def test_one_plan_per_grid_time(self, tmp_path, monkeypatch):
-        # the shift and the bound report of a grid time read one plan:
-        # 100 pulse and 101 step times
-        plans = []
-        init = bounds._Plan.__init__
-
-        def counting(self, *args, **kwargs):
-            plans.append(args[2])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(bounds._Plan, "__init__", counting)
+    def test_one_plan_per_sweep(self, tmp_path, monkeypatch):
+        # every shift and bound report of a sweep reads one plan, and the
+        # baseline is checked for stationarity once: one pulse, one step
+        plans, steady = count_response_plans(monkeypatch)
         assert cmd_figure3(str(tmp_path)) == 0
-        assert len(plans) == 201
+        assert [p.knots.size for p in plans] == [100, 101]
+        assert len(steady) == 2
 
 
 class TestCmdStress:
@@ -518,6 +535,63 @@ class TestCmdResponse:
         )
 
 
+# A chain in detailed balance with T = S: its pulse response keeps one sign
+# and its step response is monotone, so relative errors stay well posed.
+THREE_STATE_JSON = json.dumps({
+    "n": 3,
+    "rates": [[0, 1.4, 0.6], [0.7, 0, 0.5], [0.9, 1.5, 0]],
+    "p0": [1, 0, 0],
+    "S": [0.8, -1.0, 0.3],
+})
+
+
+def response_rows(tmp_path, drive, args=()):
+    """The JSON rows of `response` under one drive and the extra arguments."""
+    out = tmp_path / f"{drive}.json"
+    assert main(["response", "--drive", drive, *args, "--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["rows"]
+
+
+def scalar_response(W, S, T, drive, t):
+    """The shift and bound report of the public scalar functions at time t."""
+    pst = steady_state(W)
+    if drive == "pulse":
+        return pulse_shift(W, pst, S, T, 0.01, t), bound_pulse(W, pst, S, T, 0.01, t)
+    return step_shift(W, pst, S, T, 0.01, t), bound_step(W, pst, S, T, 0.01, t)
+
+
+class TestResponseSweepMatchesScalarCalls:
+    @pytest.mark.parametrize("drive", ["pulse", "step"])
+    def test_built_in_model_bit_for_bit(self, tmp_path, drive):
+        rows = response_rows(tmp_path, drive)
+        assert len(rows) == (100 if drive == "pulse" else 101)
+        for row in rows:
+            shift, rep = scalar_response(*fig3_model(), drive, row["t"])
+            assert (row["shift"], row["bound_rhs"], row["ratio"], row["in_domain"]) == (
+                shift, rep.rhs, rep.ratio, rep.in_validity_domain
+            )
+
+    @pytest.mark.parametrize("drive", ["pulse", "step"])
+    def test_three_state_file_model(self, tmp_path, drive):
+        # row batching in the matrix products may move the last bits of a
+        # pulse shift (185 of 399 rows, up to 1e-15 relative on x86-64)
+        path = tmp_path / "model.json"
+        path.write_text(THREE_STATE_JSON)
+        W, _, S, T = load_model(str(path))
+        rows = response_rows(tmp_path, drive, ["--model", str(path), "--tgrid", "0:8:400:lin"])
+        assert len(rows) == (399 if drive == "pulse" else 400)
+        for row in rows:
+            shift, rep = scalar_response(W, S, T, drive, row["t"])
+            assert row["shift"] == pytest.approx(shift, rel=1e-14, abs=0)
+            assert row["ratio"] == pytest.approx(rep.ratio, rel=1e-14, abs=0)
+            assert row["bound_rhs"] == rep.rhs
+
+    def test_one_plan_per_response(self, tmp_path, monkeypatch):
+        plans, steady = count_response_plans(monkeypatch)
+        assert cmd_response("step", output_path=str(tmp_path / "step.csv")) == 0
+        assert len(plans) == len(steady) == 1
+
+
 class TestMainEntry:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -529,6 +603,10 @@ class TestMainEntry:
         args = ["--states", "3"] if command == "check" else ["--models", "2"]
         out = tmp_path / "out.txt"
         assert main([command, *args, "--chi", chi, "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("states", ["", ","])
+    def test_empty_state_list_exits_two(self, states):
+        assert main(["stress", "--models", "3", "--states", states]) == 2
 
 
 def check_rows(tmp_path, model: dict, t: float, bound_ids=None):
