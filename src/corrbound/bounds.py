@@ -51,6 +51,7 @@ from .markov import (
     ScoreVector,
     _check_dims,
     _check_times,
+    _contract,
     _integral_apply,
     _propagator_apply,
     steady_state,
@@ -126,9 +127,9 @@ def _ratio(lhs, rhs):
 
 
 def activity_rate(W: RateMatrix, p: ProbVector) -> float:
-    """Instantaneous jump rate sum_mu R(mu) p(mu)."""
+    """Instantaneous jump rate sum_mu R(mu) p(mu); one per model of a stack."""
     _check_dims(W, p)
-    return float(np.dot(W.escape, p.p))
+    return _contract(W.escape[..., None, :], p.p)[..., 0]
 
 
 _GL_LO = np.polynomial.legendre.leggauss(10)
@@ -136,37 +137,63 @@ _GL_HI = np.polynomial.legendre.leggauss(21)
 _GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
 
 
+def _panel_sums(values: np.ndarray, counts: np.ndarray):
+    """The 10- and 21-node sums of each panel's ``values`` row, for panels
+    grouped model by model (counts[i] of model i). A product's bits depend
+    on its row count, so the models with equal counts share one stacked
+    product, and every model gets the sums it would get alone."""
+    n_lo = _GL_LO[0].size
+    if len(set(counts.tolist())) == 1:  # one product over every model's panels
+        v = values.reshape(counts.size, -1, values.shape[1])
+        return (v[..., :n_lo] @ _GL_LO[1]).ravel(), (v[..., n_lo:] @ _GL_HI[1]).ravel()
+    coarse, fine = np.empty(values.shape[0]), np.empty(values.shape[0])
+    starts = np.cumsum(counts) - counts
+    for c in sorted(set(counts.tolist()) - {0}):
+        rows = starts[counts == c, None] + np.arange(c)
+        v = values[rows]
+        coarse[rows], fine[rows] = v[..., :n_lo] @ _GL_LO[1], v[..., n_lo:] @ _GL_HI[1]
+    return coarse, fine
+
+
 def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
     """Level-synchronous panel-adaptive Gauss-Legendre over many intervals.
 
-    ``lo``, ``hi`` and ``tol`` are arrays with one entry per interval;
+    ``lo``, ``hi`` and ``tol`` are arrays with one entry per interval,
+    after a leading model axis for the intervals of a stack of models;
     returns the integral of ``f`` over each interval. At every refinement
-    level the 10 and 21 nodes of all open panels go to ``f`` in one call
-    (``f`` must accept an array of nodes). A panel whose embedded 10/21-node
-    estimates agree within its tolerance adds its 21-node value to its
-    interval; any other panel is bisected, each half with half the
-    tolerance. Non-finite values, more than ``_QUAD_MAX_PANELS`` open
-    panels of one interval at one level, or a panel still open after
-    ``_QUAD_MAX_DEPTH`` levels are hard errors naming a failing panel.
+    level the 10 and 21 nodes of all open panels go to ``f`` in one call,
+    model by model, as ``f(nodes, counts)`` with counts[i] the nodes of
+    model i. A panel whose embedded 10/21-node estimates agree within its
+    tolerance adds its 21-node value to its interval; any other panel is
+    bisected, each half with half the tolerance. Each model's panels keep
+    the order they would have alone, so its integrals are those of a
+    quadrature of its intervals alone. Non-finite values, more than
+    ``_QUAD_MAX_PANELS`` open panels of one interval at one level, or a
+    panel still open after ``_QUAD_MAX_DEPTH`` levels are hard errors
+    naming a failing panel.
     """
-    lo, hi, tol = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi, tol))
+    shape = np.atleast_1d(lo).shape
+    lo, hi, tol = (np.array(x, dtype=float, ndmin=2) for x in (lo, hi, tol))
+    models, per_model = lo.shape
+    lo, hi, tol = lo.ravel(), hi.ravel(), tol.ravel()
     totals = np.zeros(lo.size)
     owner = np.arange(lo.size)
-    n_lo = _GL_LO[0].size
     for depth in range(_QUAD_MAX_DEPTH + 1):
         if owner.size == 0:
             break
+        counts = np.bincount(owner // per_model, minlength=models)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        values = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(owner.size, -1)
+        nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        values = f(nodes, counts * _GL_NODES.size).reshape(owner.size, -1)
         bad = ~np.isfinite(values).all(axis=1)
         if bad.any():
             k = np.flatnonzero(bad)[0]
             raise QuadratureError(
                 f"activity integrand is not finite on [{float(lo[k])}, {float(hi[k])}]"
             )
-        coarse = half * (values[:, :n_lo] @ _GL_LO[1])
-        fine = half * (values[:, n_lo:] @ _GL_HI[1])
+        coarse, fine = _panel_sums(values, counts)
+        coarse, fine = half * coarse, half * fine
         done = np.abs(fine - coarse) <= np.maximum(tol, 1e-16)
         np.add.at(totals, owner[done], fine[done])
         open_ = ~done
@@ -180,15 +207,18 @@ def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
             raise QuadratureError(
                 f"activity integral did not converge on [{float(lo[k])}, {float(hi[k])}]"
             )
-        lo, mid, hi = lo[open_], mid[open_], hi[open_]
+        lo, mid, hi, owner = lo[open_], mid[open_], hi[open_], owner[open_]
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         tol = np.tile(0.5 * tol[open_], 2)
-        owner = np.tile(owner[open_], 2)
-    return totals
+        owner = np.tile(owner, 2)
+        if models > 1:  # left halves, then right halves, of each model in turn
+            order = np.argsort(owner // per_model, kind="stable")
+            lo, hi, tol, owner = lo[order], hi[order], tol[order], owner[order]
+    return totals.reshape(shape)
 
 
 def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
-    """Score-product prefactor.
+    """Score-product prefactor; one per model of a stack.
 
     ``standard`` is the product of sup norms; ``tight`` is half the range
     of S(nu) T(mu) over independent state pairs, never larger than the
@@ -198,22 +228,29 @@ def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
         return S.max_abs * T.max_abs
     if mode == "tight":
         corners = [
-            float(a * b)
-            for a in (S.s.min(), S.s.max())
-            for b in (T.s.min(), T.s.max())
+            a * b
+            for a in (S.s.min(axis=-1), S.s.max(axis=-1))
+            for b in (T.s.min(axis=-1), T.s.max(axis=-1))
         ]
-        return 0.5 * (max(corners) - min(corners))
+        return 0.5 * (np.max(corners, axis=0) - np.min(corners, axis=0))
     raise ValueError(f"unknown cmax mode {mode!r}")
 
 
-class _Plan:
-    """Evaluation plan of one model on a sorted set of knots.
+def _col(x) -> np.ndarray:
+    """A per-model value as a column against per-knot arrays."""
+    return np.asarray(x)[..., None]
 
-    Every quantity is an array over the knots, computed on first use and
-    then shared by all bounds; propagation goes through matrix-vector
-    rows, never through per-knot propagator matrices. ``probes`` is a
-    J-point correlation's scores and probe times, one row per knot;
-    by default (S, T, S) at (0, tau/2, tau) for each knot tau.
+
+class _Plan:
+    """Evaluation plan of one model, or of a stack of models (``markov._stack``)
+    over the same states, on a sorted set of knots.
+
+    Every quantity is an array over the knots, after the model axis of a
+    stack, computed on first use and then shared by all bounds; per-model
+    values come as columns against it. Propagation goes through
+    matrix-vector rows, never through per-knot propagator matrices.
+    ``probes`` is a J-point correlation's scores and probe times, one row
+    per knot; by default (S, T, S) at (0, tau/2, tau) for each knot tau.
     """
 
     def __init__(
@@ -241,37 +278,38 @@ class _Plan:
         return _Plan(self.W, steady_state(self.W), self.knots, self.S, self.T, chi=self.chi)
 
     @cached_property
-    def cmax(self) -> float:
-        return cmax(self.S, self.T, self.mode)
+    def cmax(self) -> np.ndarray:
+        return _col(cmax(self.S, self.T, self.mode))
 
     @cached_property
-    def rate(self) -> float:
-        return activity_rate(self.W, self.p0)
+    def rate(self) -> np.ndarray:
+        return _col(activity_rate(self.W, self.p0))
 
     @cached_property
     def corr(self) -> np.ndarray:
         """C(t) = <S(0) T(t)>."""
-        return _propagator_apply(self.W, self.S.s * self.p0.p, self.knots) @ self.T.s
+        return _contract(_propagator_apply(self.W, self.S.s * self.p0.p, self.knots), self.T.s)
 
     @cached_property
     def corr_slope(self) -> np.ndarray:
         """dC/dt = 1 T e^{Wt} W S P(0)."""
-        v = self.W.w @ (self.S.s * self.p0.p)
-        return _propagator_apply(self.W, v, self.knots) @ self.T.s
+        v = _contract(self.W.w, self.S.s * self.p0.p)
+        return _contract(_propagator_apply(self.W, v, self.knots), self.T.s)
 
     @cached_property
     def mean(self) -> np.ndarray:
         """<S(t)>, contracted as S e^{Wt} P(0)."""
-        return _propagator_apply(self.W, self.p0.p, self.knots) @ self.S.s
+        return _contract(_propagator_apply(self.W, self.p0.p, self.knots), self.S.s)
 
     @cached_property
     def multi(self) -> np.ndarray:
         """The J-point correlation of the probes at each knot."""
         return _chain(self.W, self.p0.p, *self.probes)
 
-    def _activity(self, ts: np.ndarray) -> np.ndarray:
-        """A at the times ts."""
-        return np.clip(_integral_apply(self.W, self.p0.p, ts, self.W.escape), 0.0, None)
+    def _activity(self, ts: np.ndarray, counts=None) -> np.ndarray:
+        """A at the times ts (for a stack with ``counts``, each model's in turn)."""
+        A = _integral_apply(self.W, self.p0.p, ts, self.W.escape, counts)
+        return np.clip(A, 0.0, None)
 
     @cached_property
     def activity(self) -> np.ndarray:
@@ -288,16 +326,18 @@ class _Plan:
         """Activity integral from the first knot to each knot."""
         s = np.sqrt(self.knots)
 
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return np.sqrt(self._activity(x * x)) / x
+        def integrand(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+            return np.sqrt(self._activity(x * x, counts)) / x
 
         tol = np.full(s.size - 1, GEODESIC_ATOL / max(s.size - 1, 1))
-        panels = _adaptive_gauss_legendre(integrand, s[:-1], s[1:], tol)
-        return np.concatenate(([0.0], np.cumsum(panels)))
+        lead = self.W.w.shape[:-2]
+        ends = np.repeat([s[:-1], s[1:], tol], math.prod(lead), axis=0)
+        panels = _adaptive_gauss_legendre(integrand, *ends.reshape((3,) + lead + tol.shape))
+        return np.concatenate((np.zeros(lead + (1,)), np.cumsum(panels, axis=-1)), axis=-1)
 
     def arg(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Activity integral between the knots with indices a and b."""
-        return self.arc[b] - self.arc[a]
+        return self.arc[..., b] - self.arc[..., a]
 
     def sides(self, bound_id: str, t1, t2):
         """One bound on the intervals (t1[i], t2[i]), all of them knots:
@@ -328,7 +368,7 @@ class _Plan:
 
 
 def _change(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(x[a] - x[b])
+    return np.abs(x[..., a] - x[..., b])
 
 
 def _valid(lhs: np.ndarray, rhs: np.ndarray):
@@ -336,22 +376,27 @@ def _valid(lhs: np.ndarray, rhs: np.ndarray):
     return lhs, rhs, np.ones(lhs.shape, dtype=bool), None
 
 
-def _sine(lhs: np.ndarray, pref: float, arg: np.ndarray):
+def _sine(lhs: np.ndarray, pref, arg: np.ndarray):
     """2 pref sin(arg) while arg <= pi/2, the trivial 2 pref beyond."""
     in_domain = arg <= math.pi / 2.0
     return lhs, np.where(in_domain, 2.0 * pref * np.sin(arg), 2.0 * pref), in_domain, arg
 
 
-def _overlap(lhs: np.ndarray, pref: float, eta_t: np.ndarray):
+def _overlap(lhs: np.ndarray, pref, eta_t: np.ndarray):
     """2 pref sqrt(1 - eta), valid for all t (eta stays in (0, 1])."""
     return _valid(lhs, 2.0 * pref * np.sqrt(np.maximum(1.0 - eta_t, 0.0)))
 
 
-def _tangent(lhs: np.ndarray, pref: float, arg: np.ndarray):
+def _tangent(lhs: np.ndarray, pref, arg: np.ndarray):
     """2 pref tan(arg); at arg >= pi/2 the tangent diverges and the right
     side is infinite with the domain flag cleared."""
     in_domain = arg < math.pi / 2.0
     return lhs, np.where(in_domain, 2.0 * pref * np.tan(arg), math.inf), in_domain, arg
+
+
+def _sup(*scores: ScoreVector) -> np.ndarray:
+    """The product of the scores' sup norms, per model."""
+    return _col(math.prod(s.max_abs for s in scores))
 
 
 def _change_sine(P: _Plan, a, b):
@@ -366,26 +411,26 @@ _BOUNDS = {
     "MAIN_EQ5": (0.5, False, True, _change_sine),
     "ZERO_T_EQ6": (0.0, False, True, _change_sine),
     "DERIV_EQ7": (1.0, False, True, lambda P, a, b: _valid(
-        np.abs(P.corr_slope[b]), P.cmax * np.sqrt(P.activity[b]) / P.knots[b])),
+        np.abs(P.corr_slope[..., b]), P.cmax * np.sqrt(P.activity[..., b]) / P.knots[b])),
     "ETA_EQ8": (0.0, False, True, lambda P, a, b: _overlap(
-        _change(P.corr, a, b), P.cmax, P.eta[b])),
+        _change(P.corr, a, b), P.cmax, P.eta[..., b])),
     "TANGENT_S29": (0.0, False, True, lambda P, a, b: _tangent(
         _change(P.corr, a, b), P.cmax, P.arg(a, b))),
     "MULTI_SIN_S40": (0.0, False, False, lambda P, a, b: _sine(
-        _change(P.multi, a, b), math.prod(s.max_abs for s in P.probes[0]), P.arg(a, b))),
+        _change(P.multi, a, b), _sup(*P.probes[0]), P.arg(a, b))),
     "MULTI_ETA_S39": (0.0, False, False, lambda P, a, b: _overlap(
-        _change(P.multi, a, b), math.prod(s.max_abs for s in P.probes[0]), P.eta[b])),
+        _change(P.multi, a, b), _sup(*P.probes[0]), P.eta[..., b])),
     "ONEPOINT_SIN_S42": (0.0, False, False, lambda P, a, b: _sine(
-        _change(P.mean, a, b), P.S.max_abs, P.arg(a, b))),
+        _change(P.mean, a, b), _sup(P.S), P.arg(a, b))),
     "ONEPOINT_ETA_S41": (0.0, False, False, lambda P, a, b: _overlap(
-        _change(P.mean, a, b), P.S.max_abs, P.eta[b])),
+        _change(P.mean, a, b), _sup(P.S), P.eta[..., b])),
     "ONEPOINT_ACTIVITY_S45": (0.0, False, False, lambda P, a, b: _valid(
-        _change(P.mean, a, b), 2.0 * P.S.max_abs * P.activity[b])),
+        _change(P.mean, a, b), 2.0 * _sup(P.S) * P.activity[..., b])),
     "PULSE_EQ11": (1.0, True, False, lambda P, a, b: _valid(
-        abs(P.chi) * np.abs(P.corr_slope[b]),
-        abs(P.chi) * P.S.max_abs * P.T.max_abs * np.sqrt(P.rate / P.knots[b]))),
+        abs(P.chi) * np.abs(P.corr_slope[..., b]),
+        abs(P.chi) * _sup(P.S) * _sup(P.T) * np.sqrt(P.rate / P.knots[b]))),
     "STEP_EQ12": (0.0, True, False, lambda P, a, b: _sine(
-        abs(P.chi) * _change(P.corr, a, b), abs(P.chi) * P.S.max_abs * P.T.max_abs,
+        abs(P.chi) * _change(P.corr, a, b), abs(P.chi) * _sup(P.S) * _sup(P.T),
         np.sqrt(P.rate * P.knots[b]))),
 }
 BOUND_IDS = tuple(_BOUNDS)

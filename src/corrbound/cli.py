@@ -14,7 +14,10 @@ reals carry 17 significant digits (round-trip exact for float64), CSV
 files start with ``# key: value`` metadata lines, and identical seeds
 produce byte-identical output. Non-finite reals are written as ``inf``,
 ``-inf`` and ``nan``, quoted in JSON. The bounds of one model are
-evaluated through one plan over the time grid (``bounds._Plan``).
+evaluated through one plan over the time grid (``bounds._Plan``); the
+random sweeps of stress and figure2 evaluate the models of each state count
+together, through one plan over their stack (``markov._stack``), and read
+its ratio arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .markov import (
     ProbVector,
     RateMatrix,
     ScoreVector,
+    _stack,
     load_model,
     make_rng,
     random_model,
@@ -154,7 +158,8 @@ def _csv_document(header: str, rows: list[str], meta: dict) -> str:
 
 
 def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi):
-    """The intervals of each selected bound on one model's plan.
+    """The intervals of each selected bound on the plan of one model, or
+    of a stack of models.
 
     Yields (bound id, grid rows, plan, t1, t2): the start plan (the
     stationary one for pulse/step) and the applicable intervals at grid
@@ -292,6 +297,22 @@ def _random_sweep(n_models: int, seed: int, n_list=(2, 3, 4)):
     return sizes, seeds
 
 
+# models per stacked plan of a sweep, so that its working memory does not
+# grow with the number of models
+_STACK_MODELS = 256
+
+
+def _stacks(sizes, model):
+    """The models of a sweep as stacks of one state count each, in runs of
+    at most ``_STACK_MODELS``: (sweep indices, W, p0, S) per stack, where
+    ``model(i)`` builds model i and has ``sizes[i]`` states."""
+    for n in dict.fromkeys(sizes):
+        group = [i for i, size in enumerate(sizes) if size == n]
+        for start in range(0, len(group), _STACK_MODELS):
+            chunk = group[start:start + _STACK_MODELS]
+            yield (chunk, *map(_stack, zip(*map(model, chunk))))
+
+
 def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     """Write fig2a-fig2d CSVs plus a sidecar with the sweep seeds."""
     out = Path(out_dir)
@@ -314,16 +335,22 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
 
     sizes, seeds = _random_sweep(n_random, seed)
     models = [fig2_model()[:3]] + [random_model(n, s) for n, s in zip(sizes, seeds)]
-    rows_c, rows_d = [], []
-    for idx, (Wm, p0m, Sm) in enumerate(models):
-        grid_reports = evaluate_bounds(
-            Wm, p0m, Sm, Sm, FIG2_RATIO_GRID, ("ZERO_T_EQ6", "DERIV_EQ7")
-        )
-        for r in grid_reports:
-            if r.bound_id == "ZERO_T_EQ6":
-                rows_c.append(f"{idx},{fmt17(r.t2)},{fmt17(r.ratio)},{_flag(r)}")
-            else:
-                rows_d.append(f"{idx},{fmt17(r.t2)},{fmt17(r.ratio)}")
+    sweep = {}  # (bound id, model index) -> (t2, ratio, in_domain) per grid time
+    for chunk, Wm, p0m, Sm in _stacks([m[0].n for m in models], models.__getitem__):
+        for bid, _, plan, t1, t2 in _walk_bounds(
+            Wm, p0m, Sm, Sm, FIG2_RATIO_GRID, ("ZERO_T_EQ6", "DERIV_EQ7"), "standard", DEFAULT_CHI
+        ):
+            _, _, ratio, in_domain, _ = plan.sides(bid, t1, t2)
+            for j, idx in enumerate(chunk):
+                sweep[bid, idx] = list(zip(t2.tolist(), ratio[j].tolist(), in_domain[j].tolist()))
+    rows_c = [
+        f"{idx},{fmt17(t)},{fmt17(r)},{str(flag).lower()}"
+        for idx in range(len(models)) for t, r, flag in sweep["ZERO_T_EQ6", idx]
+    ]
+    rows_d = [
+        f"{idx},{fmt17(t)},{fmt17(r)}"
+        for idx in range(len(models)) for t, r, _ in sweep["DERIV_EQ7", idx]
+    ]
 
     meta = _meta(seed=seed, generator=RANDOM_MODEL_METADATA["generator"])
     try:
@@ -390,8 +417,9 @@ def cmd_stress(
 ) -> tuple[int, dict]:
     """Run every bound on every random model; tally violations.
 
-    Returns (exit code, tally). The JSON document is byte-identical for
-    identical arguments.
+    The models of one state count are evaluated together (``_stacks``);
+    each model gets the numbers it gets alone. Returns (exit code, tally).
+    The JSON document is byte-identical for identical arguments.
     """
     if n_models < 0:
         raise CorrboundError("n_models must be >= 0")
@@ -404,8 +432,8 @@ def cmd_stress(
         bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0, "worst": None}
         for bid in BOUND_IDS
     }
-    for n, model_seed in zip(sizes, seeds):
-        W, p0, S = random_model(n, model_seed)
+    worst_at = {}  # bound id -> sweep index of its worst case
+    for chunk, W, p0, S in _stacks(sizes, lambda i: random_model(sizes[i], seeds[i])):
         for bid, _, plan, t1, t2 in _walk_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi):
             ratio = plan.sides(bid, t1, t2)[2]
             if ratio.size == 0:
@@ -414,13 +442,21 @@ def cmd_stress(
             cell["evaluations"] += ratio.size
             cell["violations"] += int(np.count_nonzero(~(ratio <= 1.0 + RATIO_SLACK)))
             # NaN is never the maximum or the worst case; ties keep the
-            # first in sweep order
-            k = int(np.argmax(np.where(np.isnan(ratio), -math.inf, ratio)))
-            if not np.isnan(ratio[k]) and (cell["worst"] is None or ratio[k] > cell["max_ratio"]):
-                cell["max_ratio"] = max(cell["max_ratio"], float(ratio[k]))
-                cell["worst"] = {
-                    "states": n, "seed": model_seed, "t1": float(t1[k]), "t2": float(t2[k])
-                }
+            # first in sweep order, then in grid order
+            j, k = np.unravel_index(
+                np.argmax(np.where(np.isnan(ratio), -math.inf, ratio)), ratio.shape
+            )
+            top, at = ratio[j, k], chunk[j]
+            if np.isnan(top) or not (
+                cell["worst"] is None or top > cell["max_ratio"]
+                or (top == cell["max_ratio"] and at < worst_at[bid])
+            ):
+                continue
+            cell["max_ratio"] = max(cell["max_ratio"], float(top))
+            cell["worst"] = {
+                "states": sizes[at], "seed": seeds[at], "t1": float(t1[k]), "t2": float(t2[k])
+            }
+            worst_at[bid] = at
     total_violations = sum(c["violations"] for c in tally.values())
     payload = {
         "meta": _meta(
@@ -484,6 +520,8 @@ def _parse_tgrid(spec: str) -> np.ndarray:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CorrboundError(f"bad tgrid spec {spec!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise CorrboundError(f"tgrid start and stop must be finite in {spec!r}")
     if points < 1 or stop < start or start < 0.0:
         raise CorrboundError(f"bad tgrid range in {spec!r}")
     if parts[3] == "lin":

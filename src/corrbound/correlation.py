@@ -95,11 +95,12 @@ def _check_probes(W: RateMatrix, p0: ProbVector, scores, times) -> np.ndarray:
 
 def _chain(W: RateMatrix, p: np.ndarray, scores, times: np.ndarray) -> np.ndarray:
     """J-time correlations, one per row of the m x J probe ``times``, with
-    each link of the chain applied to all rows at once."""
-    v = scores[0].s * p
+    each link of the chain applied to all rows at once (and to every model
+    of a stack W, after its model axis)."""
+    v = (scores[0].s * p)[..., None, :]
     for i in range(1, len(scores)):
-        v = scores[i].s * _propagator_apply(W, v, times[:, i] - times[:, i - 1])
-    return np.broadcast_to(v, (times.shape[0], W.n)).sum(axis=1)
+        v = scores[i].s[..., None, :] * _propagator_apply(W, v, times[:, i] - times[:, i - 1])
+    return np.broadcast_to(v, v.shape[:-2] + (times.shape[0], W.n)).sum(axis=-1)
 
 
 def multipoint(

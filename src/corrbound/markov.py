@@ -13,11 +13,20 @@ Conventions used throughout the library:
 
 Every propagation goes through two primitives over whole time arrays,
 ``_propagator_apply`` (e^{W t} v) and ``_integral_apply`` (int_0^t e^{W s} ds v).
-Each has two regimes, chosen from W: the eigenvector basis when it is well
+Each has two regimes, chosen per model: the eigenvector basis when it is well
 conditioned and reproduces W; otherwise (defective W) one batched
 ``scipy.linalg.expm``, for the integral of the augmented generator
 ``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals involving the matrix
 exponential", IEEE TAC 1978).
+
+A value may also hold a stack of models over the same states along a leading
+model axis (``_stack``): the primitives and ``steady_state`` then take and
+return that axis, and run each step once for the whole stack. Every model
+of a stack gets the same numbers, bit for bit, as when it is alone: BLAS
+results depend on a product's row count, so the models are batched only
+with others of the same regime, the same arithmetic (a real spectrum stays
+real, as ``np.linalg.eig`` returns it for one model) and the same number
+of rows.
 
 Tolerances in rate dimension are relative to the largest escape rate max R,
 with no unit floor, so no result depends on the rate unit (max R = max|W|:
@@ -28,7 +37,8 @@ and ratio tolerances are dimensionless and absolute.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -58,9 +68,10 @@ _EIG_RECON_RTOL = 1e-12
 _PROB_SUM_ATOL = 1e-10
 _PROB_NEG_DEFICIT = 1e-12
 
-# Memory cap of one _integral_apply block: times x n elements on the
-# eigenvector path, times x (n + 1)^2 (the augmented generators) on the
-# expm path. Longer time arrays are evaluated block by block.
+# Memory cap of one _integral_apply block: models x times x n elements on
+# the eigenvector path, models x times x (n + 1)^2 (the augmented
+# generators) on the expm path. Longer time arrays, and larger stacks, are
+# evaluated block by block.
 _APPLY_ELEMENTS = 2**15
 
 
@@ -73,23 +84,73 @@ def _as_float_array(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Spectral:
-    """Eigendecomposition W = V diag(lam) V^{-1}, kept only if trustworthy."""
+    """Eigendecompositions W = V diag(lam) V^{-1} of the models ``models``
+    of a stack, kept only if trustworthy; all of them have a real spectrum
+    (real ``lam``) or none has.
+
+    ``V`` is stored complex. ``basis`` is V in the arithmetic of lam: for a
+    real spectrum the real part of the complex array, the layout in which
+    ``np.linalg.eig`` returns a real basis for one model. Its products then
+    take numpy's own loops rather than BLAS, as they do for that model.
+    """
 
     lam: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
+    models: np.ndarray
+
+    def __getitem__(self, pos) -> "_Spectral":
+        """The bases at positions ``pos`` of this part."""
+        return _Spectral(self.lam[pos], self.V[pos], self.Vinv[pos], self.models[pos])
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.V.real if self.lam.dtype.kind == "f" else self.V
 
     def phi_t(self, t) -> np.ndarray:
         """(e^{lam t} - 1)/lam elementwise, as expm1(z)/z * t with z = lam t.
 
         numpy's complex expm1 has no cancellation for small |z|; z = 0
-        (the pinned zero eigenvalue, or t = 0) gives exactly t. Accepts
-        scalar or array ``t``; result broadcasts t against lam.
+        (the pinned zero eigenvalue, or t = 0) gives exactly t. ``t`` has
+        one row of times per model; the result has a trailing eigenvalue
+        axis.
         """
         t = np.asarray(t, dtype=float)
-        z = np.multiply.outer(t, self.lam)
+        z = t[..., None] * self.lam[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where(z == 0, 1, np.expm1(z) / z) * t[..., None]
+            phi = np.expm1(z)
+            phi /= z
+        phi[z == 0] = 1
+        phi *= t[..., None]
+        return phi
+
+
+def _where(mask: np.ndarray, *arrays):
+    """Each array at the True entries of ``mask``; as they are when all are."""
+    return arrays if all(mask.tolist()) else tuple(a[mask] for a in arrays)
+
+
+def _trusted_bases(w, lam, V, scale, models, real: bool) -> _Spectral | None:
+    """The eigendecompositions (complex ``lam`` and ``V``) of the generators
+    ``w`` that are well conditioned and reproduce w, in real arithmetic for
+    real spectra, with the zero eigenvalue pinned; None when there is none."""
+    lam_a, V_a = (lam.real, V.real) if real else (lam, V)
+    try:
+        ok = np.linalg.cond(V_a) < _EIG_COND_LIMIT  # False for inf and NaN
+        if not any(ok.tolist()):
+            return None
+        w, lam_a, V, V_a, scale, models = _where(ok, w, lam_a, V, V_a, scale, models)
+        Vinv = np.linalg.inv(V_a)
+    except np.linalg.LinAlgError:
+        return None
+    recon = np.real((V_a * lam_a[:, None, :]) @ Vinv)
+    ok = ~(np.abs(recon - w).max(axis=(1, 2)) > _EIG_RECON_RTOL * scale)
+    if not any(ok.tolist()):
+        return None
+    n = w.shape[-1]
+    # 0 is exact (columns sum to 0); pin it, or e^{lam t} drifts by eps*max|W|*t
+    lam_a = np.where(np.abs(lam_a) <= n * np.finfo(float).eps * scale[:, None], 0.0, lam_a)
+    return _Spectral(*_where(ok, lam_a, V, Vinv, models))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +158,8 @@ class RateMatrix:
     """Generator of a continuous-time Markov chain over ``n >= 2`` states.
 
     Construct through :func:`validate_rate_matrix`; the raw constructor
-    also validates and recomputes the diagonal.
+    also validates and recomputes the diagonal. A stack of generators
+    (``_stack``) holds ``w`` of shape (models, n, n).
     """
 
     w: np.ndarray
@@ -123,32 +185,49 @@ class RateMatrix:
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-1]
 
     @cached_property
     def escape(self) -> np.ndarray:
         """Escape rate R(mu) = total rate of leaving state mu."""
-        r = -np.diag(self.w)
+        r = -np.diagonal(self.w, axis1=-2, axis2=-1)
         r.setflags(write=False)
         return r
 
     @cached_property
-    def _spectral(self) -> _Spectral | None:
-        lam, V = np.linalg.eig(self.w)
-        try:
-            cond = np.linalg.cond(V)
-            if not np.isfinite(cond) or cond >= _EIG_COND_LIMIT:
-                return None
-            Vinv = np.linalg.inv(V)
-        except np.linalg.LinAlgError:
-            return None
-        scale = float(self.escape.max())
-        recon = np.real(V @ np.diag(lam) @ Vinv)
-        if np.abs(recon - self.w).max() > _EIG_RECON_RTOL * scale:
-            return None
-        # 0 is exact (columns sum to 0); pin it, or e^{lam t} drifts by eps*max|W|*t
-        lam = np.where(np.abs(lam) <= self.n * np.finfo(float).eps * scale, 0.0, lam)
-        return _Spectral(lam, V, Vinv)
+    def _spectral(self) -> tuple[_Spectral, ...] | None:
+        """The trusted eigenbases of the stack: one part for the models with
+        a real spectrum, one for the rest; None when no model has one."""
+        n = self.n
+        w = self.w.reshape(-1, n, n)
+        lam, V = np.linalg.eig(w)
+        lam, V = lam.astype(complex, copy=False), V.astype(complex, copy=False)
+        real = ~lam.imag.any(axis=-1)
+        kinds = set(real.tolist())
+        scale = self.escape.reshape(-1, n).max(axis=-1)
+        models = np.arange(w.shape[0])
+        parts = (
+            _trusted_bases(*_where(real == is_real, w, lam, V, scale, models), is_real)
+            for is_real in (True, False)
+            if is_real in kinds
+        )
+        return tuple(p for p in parts if p is not None) or None
+
+    @cached_property
+    def _regimes(self) -> list:
+        """(basis, models) per propagation regime of the stack: each part of
+        ``_spectral``, then the rates of the models left to ``expm``;
+        ``models`` is a slice when one regime holds every model."""
+        w = self.w.reshape(-1, self.n, self.n)
+        parts = [(sd, sd.models) for sd in self._spectral or ()]
+        if sum(models.size for _, models in parts) < w.shape[0]:
+            rest = np.ones(w.shape[0], dtype=bool)
+            for _, models in parts:
+                rest[models] = False
+            parts.append((w[rest], np.flatnonzero(rest)))
+        if len(parts) == 1:
+            return [(parts[0][0], slice(None))]
+        return parts
 
     def scaled(self, factor: float) -> "RateMatrix":
         """Generator with all rates multiplied by ``factor >= 0``."""
@@ -205,7 +284,7 @@ class ProbVector:
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +303,35 @@ class ScoreVector:
 
     @property
     def n(self) -> int:
-        return self.s.shape[0]
+        return self.s.shape[-1]
 
     @cached_property
     def max_abs(self) -> float:
-        return float(np.abs(self.s).max()) if self.s.size else 0.0
+        """The sup norm; one per vector of a stack."""
+        return np.abs(self.s).max(axis=-1, initial=0.0)
+
+
+def _raw(cls, array: np.ndarray):
+    """A value of type ``cls`` around ``array`` as it is: for arrays that
+    already satisfy the type's rules, which validation could change (a
+    probability vector is renormalized)."""
+    value = object.__new__(cls)
+    array.setflags(write=False)
+    object.__setattr__(value, fields(cls)[0].name, array)
+    return value
+
+
+def _stack(values):
+    """Validated values of one type over the same states as one value
+    holding their stack along a new leading model axis."""
+    first = fields(values[0])[0].name
+    return _raw(type(values[0]), np.stack([getattr(v, first) for v in values]))
+
+
+def _contract(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``rows @ vec`` per model: the product of each model's matrix (or
+    rows) with its own vector, one vector per model of a stack."""
+    return (rows @ vec[..., None])[..., 0]
 
 
 def validate_rate_matrix(w) -> RateMatrix:
@@ -283,56 +386,118 @@ def propagator_integral(W: RateMatrix, t: float) -> np.ndarray:
 
 def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows ``e^{W t} @ vec`` for a whole array of times; ``vec`` is one
-    vector or one row per time. No propagator matrix is formed on the
+    vector or one row per time, after the model axis of a stack W, and the
+    rows come after it too. No propagator matrix is formed on the
     eigenvector path, and rows at t = 0 are ``vec`` exactly."""
-    times = np.asarray(times, dtype=float)
-    sd = W._spectral
-    if sd is not None:
-        coeff = vec @ sd.Vinv.T
-        rows = np.real((np.exp(np.multiply.outer(times, sd.lam)) * coeff) @ sd.V.T)
-    else:
-        rows = (scipy.linalg.expm(np.multiply.outer(times, W.w)) @ vec[..., None])[..., 0]
-    return np.where((times == 0.0)[..., None], vec, rows)
+    times, vec = np.asarray(times, dtype=float), np.asarray(vec)
+    lead, n = W.w.shape[:-2], W.n
+    per_time = vec.ndim > len(lead) + 1
+    vec = vec.reshape(math.prod(lead), -1 if per_time else 1, n)
+    rows = np.empty((vec.shape[0], times.size, n))
+    for basis, models in W._regimes:
+        rows[models] = _propagator_block(basis, vec[models], times.ravel())
+    rows = np.where((times.ravel() == 0.0)[:, None], vec, rows)
+    return rows.reshape(lead + times.shape + (n,))
+
+
+def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{W t} vec for the models of one regime: ``basis`` is their
+    _Spectral, or their rates for ``expm``; ``vec`` leads with the model axis."""
+    if isinstance(basis, _Spectral):
+        coeff = vec @ basis.Vinv.mT
+        return np.real((np.exp(times[:, None] * basis.lam[:, None, :]) * coeff) @ basis.basis.mT)
+    return (scipy.linalg.expm(times[:, None, None] * basis[:, None]) @ vec[..., None])[..., 0]
 
 
 def _integral_apply(
-    W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None
+    W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times, or
     with ``left`` given their dot products with it; ``vec`` is one vector
     or one row per time, and rows at t = 0 are 0.
 
+    For a stack W, ``vec`` and ``left`` lead with the model axis. The times
+    are shared by every model, and the rows lead with the model axis too;
+    or, with ``counts`` given, ``times`` holds each model's own times in
+    turn (counts[i] of model i), ``vec`` one vector per model, and the
+    rows follow ``times``. Models are batched only with others of the same
+    regime and the same number of times.
+
     Quadratures over the dynamical activity call this in batch, with
-    ``left`` the escape rates. Both paths evaluate the times in blocks of
-    at most ``_APPLY_ELEMENTS`` elements, so their working memory does
-    not grow with the times.
+    ``left`` the escape rates. Both paths evaluate in blocks of at most
+    ``_APPLY_ELEMENTS`` elements (each model's times cut as for that model
+    alone), so their working memory grows neither with the times nor
+    with the models.
     """
-    times = np.asarray(times, dtype=float)
-    width = W.n if W._spectral is not None else (W.n + 1) ** 2
-    step = max(_APPLY_ELEMENTS // width, 1)
-    if times.size <= step:
-        return _integral_block(W, vec, times, left)
-    per_time = np.ndim(vec) > 1
-    return np.concatenate([
-        _integral_block(W, vec[i:i + step] if per_time else vec, times[i:i + step], left)
-        for i in range(0, times.size, step)
-    ])
+    times, vec = np.asarray(times, dtype=float), np.asarray(vec)
+    lead, n = W.w.shape[:-2], W.n
+    m = math.prod(lead)
+    flat = counts is not None
+    per_time = vec.ndim > len(lead) + 1
+    vec = vec.reshape(m, -1 if per_time else 1, n)
+    left = None if left is None else left.reshape(m, n)
+    tail = (n,) if left is None else ()
+    # one row of times per model, indexed by (models, times); or each
+    # model's times in turn, indexed by position
+    if not flat:
+        times = np.repeat(times.reshape(1, -1), m, axis=0)
+    elif len(set(counts.tolist())) == 1:
+        times = times.reshape(m, counts[0])
+    rowwise = times.ndim == 2
+    if not rowwise:
+        starts = np.cumsum(counts) - counts
+    out = np.empty(times.shape + tail)
+    for basis, models in W._regimes:
+        width = n if isinstance(basis, _Spectral) else (n + 1) ** 2
+        step = max(_APPLY_ELEMENTS // width, 1)
+        groups = [(basis, models, times.shape[1])] if rowwise else _equal_counts(basis, models, counts)
+        for part, group, c in groups:
+            index = np.arange(m)[group]
+            # each model's times in blocks of `step`, as for one model; and
+            # as many models per block as the memory cap leaves room for
+            per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
+            for j in range(0, index.size, per):
+                sel, chunk = index[j:j + per], part if per >= index.size else part[j:j + per]
+                for i in range(0, c, step):
+                    if rowwise:
+                        rows = (sel, slice(i, i + step))
+                    else:
+                        rows = starts[sel, None] + np.arange(i, min(i + step, c))
+                    out[rows] = _integral_block(
+                        chunk, vec[rows] if per_time else vec[sel], times[rows],
+                        None if left is None else left[sel],
+                    )
+    return out.reshape(((-1,) if flat else lead + (-1,)) + tail)
 
 
-def _integral_block(W: RateMatrix, vec: np.ndarray, times: np.ndarray, left) -> np.ndarray:
-    """One block of ``_integral_apply``, all times in one shot."""
-    sd = W._spectral
-    if sd is not None:
-        coeff = vec @ sd.Vinv.T
+def _equal_counts(basis, models, counts):
+    """(basis, models, count) for each count among the ``models`` of one
+    regime, with its part of ``basis``. A product's bits depend on its row
+    count, so only models with equal counts are batched."""
+    own = counts[models]
+    index = np.arange(counts.size)[models]
+    return [
+        (basis[pos], index[pos], c)
+        for c in sorted(set(own.tolist())) for pos in [np.flatnonzero(own == c)]
+    ]
+
+
+def _integral_block(basis, vec: np.ndarray, times: np.ndarray, left) -> np.ndarray:
+    """One block of ``_integral_apply`` for the models of one regime, all
+    times in one shot: ``basis`` is their _Spectral, or their rates for
+    ``expm``; ``vec``, ``times`` and ``left`` lead with the model axis."""
+    if isinstance(basis, _Spectral):
+        coeff = vec @ basis.Vinv.mT
         # real rows first: folding left into V.T (a complex matrix-vector
         # product) measured 1.6x slower on the hard_generators benchmark
-        rows = np.real((sd.phi_t(times) * coeff) @ sd.V.T)
+        rows = np.real((basis.phi_t(times) * coeff) @ basis.basis.mT)
     else:
-        n = W.n
+        n = basis.shape[-1]
         aug = np.zeros(times.shape + (n + 1, n + 1))
-        aug[..., :n, :n], aug[..., :n, n] = W.w, vec
+        aug[..., :n, :n], aug[..., :n, n] = basis[:, None], vec
         rows = scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
-    return rows if left is None else rows @ left
+    return rows if left is None else _contract(rows, left)
 
 
 def steady_state(W: RateMatrix) -> ProbVector:
@@ -340,25 +505,27 @@ def steady_state(W: RateMatrix) -> ProbVector:
 
     The kernel of W is extracted by SVD; a kernel of dimension > 1 (within
     tolerance) means the chain decomposes and no unique stationary law
-    exists.
+    exists. For a stack W, the stack of the laws of its models; one model
+    without a unique law raises.
     """
     try:
         _, sing, vt = np.linalg.svd(W.w)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD of generator failed: {exc}") from exc
-    kernel_dim = int(np.sum(sing <= W.n * 1e-13 * W.escape.max()))
-    if kernel_dim != 1:
+    scale = W.escape.max(axis=-1)
+    kernel_dim = (sing <= W.n * 1e-13 * scale[..., None]).sum(axis=-1)
+    bad = kernel_dim != 1
+    if bad.any():
         raise NonUniqueSteadyStateError(
-            f"generator kernel has dimension {kernel_dim}; need exactly 1"
+            f"generator kernel has dimension {kernel_dim[bad].flat[0]}; need exactly 1"
         )
-    v = vt[-1]
-    if v.sum() < 0.0:
-        v = -v
-    if v.min() < -1e-9:
+    v = vt[..., -1, :]
+    v = np.where(v.sum(axis=-1, keepdims=True) < 0.0, -v, v)
+    if (v.min(axis=-1) < -1e-9).any():
         raise NoConvergenceError("kernel vector has genuinely negative entries")
     v = np.clip(v, 0.0, None)
-    pst = ProbVector(v / v.sum())
-    if np.abs(W.w @ pst.p).max() > 1e-10 * W.escape.max():
+    pst = _raw(ProbVector, _clamped_probs(v / v.sum(axis=-1, keepdims=True)))
+    if (np.abs(_contract(W.w, pst.p)).max(axis=-1) > 1e-10 * scale).any():
         raise NoConvergenceError("candidate steady state does not satisfy W P = 0")
     return pst
 

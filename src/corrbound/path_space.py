@@ -27,7 +27,7 @@ import numpy as np
 
 from .distances import FiniteDistribution, bhattacharyya, tvd
 from .errors import BadIntervalError, TooManyPathsError
-from .markov import ProbVector, RateMatrix, _check_dims, _check_time, propagator
+from .markov import ProbVector, RateMatrix, _check_dims, _check_time, _contract, propagator
 
 MAX_PATHS = 10**6
 
@@ -106,13 +106,14 @@ def bhat_survival(W: RateMatrix, p0: ProbVector, t: float) -> float:
     the overlap collapses to ``sum_mu p0[mu] exp(-t R(mu) / 2)``.
     """
     _check_dims(W, p0)
-    return float(_survival(W, p0, _check_time(t)))
+    return float(_survival(W, p0, np.array([_check_time(t)]))[0])
 
 
 def _survival(W: RateMatrix, p0: ProbVector, times) -> np.ndarray:
-    """``sum_mu p0[mu] exp(-t R(mu) / 2)`` for each t of ``times``, capped at 1."""
-    decay = np.exp(np.multiply.outer(-0.5 * np.asarray(times), W.escape))
-    return np.minimum(decay @ p0.p, 1.0)
+    """``sum_mu p0[mu] exp(-t R(mu) / 2)`` for each t of the 1-d ``times``,
+    capped at 1; after the model axis of a stack."""
+    decay = np.exp((-0.5 * np.asarray(times))[:, None] * W.escape[..., None, :])
+    return np.minimum(_contract(decay, p0.p), 1.0)
 
 
 def eta(W: RateMatrix, p0: ProbVector, t: float) -> float:

@@ -197,20 +197,20 @@ class TestActivityQuadrature:
         lo, hi = np.array([0.0, 0.5, 2.0, 2.0]), np.array([0.5, 2.0, 9.0, 2.5])
         tol = np.array([1e-12, 1e-9, 1e-6, 1e-13])
 
-        def f(x):
+        def f(x, counts):
             return 1.0 / (1e-3 + (x - 0.4) ** 2) + np.sqrt(1.0 + x)
 
         both = _adaptive_gauss_legendre(f, lo, hi, tol)
         alone = [_adaptive_gauss_legendre(f, *panel)[0] for panel in zip(lo, hi, tol)]
         np.testing.assert_allclose(both, alone, rtol=1e-14, atol=0)
         for got, a, b in zip(both, lo, hi):
-            ref, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, limit=200)
+            ref, _ = scipy.integrate.quad(f, a, b, args=(None,), epsabs=1e-13, limit=200)
             assert abs(got - ref) < 1e-6
 
     def test_one_integrand_call_per_level(self):
         calls = []
 
-        def f(x):
+        def f(x, counts):
             calls.append(x.size)
             return 1.0 / (1e-3 + (x - 0.3) ** 2)
 
@@ -226,7 +226,7 @@ class TestActivityQuadrature:
     def test_unconverged_refinement_raises(self, monkeypatch):
         monkeypatch.setattr(bounds, "_QUAD_MAX_DEPTH", 0)
         with pytest.raises(QuadratureError, match=r"\[-1.0, 1.0\]"):
-            _adaptive_gauss_legendre(np.abs, [0.0, -1.0], [1.0, 1.0], [1e-9, 1e-9])
+            _adaptive_gauss_legendre(lambda x, _: np.abs(x), [0.0, -1.0], [1.0, 1.0], [1e-9, 1e-9])
         W, p0 = stiff_chain(0)
         with pytest.raises(QuadratureError):
             geodesic_arg(W, p0, 0.0, 1e4)
@@ -234,9 +234,9 @@ class TestActivityQuadrature:
     @pytest.mark.parametrize(
         "f, match",
         [
-            (lambda x: np.full(x.shape, np.nan), "not finite"),
+            (lambda x, _: np.full(x.shape, np.nan), "not finite"),
             # roundoff of a 1e10 panel stays above every halved tolerance
-            (lambda x: np.full(x.shape, 1e10), "did not converge"),
+            (lambda x, _: np.full(x.shape, 1e10), "did not converge"),
         ],
     )
     def test_hopeless_refinement_fails_fast(self, f, match):
@@ -244,9 +244,9 @@ class TestActivityQuadrature:
         # the first level, long before 2^20 panels per interval
         nodes = []
 
-        def counted(x):
+        def counted(x, counts):
             nodes.append(x.size)
-            return f(x)
+            return f(x, counts)
 
         lo, hi = np.arange(40.0), np.arange(1.0, 41.0)
         with pytest.raises(QuadratureError, match=match):
@@ -258,7 +258,7 @@ class TestActivityQuadrature:
         # panels open per level in total, but only one or two per interval
         opened = []
 
-        def f(x):
+        def f(x, counts):
             opened.append(x.size // 31)
             return np.abs(np.sin(np.pi * x))
 
@@ -306,6 +306,45 @@ class TestActivityQuadrature:
         ]
         ref = np.concatenate(([0.0], np.cumsum([value for value, _ in pieces])))
         assert np.abs(arc - ref).max() <= GEODESIC_ATOL
+
+
+class TestStackedPlan:
+    """One plan over a stack of models gives each model the plan it gets
+    alone, bit for bit: every quantity and every bound's sides."""
+
+    # few, wide knot intervals, so that the activity quadrature refines
+    # the stiff chains' intervals to different panel counts
+    KNOTS = np.array([0.0, 0.05, 3.0, 40.0, 300.0])
+
+    def test_every_bound_equals_the_plans_alone(self, monkeypatch):
+        scores = ScoreVector(np.linspace(-1.0, 1.0, 6))
+        models = [(*stiff_chain(seed), scores) for seed in range(4)]
+        models += [random_model(6, seed) for seed in range(4)]
+        W, p0, S = (markov._stack(list(v)) for v in zip(*models))
+        counts = []
+        real_apply = bounds._integral_apply
+
+        def recording(W_, vec, times, left=None, counts_=None):
+            if counts_ is not None:
+                counts.append(set(counts_[counts_ > 0].tolist()))
+            return real_apply(W_, vec, times, left, counts_)
+
+        monkeypatch.setattr(bounds, "_integral_apply", recording)
+        stacked = _Plan(W, p0, self.KNOTS, S, S, "tight", chi=0.3)
+        stacked.arc
+        assert any(len(c) > 1 for c in counts)  # models with unequal panel counts
+        half = self.KNOTS / 2
+        for j, (Wj, pj, Sj) in enumerate(models):
+            alone = _Plan(Wj, pj, self.KNOTS, Sj, Sj, "tight", chi=0.3)
+            for q in ("corr", "corr_slope", "mean", "multi", "activity", "eta", "arc"):
+                assert np.array_equal(getattr(stacked, q)[j], getattr(alone, q)), q
+            for bid in bounds.BOUND_IDS:
+                t1, t2 = half[1:], self.KNOTS[1:]
+                start = (stacked.stationary, alone.stationary) if bounds._BOUNDS[bid][1] else (stacked, alone)
+                got = start[0].sides(bid, t1, t2)
+                expect = start[1].sides(bid, t1, t2)
+                for a, b in zip(got, expect):
+                    assert (a is None and b is None) or np.array_equal(a[j], b), bid
 
 
 class TestCmax:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from corrbound import (
     step_shift,
     validate_rate_matrix,
 )
+from corrbound.bounds import fmt17
 from corrbound.cli import (
+    FIG2_RATIO_GRID,
     RunConfig,
     _json17,
     _parse_tgrid,
@@ -35,6 +39,7 @@ from corrbound.cli import (
     cmd_response,
     cmd_stress,
     evaluate_bounds,
+    fig2_model,
     fig3_model,
     main,
 )
@@ -73,7 +78,10 @@ class TestTgridParsing:
         assert grid.size == 20
 
     def test_bad_specs(self):
-        for spec in ("1:2:3", "a:b:c:lin", "0:10:5:log", "5:1:3:lin", "1:2:0:lin"):
+        for spec in (
+            "1:2:3", "a:b:c:lin", "0:10:5:log", "5:1:3:lin", "1:2:0:lin",
+            "nan:1:3:lin", "0:inf:3:lin",
+        ):
             with pytest.raises(CorrboundError):
                 _parse_tgrid(spec)
 
@@ -309,6 +317,27 @@ class TestCmdFigure2:
         for r in rows:
             assert float(r[1]) <= float(r[2]) + 1e-9
 
+    def test_sweep_rows_equal_per_model_reports(self, fig2_dir):
+        # the stacked sweep against each model's own BoundReports, row for row
+        sidecar = json.loads((fig2_dir / "fig2_models.json").read_text())
+        models = [fig2_model()[:3]] + [
+            random_model(n, s) for n, s in zip(sidecar["model_states"], sidecar["model_seeds"])
+        ]
+        expect = {"ZERO_T_EQ6": [], "DERIV_EQ7": []}
+        for idx, (W, p0, S) in enumerate(models):
+            for r in evaluate_bounds(W, p0, S, S, FIG2_RATIO_GRID, tuple(expect)):
+                flag = [str(r.in_validity_domain).lower()] if r.bound_id == "ZERO_T_EQ6" else []
+                expect[r.bound_id].append([str(idx), fmt17(r.t2), fmt17(r.ratio), *flag])
+        assert read_csv(fig2_dir / "fig2c.csv")[2] == expect["ZERO_T_EQ6"]
+        assert read_csv(fig2_dir / "fig2d.csv")[2] == expect["DERIV_EQ7"]
+
+    def test_one_plan_per_state_count(self, tmp_path, monkeypatch):
+        # the curves' plan, then one plan per state count of the sweep: the
+        # 2-state built-in model shares its plan with the 2-state random ones
+        plans, _ = count_response_plans(monkeypatch)
+        assert cmd_figure2(str(tmp_path), n_random=8, seed=4_321) == 0
+        assert [p.W.w.shape for p in plans] == [(2, 2), (4, 2, 2), (3, 3, 3), (2, 4, 4)]
+
     def test_ratios_at_most_one(self, fig2_dir):
         for name in ("fig2c.csv", "fig2d.csv"):
             _, _, rows = read_csv(fig2_dir / name)
@@ -425,14 +454,15 @@ class TestCmdStress:
             assert cell["evaluations"] >= 9_500  # pulse skips t = 0 rows only
 
 
-def tally_from_reports(n_models, seed, t_grid, mode="standard"):
-    """The stress tally built one BoundReport at a time: counts, Python's
-    max over the ratios, and the first report that reaches it."""
+def tally_from_reports(n_models, seed, t_grid, mode="standard", n_list=(2, 3, 4)):
+    """The stress tally built one BoundReport at a time, model by model in
+    sweep order: counts, Python's max over the ratios, and the first report
+    that reaches it."""
     tally = {
         bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0, "worst": None}
         for bid in BOUND_IDS
     }
-    for n, seed in zip(*_random_sweep(n_models, seed)):
+    for n, seed in zip(*_random_sweep(n_models, seed, n_list)):
         W, p0, S = random_model(n, seed)
         for r in evaluate_bounds(W, p0, S, S, t_grid, BOUND_IDS, mode):
             cell = tally[r.bound_id]
@@ -447,14 +477,49 @@ def tally_from_reports(n_models, seed, t_grid, mode="standard"):
 class TestStressTally:
     GRID = np.geomspace(1e-2, 10.0, 6)
 
-    @pytest.mark.parametrize("seed, mode", [(777, "standard"), (2_024, "tight")])
-    def test_array_tally_equals_report_tally(self, tmp_path, seed, mode):
+    @pytest.mark.parametrize(
+        "n_models, n_list, seed, mode",
+        [
+            pytest.param(9, (2, 3, 4), 777, "standard", id="777-standard"),
+            pytest.param(9, (2, 3, 4), 2_024, "tight", id="2024-tight"),
+            # the 7-state group holds one model
+            pytest.param(10, (2, 3, 4, 7), 777, "standard", id="777-standard-7states"),
+            pytest.param(10, (2, 3, 4, 7), 2_024, "tight", id="2024-tight-7states"),
+        ],
+    )
+    def test_array_tally_equals_report_tally(self, tmp_path, n_models, n_list, seed, mode):
         out = tmp_path / "tally.json"
         _, tally = cmd_stress(
-            n_models=9, seed=seed, t_grid=self.GRID, cmax_mode=mode, output_path=str(out)
+            n_models=n_models, n_list=n_list, seed=seed, t_grid=self.GRID, cmax_mode=mode,
+            output_path=str(out),
         )
-        assert tally == tally_from_reports(9, seed, self.GRID, mode)
+        assert tally == tally_from_reports(n_models, seed, self.GRID, mode, n_list)
         assert json.loads(out.read_text())["tally"] == tally
+
+    def test_sweep_output_is_pinned(self, tmp_path):
+        # sha256 of the default-grid sweep JSON as the per-model sweep wrote
+        # it; the stacked evaluation must reproduce it byte for byte
+        out = tmp_path / "tally.json"
+        cmd_stress(n_models=60, seed=31415, output_path=str(out))
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "41314db62f9b1ef1ae1effcd0d9818361c91a55e5d60e6bf800e3c9a31673342"
+
+    def test_one_plan_per_state_count(self, tmp_path, monkeypatch):
+        # 30 models cycling 2, 3, 4: one plan per state count (and its
+        # stationary plan), and per plan one activity call at the knots and
+        # one per quadrature level
+        plans, _ = count_response_plans(monkeypatch)
+        calls = []
+        real_apply = bounds._integral_apply
+
+        def counting(*args):
+            calls.append(args)
+            return real_apply(*args)
+
+        monkeypatch.setattr(bounds, "_integral_apply", counting)
+        cmd_stress(n_models=30, t_grid=self.GRID, output_path=str(tmp_path / "t.json"))
+        assert sorted(p.W.w.shape for p in plans) == [(10, n, n) for n in (2, 2, 3, 3, 4, 4)]
+        assert len(calls) <= 2 * 3
 
     def test_no_report_objects_built(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -483,14 +548,18 @@ class TestStressTally:
 
     def test_nan_ratios_never_worst(self, tmp_path, monkeypatch):
         # every ratio of the first model is NaN and every later one is 0:
-        # the NaNs count as violations, and the worst case is the first 0
+        # the NaNs count as violations, and the worst case is the first 0.
+        # The first model is the first of the stack of the first plan.
         real_sides = bounds._Plan.sides
         first = {}
 
         def nan_then_zero(plan, bid, t1, t2):
             lhs, rhs, ratio, in_domain, arg = real_sides(plan, bid, t1, t2)
-            nan = first.setdefault(bid, plan.W) is plan.W
-            return lhs, rhs, np.full(ratio.shape, math.nan if nan else 0.0), in_domain, arg
+            got = np.zeros(ratio.shape)
+            if first.setdefault(bid, plan.W) is plan.W:
+                # the first model's ratios: row 0 of a stack, all of one model
+                got[(0,) * (ratio.ndim - 1)] = math.nan
+            return lhs, rhs, got, in_domain, arg
 
         monkeypatch.setattr(bounds._Plan, "sides", nan_then_zero)
         _, tally = cmd_stress(n_models=3, t_grid=self.GRID, output_path=str(tmp_path / "t.json"))
@@ -607,6 +676,15 @@ class TestMainEntry:
     @pytest.mark.parametrize("states", ["", ","])
     def test_empty_state_list_exits_two(self, states):
         assert main(["stress", "--models", "3", "--states", states]) == 2
+
+    def test_non_finite_grid_ends_exit_two_without_warnings(self, tmp_path):
+        # a NaN start once gave a pulse sweep of one row out of three, and
+        # an infinite stop numpy RuntimeWarnings before the exit
+        out = str(tmp_path / "out.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["response", "--drive", "pulse", "--tgrid", "nan:1:3:lin", "--out", out]) == 2
+            assert main(["check", "--states", "3", "--tgrid", "0:inf:3:lin", "--out", out]) == 2
 
 
 def check_rows(tmp_path, model: dict, t: float, bound_ids=None):

@@ -297,8 +297,12 @@ class TestPhiT:
 
     @staticmethod
     def phi(lam, t):
-        lam = np.asarray(lam, dtype=complex)
-        return _Spectral(lam, np.eye(lam.size), np.eye(lam.size)).phi_t(t)
+        # a stack of one basis, with its times as one row
+        lam = np.asarray(lam, dtype=complex)[None]
+        eye = np.eye(lam.size)[None]
+        t = np.asarray(t, dtype=float)
+        got = _Spectral(lam, eye, eye, np.arange(1)).phi_t(t.reshape(1, -1))
+        return got.reshape(t.shape + (lam.size,))
 
     def check(self, lam, ts):
         got = self.phi(lam, ts)
@@ -445,6 +449,89 @@ class TestSteadyState:
             assert np.abs(W.w @ pst.p).max() < 1e-10
             for t in (1.0, 10.0):
                 assert np.abs(propagate(W, pst, t).p - pst.p).max() < 1e-9
+
+
+def stack_of(models):
+    """(W, p0, S) stacks of a list of (W, p0, S) models over the same states."""
+    return tuple(markov._stack(list(values)) for values in zip(*models))
+
+
+class TestModelStacks:
+    """A stack of models over the same states goes through each primitive
+    once, and every model gets the numbers it gets alone, bit for bit."""
+
+    @pytest.fixture
+    def models(self):
+        # the defective Jordan chain 0 -> 1 -> 2 -> 3 takes the expm path;
+        # random_model(4, 16) and (4, 17) have real spectra, 11 and 12 complex
+        w = np.zeros((4, 4))
+        for i in range(3):
+            w[i + 1, i] = 1.3
+        chain = (
+            validate_rate_matrix(w),
+            ProbVector(np.array([0.4, 0.3, 0.2, 0.1])),
+            ScoreVector(np.array([1.0, -0.5, 0.25, -1.0])),
+        )
+        return [random_model(4, 16), chain, random_model(4, 11), random_model(4, 17),
+                random_model(4, 12), chain]
+
+    def test_regime_and_arithmetic_per_model(self, models):
+        W, _, _ = stack_of(models)
+        parts = {sd.lam.dtype.kind: sd.models.tolist() for sd in W._spectral}
+        assert parts == {"f": [0, 3], "c": [2, 4]}
+        assert [m[0]._spectral is None for m in models] == [False, True, False, False, False, True]
+
+    def test_rows_equal_per_model_calls(self, models):
+        W, _, _ = stack_of(models)
+        rng = np.random.default_rng(5)
+        times = np.array([0.0, 0.2, 1.0, 5.0, 30.0])
+        vec = rng.standard_normal((len(models), 4))
+        per_time = rng.standard_normal((len(models), times.size, 4))
+        left = rng.standard_normal((len(models), 4))
+        counts = np.array([3, 0, 7, 3, 5, 7])  # each model's own times, in turn
+        own = rng.uniform(0.0, 4.0, counts.sum())
+        starts = np.cumsum(counts) - counts
+        stacked = (
+            _propagator_apply(W, vec, times),
+            _propagator_apply(W, per_time, times),
+            _integral_apply(W, vec, times),
+            _integral_apply(W, vec, times, left),
+            _integral_apply(W, per_time, times),
+            _integral_apply(W, vec, own, left, counts),
+        )
+        for j, (Wj, _, _) in enumerate(models):
+            ts = own[starts[j]:starts[j] + counts[j]]
+            alone = (
+                _propagator_apply(Wj, vec[j], times),
+                _propagator_apply(Wj, per_time[j], times),
+                _integral_apply(Wj, vec[j], times),
+                _integral_apply(Wj, vec[j], times, left[j]),
+                _integral_apply(Wj, per_time[j], times),
+                _integral_apply(Wj, vec[j], ts, left[j]),
+            )
+            got = (*(rows[j] for rows in stacked[:-1]), stacked[-1][starts[j]:starts[j] + counts[j]])
+            for k, (a, b) in enumerate(zip(got, alone)):
+                assert np.array_equal(a, b), (j, k)
+
+    def test_steady_states_equal_per_model_calls(self):
+        models = [random_model(3, seed) for seed in range(8)]
+        W, _, _ = stack_of(models)
+        pst = steady_state(W)
+        assert pst.p.shape == (8, 3)
+        for j, (Wj, _, _) in enumerate(models):
+            assert np.array_equal(pst.p[j], steady_state(Wj).p)
+
+    def test_two_absorbing_chain_has_no_steady_state_in_a_stack(self):
+        # states 0 and 3 absorb; 1 and 2 exchange and leak into both
+        w = np.zeros((4, 4))
+        for nu, mu in ((0, 1), (2, 1), (1, 2), (3, 2)):
+            w[nu, mu] = 0.7
+        chain = (validate_rate_matrix(w), ProbVector(np.full(4, 0.25)), ScoreVector(np.ones(4)))
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_state(chain[0])
+        W, _, _ = stack_of([random_model(4, 1), chain, random_model(4, 2)])
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_state(W)
 
 
 class TestRandomModel:
