@@ -23,11 +23,12 @@ sum over the intervals between neighbouring knots, each refined to
 GEODESIC_ATOL / intervals, so every interval is within GEODESIC_ATOL.
 The adaptive Gauss-Legendre quadrature is level-synchronous: at each
 refinement level the 10 and 21 nodes of every open panel of every
-interval go to A(t) in one batch, and only the panels whose two
-estimates disagree are bisected for the next level (``_integral_apply``
-splits a large batch into blocks of bounded memory). A non-finite
-integrand, more than ``_QUAD_MAX_PANELS`` open panels in one interval
-at one level, or a panel still open after 20 levels raises instead of
+interval go to A(t) in one batch per open-panel count (one for a single
+model), and only the panels whose two estimates disagree are bisected
+for the next level (``_integral_apply`` splits a large batch into blocks
+of bounded memory). A non-finite integrand, more than
+``_QUAD_MAX_PANELS`` open panels in one interval at one level, or a
+panel still open after 20 levels raises instead of
 returning a silently loose value; the panel cap keeps a refinement that
 cannot converge (roundoff above the halved tolerance on every panel)
 from doubling its work at every level. For a steady-state start
@@ -137,37 +138,22 @@ _GL_HI = np.polynomial.legendre.leggauss(21)
 _GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
 
 
-def _panel_sums(values: np.ndarray, counts: np.ndarray):
-    """The 10- and 21-node sums of each panel's ``values`` row, for panels
-    grouped model by model (counts[i] of model i). A product's bits depend
-    on its row count, so the models with equal counts share one stacked
-    product, and every model gets the sums it would get alone."""
-    n_lo = _GL_LO[0].size
-    if len(set(counts.tolist())) == 1:  # one product over every model's panels
-        v = values.reshape(counts.size, -1, values.shape[1])
-        return (v[..., :n_lo] @ _GL_LO[1]).ravel(), (v[..., n_lo:] @ _GL_HI[1]).ravel()
-    coarse, fine = np.empty(values.shape[0]), np.empty(values.shape[0])
-    starts = np.cumsum(counts) - counts
-    for c in sorted(set(counts.tolist()) - {0}):
-        rows = starts[counts == c, None] + np.arange(c)
-        v = values[rows]
-        coarse[rows], fine[rows] = v[..., :n_lo] @ _GL_LO[1], v[..., n_lo:] @ _GL_HI[1]
-    return coarse, fine
-
-
 def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
     """Level-synchronous panel-adaptive Gauss-Legendre over many intervals.
 
     ``lo``, ``hi`` and ``tol`` are arrays with one entry per interval,
     after a leading model axis for the intervals of a stack of models;
     returns the integral of ``f`` over each interval. At every refinement
-    level the 10 and 21 nodes of all open panels go to ``f`` in one call,
-    model by model, as ``f(nodes, counts)`` with counts[i] the nodes of
-    model i. A panel whose embedded 10/21-node estimates agree within its
-    tolerance adds its 21-node value to its interval; any other panel is
-    bisected, each half with half the tolerance. Each model's panels keep
-    the order they would have alone, so its integrals are those of a
-    quadrature of its intervals alone. Non-finite values, more than
+    level the 10 and 21 nodes of the open panels go to ``f`` in one call
+    per open-panel count, as ``f(nodes, models)``: ``models`` are the
+    (ascending) indices of the models with that many open panels, and
+    ``nodes`` holds one row per model. A product's bits depend on its row
+    count, so only models with equal counts share a call and the 10- and
+    21-node sums over it. A panel whose embedded 10/21-node estimates agree
+    within its tolerance adds its 21-node value to its interval; any other
+    panel is bisected, each half with half the tolerance. Each model's
+    panels keep the order they would have alone, so its integrals are those
+    of a quadrature of its intervals alone. Non-finite values, more than
     ``_QUAD_MAX_PANELS`` open panels of one interval at one level, or a
     panel still open after ``_QUAD_MAX_DEPTH`` levels are hard errors
     naming a failing panel.
@@ -178,21 +164,29 @@ def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
     lo, hi, tol = lo.ravel(), hi.ravel(), tol.ravel()
     totals = np.zeros(lo.size)
     owner = np.arange(lo.size)
+    n_lo = _GL_LO[0].size
     for depth in range(_QUAD_MAX_DEPTH + 1):
         if owner.size == 0:
             break
-        counts = np.bincount(owner // per_model, minlength=models)
+        model = owner // per_model
+        counts = np.bincount(model, minlength=models)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-        values = f(nodes, counts * _GL_NODES.size).reshape(owner.size, -1)
-        bad = ~np.isfinite(values).all(axis=1)
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
+        coarse, fine = np.empty(owner.size), np.empty(owner.size)
+        finite = np.empty(owner.size, dtype=bool)
+        for c in sorted(set(counts.tolist()) - {0}):
+            group = (counts == c).nonzero()[0]
+            # panels lie model by model: one row of c panels per model
+            rows = (counts[model] == c).nonzero()[0].reshape(group.size, c)
+            nodes = mid[rows, None] + half[rows, None] * _GL_NODES
+            v = f(nodes.reshape(group.size, -1), group).reshape(nodes.shape)
+            finite[rows] = np.isfinite(v).all(axis=-1)
+            coarse[rows], fine[rows] = v[..., :n_lo] @ _GL_LO[1], v[..., n_lo:] @ _GL_HI[1]
+        if not finite.all():
+            k = np.flatnonzero(~finite)[0]
             raise QuadratureError(
                 f"activity integrand is not finite on [{float(lo[k])}, {float(hi[k])}]"
             )
-        coarse, fine = _panel_sums(values, counts)
         coarse, fine = half * coarse, half * fine
         done = np.abs(fine - coarse) <= np.maximum(tol, 1e-16)
         np.add.at(totals, owner[done], fine[done])
@@ -306,10 +300,13 @@ class _Plan:
         """The J-point correlation of the probes at each knot."""
         return _chain(self.W, self.p0.p, *self.probes)
 
-    def _activity(self, ts: np.ndarray, counts=None) -> np.ndarray:
-        """A at the times ts (for a stack with ``counts``, each model's in turn)."""
-        A = _integral_apply(self.W, self.p0.p, ts, self.W.escape, counts)
-        return np.clip(A, 0.0, None)
+    def _activity(self, ts: np.ndarray, models=None) -> np.ndarray:
+        """A at the times ts; with ``models``, for those models of a stack,
+        at one row of times each."""
+        W, p0 = self.W, self.p0.p
+        if models is not None and models.size < math.prod(W.w.shape[:-2]):
+            W, p0 = W._select(models), p0[models]
+        return np.clip(_integral_apply(W, p0, ts, W.escape), 0.0, None)
 
     @cached_property
     def activity(self) -> np.ndarray:
@@ -326,8 +323,8 @@ class _Plan:
         """Activity integral from the first knot to each knot."""
         s = np.sqrt(self.knots)
 
-        def integrand(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-            return np.sqrt(self._activity(x * x, counts)) / x
+        def integrand(x: np.ndarray, models: np.ndarray) -> np.ndarray:
+            return np.sqrt(self._activity(x * x, models)) / x
 
         tol = np.full(s.size - 1, GEODESIC_ATOL / max(s.size - 1, 1))
         lead = self.W.w.shape[:-2]

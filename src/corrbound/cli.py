@@ -292,6 +292,10 @@ def _random_sweep(n_models: int, seed: int, n_list=(2, 3, 4)):
     """The randomized sweep protocol of figure2 and stress: state counts
     cycling ``n_list`` and per-model seeds drawn from one master stream;
     scores are reused for both probes."""
+    if n_models < 0:
+        raise CorrboundError("n_models must be >= 0")
+    if not n_list:
+        raise CorrboundError("need at least one state count")
     sizes = [int(n_list[i % len(n_list)]) for i in range(n_models)]
     seeds = [int(s) for s in make_rng(seed).integers(0, 2**63 - 1, size=n_models)]
     return sizes, seeds
@@ -315,6 +319,7 @@ def _stacks(sizes, model):
 
 def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     """Write fig2a-fig2d CSVs plus a sidecar with the sweep seeds."""
+    sizes, seeds = _random_sweep(n_random, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     W, p0, S, T = fig2_model()
@@ -333,7 +338,6 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
         if r.bound_id == "DERIV_EQ7"
     ]
 
-    sizes, seeds = _random_sweep(n_random, seed)
     models = [fig2_model()[:3]] + [random_model(n, s) for n, s in zip(sizes, seeds)]
     sweep = {}  # (bound id, model index) -> (t2, ratio, in_domain) per grid time
     for chunk, Wm, p0m, Sm in _stacks([m[0].n for m in models], models.__getitem__):
@@ -421,10 +425,6 @@ def cmd_stress(
     each model gets the numbers it gets alone. Returns (exit code, tally).
     The JSON document is byte-identical for identical arguments.
     """
-    if n_models < 0:
-        raise CorrboundError("n_models must be >= 0")
-    if not n_list:
-        raise CorrboundError("need at least one state count")
     if t_grid is None:
         t_grid = np.geomspace(1e-2, 10.0, 20)
     sizes, seeds = _random_sweep(n_models, seed, n_list)

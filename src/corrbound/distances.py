@@ -50,11 +50,6 @@ class FiniteDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    @classmethod
-    def from_weights(cls, weights: dict) -> "FiniteDistribution":
-        keys = sorted(weights)
-        return cls(tuple(keys), np.array([weights[k] for k in keys], dtype=float))
-
     def weight(self, key) -> float:
         return float(self.probs[self.keys.index(key)])
 

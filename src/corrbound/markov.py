@@ -24,9 +24,11 @@ model axis (``_stack``): the primitives and ``steady_state`` then take and
 return that axis, and run each step once for the whole stack. Every model
 of a stack gets the same numbers, bit for bit, as when it is alone: BLAS
 results depend on a product's row count, so the models are batched only
-with others of the same regime, the same arithmetic (a real spectrum stays
-real, as ``np.linalg.eig`` returns it for one model) and the same number
-of rows.
+with others of the same regime and the same arithmetic (a real spectrum
+stays real, as ``np.linalg.eig`` returns it for one model), and every
+model of a call has the same times (shared, or one row per model). A
+caller whose models need different numbers of times calls once per number,
+on the sub-stack ``RateMatrix._select``, which keeps the stack's eigenbases.
 
 Tolerances in rate dimension are relative to the largest escape rate max R,
 with no unit floor, so no result depends on the rate unit (max R = max|W|:
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -229,6 +231,18 @@ class RateMatrix:
             return [(parts[0][0], slice(None))]
         return parts
 
+    def _select(self, models: np.ndarray) -> "RateMatrix":
+        """The stack of the models at the ascending indices ``models``, on
+        this stack's eigenbases: its models are not decomposed again."""
+        sub = _raw(RateMatrix, self.w[models])
+        parts = []
+        for sd in self._spectral or ():
+            keep = np.isin(sd.models, models)
+            if keep.any():
+                parts.append(replace(sd[keep], models=np.searchsorted(models, sd.models[keep])))
+        sub.__dict__["_spectral"] = tuple(parts) or None
+        return sub
+
     def scaled(self, factor: float) -> "RateMatrix":
         """Generator with all rates multiplied by ``factor >= 0``."""
         if factor < 0.0:
@@ -411,18 +425,14 @@ def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def _integral_apply(
     W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times, or
     with ``left`` given their dot products with it; ``vec`` is one vector
     or one row per time, and rows at t = 0 are 0.
 
-    For a stack W, ``vec`` and ``left`` lead with the model axis. The times
-    are shared by every model, and the rows lead with the model axis too;
-    or, with ``counts`` given, ``times`` holds each model's own times in
-    turn (counts[i] of model i), ``vec`` one vector per model, and the
-    rows follow ``times``. Models are batched only with others of the same
-    regime and the same number of times.
+    For a stack W, ``vec`` and ``left`` lead with the model axis, and
+    ``times`` is one array shared by every model or one row of times per
+    model; the rows lead with the model axis too.
 
     Quadratures over the dynamical activity call this in batch, with
     ``left`` the escape rates. Both paths evaluate in blocks of at most
@@ -433,54 +443,31 @@ def _integral_apply(
     times, vec = np.asarray(times, dtype=float), np.asarray(vec)
     lead, n = W.w.shape[:-2], W.n
     m = math.prod(lead)
-    flat = counts is not None
     per_time = vec.ndim > len(lead) + 1
     vec = vec.reshape(m, -1 if per_time else 1, n)
     left = None if left is None else left.reshape(m, n)
     tail = (n,) if left is None else ()
-    # one row of times per model, indexed by (models, times); or each
-    # model's times in turn, indexed by position
-    if not flat:
-        times = np.repeat(times.reshape(1, -1), m, axis=0)
-    elif len(set(counts.tolist())) == 1:
-        times = times.reshape(m, counts[0])
-    rowwise = times.ndim == 2
-    if not rowwise:
-        starts = np.cumsum(counts) - counts
+    times = np.atleast_2d(times)
+    if len(times) < m:  # shared by every model
+        times = np.repeat(times, m, axis=0)
+    c = times.shape[1]
     out = np.empty(times.shape + tail)
     for basis, models in W._regimes:
         width = n if isinstance(basis, _Spectral) else (n + 1) ** 2
         step = max(_APPLY_ELEMENTS // width, 1)
-        groups = [(basis, models, times.shape[1])] if rowwise else _equal_counts(basis, models, counts)
-        for part, group, c in groups:
-            index = np.arange(m)[group]
-            # each model's times in blocks of `step`, as for one model; and
-            # as many models per block as the memory cap leaves room for
-            per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
-            for j in range(0, index.size, per):
-                sel, chunk = index[j:j + per], part if per >= index.size else part[j:j + per]
-                for i in range(0, c, step):
-                    if rowwise:
-                        rows = (sel, slice(i, i + step))
-                    else:
-                        rows = starts[sel, None] + np.arange(i, min(i + step, c))
-                    out[rows] = _integral_block(
-                        chunk, vec[rows] if per_time else vec[sel], times[rows],
-                        None if left is None else left[sel],
-                    )
-    return out.reshape(((-1,) if flat else lead + (-1,)) + tail)
-
-
-def _equal_counts(basis, models, counts):
-    """(basis, models, count) for each count among the ``models`` of one
-    regime, with its part of ``basis``. A product's bits depend on its row
-    count, so only models with equal counts are batched."""
-    own = counts[models]
-    index = np.arange(counts.size)[models]
-    return [
-        (basis[pos], index[pos], c)
-        for c in sorted(set(own.tolist())) for pos in [np.flatnonzero(own == c)]
-    ]
+        index = np.arange(m)[models]
+        # each model's times in blocks of `step`, as for one model; and as
+        # many models per block as the memory cap leaves room for
+        per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
+        for j in range(0, index.size, per):
+            sel, chunk = index[j:j + per], basis if per >= index.size else basis[j:j + per]
+            for i in range(0, c, step):
+                rows = (sel, slice(i, i + step))
+                out[rows] = _integral_block(
+                    chunk, vec[rows] if per_time else vec[sel], times[rows],
+                    None if left is None else left[sel],
+                )
+    return out.reshape(lead + (-1,) + tail)
 
 
 def _integral_block(basis, vec: np.ndarray, times: np.ndarray, left) -> np.ndarray:

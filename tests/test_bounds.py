@@ -321,18 +321,21 @@ class TestStackedPlan:
         models = [(*stiff_chain(seed), scores) for seed in range(4)]
         models += [random_model(6, seed) for seed in range(4)]
         W, p0, S = (markov._stack(list(v)) for v in zip(*models))
-        counts = []
-        real_apply = bounds._integral_apply
+        rows = []
+        real_quad = bounds._adaptive_gauss_legendre
 
-        def recording(W_, vec, times, left=None, counts_=None):
-            if counts_ is not None:
-                counts.append(set(counts_[counts_ > 0].tolist()))
-            return real_apply(W_, vec, times, left, counts_)
+        def recording(f, *ends):
+            def counted(nodes, models):
+                rows.append(len(nodes))
+                return f(nodes, models)
 
-        monkeypatch.setattr(bounds, "_integral_apply", recording)
+            return real_quad(counted, *ends)
+
+        monkeypatch.setattr(bounds, "_adaptive_gauss_legendre", recording)
         stacked = _Plan(W, p0, self.KNOTS, S, S, "tight", chi=0.3)
         stacked.arc
-        assert any(len(c) > 1 for c in counts)  # models with unequal panel counts
+        assert rows[0] == len(models)
+        assert min(rows) < len(models)  # a level with unequal panel counts
         half = self.KNOTS / 2
         for j, (Wj, pj, Sj) in enumerate(models):
             alone = _Plan(Wj, pj, self.KNOTS, Sj, Sj, "tight", chi=0.3)

@@ -8,6 +8,7 @@ import pytest
 
 from corrbound import (
     BOUND_IDS,
+    ProbVector,
     bound_derivative,
     bound_eta,
     bound_main,
@@ -439,8 +440,10 @@ class TestCmdStress:
         cmd_stress(n_models=6, seed=2_024, t_grid=grid, output_path=str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_negative_model_count_exits_two(self):
-        assert main(["stress", "--models", "-3"]) == 2
+    @pytest.mark.parametrize("command", ["stress", "figure2"])
+    def test_negative_model_count_exits_two(self, tmp_path, command, capsys):
+        assert main([command, "--models", "-3", "--out", str(tmp_path / "out")]) == 2
+        assert "n_models must be >= 0" in capsys.readouterr().err
 
     def test_default_scale_sweep_has_no_violations(self, tmp_path):
         # the full randomized validity protocol: 500 models, 20-point
@@ -749,3 +752,42 @@ class TestDefectReplays:
     def test_stiff_chain(self, tmp_path):
         code, rows = check_rows(tmp_path, STIFF_CHAIN, 0.17587951097468535, ["ETA_EQ8"])
         assert code == 0, rows
+
+    @pytest.mark.parametrize("seed, ratio", [(3, 2.456), (4, 2.008), (15, 4.417)])
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="corr_slope forms W v in state space, an error of eps max|W|: "
+        "DERIV_EQ7 ratios 2.456, 2.008 and 4.417 on the eigenbasis path; "
+        "ROADMAP item 2 (cancellation-free bound sides)",
+    )
+    def test_stiff_slope(self, seed, ratio):
+        W, _, S = random_model(3, seed)
+        w = W.w.copy()
+        w[2, 1] = 1.4556e12 * (1 + 0.1 * seed)
+        W, p0 = validate_rate_matrix(w), ProbVector(np.array([0.0, 1.0, 0.0]))
+        if W._spectral is None:
+            pytest.fail("the eigenbasis is no longer trusted; the replay needs a new model")
+        rows = evaluate_bounds(W, p0, S, S, np.geomspace(1e-2, 10.0, 20), ("DERIV_EQ7",))
+        worst = max(r.ratio for r in rows)
+        if worst > 1.0 + bounds.RATIO_SLACK and worst != pytest.approx(ratio, abs=1e-3):
+            pytest.fail(f"the slope fails another way: ratio {worst}")
+        assert worst <= 1.0 + bounds.RATIO_SLACK, worst
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="expm-path noise in A(t) stays above the halved panel tolerance, "
+        "so the activity quadrature stops at its panel cap; ROADMAP item 4 "
+        "(a quadrature that cannot fall off a cliff)",
+    )
+    def test_stiff_chain_quadrature(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(STIFF_CHAIN))
+        out = str(tmp_path / "out.csv")
+        code = main(["check", "--model", str(path), "--tgrid", "0.01:10:20:log", "--out", out])
+        err = capsys.readouterr().err
+        cliff = "activity integral did not converge on [0.2524158261384509, 0.2531223779825866]"
+        if code != 0 and cliff not in err:
+            pytest.fail(f"the quadrature fails another way: {err}")
+        assert code == 0, err

@@ -29,11 +29,6 @@ def random_pair(rng, size):
 
 
 class TestConstruction:
-    def test_from_weights_sorts_keys(self):
-        d = FiniteDistribution.from_weights({"b": 0.25, "a": 0.75})
-        assert d.keys == ("a", "b")
-        assert np.array_equal(d.probs, [0.75, 0.25])
-
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalizedError):
             dist([0.5, 0.4])

@@ -488,30 +488,53 @@ class TestModelStacks:
         vec = rng.standard_normal((len(models), 4))
         per_time = rng.standard_normal((len(models), times.size, 4))
         left = rng.standard_normal((len(models), 4))
-        counts = np.array([3, 0, 7, 3, 5, 7])  # each model's own times, in turn
-        own = rng.uniform(0.0, 4.0, counts.sum())
-        starts = np.cumsum(counts) - counts
+        own = rng.uniform(0.0, 4.0, (len(models), 7))  # one row of times per model
         stacked = (
             _propagator_apply(W, vec, times),
             _propagator_apply(W, per_time, times),
             _integral_apply(W, vec, times),
             _integral_apply(W, vec, times, left),
             _integral_apply(W, per_time, times),
-            _integral_apply(W, vec, own, left, counts),
+            _integral_apply(W, vec, own, left),
         )
         for j, (Wj, _, _) in enumerate(models):
-            ts = own[starts[j]:starts[j] + counts[j]]
             alone = (
                 _propagator_apply(Wj, vec[j], times),
                 _propagator_apply(Wj, per_time[j], times),
                 _integral_apply(Wj, vec[j], times),
                 _integral_apply(Wj, vec[j], times, left[j]),
                 _integral_apply(Wj, per_time[j], times),
-                _integral_apply(Wj, vec[j], ts, left[j]),
+                _integral_apply(Wj, vec[j], own[j], left[j]),
             )
-            got = (*(rows[j] for rows in stacked[:-1]), stacked[-1][starts[j]:starts[j] + counts[j]])
-            for k, (a, b) in enumerate(zip(got, alone)):
+            for k, (a, b) in enumerate(zip((rows[j] for rows in stacked), alone)):
                 assert np.array_equal(a, b), (j, k)
+
+    def test_no_times_give_no_rows(self, models):
+        W, p0, _ = stack_of(models)
+        assert _integral_apply(W, p0.p, np.empty(0), W.escape).shape == (len(models), 0)
+        assert _integral_apply(models[0][0], p0.p[0], np.empty(0)).shape == (0, 4)
+
+    @pytest.mark.parametrize("picks", [[1, 2, 3], [0, 4, 5], [3]])
+    def test_sub_stack_rows_equal_per_model_calls(self, models, picks, monkeypatch):
+        # the Jordan chain with a complex and a real spectrum; the two
+        # arithmetics; one real spectrum alone
+        W, _, _ = stack_of(models)
+        rng = np.random.default_rng(6)
+        own = rng.uniform(0.0, 4.0, (len(picks), 9))
+        vec, left = rng.standard_normal((2, len(picks), 4))
+        alone = [
+            _integral_apply(models[j][0], vec[i], own[i], left[i]) for i, j in enumerate(picks)
+        ]
+        W._spectral  # the stack's one decomposition
+
+        def no_eig(*args):
+            raise AssertionError("a sub-stack decomposed its models again")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        sub = W._select(np.array(picks))
+        rows = _integral_apply(sub, vec, own, left)
+        for i in range(len(picks)):
+            assert np.array_equal(rows[i], alone[i]), i
 
     def test_steady_states_equal_per_model_calls(self):
         models = [random_model(3, seed) for seed in range(8)]
