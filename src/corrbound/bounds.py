@@ -301,12 +301,14 @@ class _Plan:
         return _chain(self.W, self.p0.p, *self.probes)
 
     def _activity(self, ts: np.ndarray, models=None) -> np.ndarray:
-        """A at the times ts; with ``models``, for those models of a stack,
-        at one row of times each."""
-        W, p0 = self.W, self.p0.p
-        if models is not None and models.size < math.prod(W.w.shape[:-2]):
-            W, p0 = W._select(models), p0[models]
-        return np.clip(_integral_apply(W, p0, ts, W.escape), 0.0, None)
+        """A at the times ts; with ``models``, for those models of a stack
+        alone, at one row of times each, on the stack's eigenbases."""
+        p0, escape = self.p0.p, self.W.escape
+        if models is not None and models.size < math.prod(self.W.w.shape[:-2]):
+            p0, escape = p0[models], escape[models]
+        else:
+            models = None
+        return np.clip(_integral_apply(self.W, p0, ts, escape, models), 0.0, None)
 
     @cached_property
     def activity(self) -> np.ndarray:

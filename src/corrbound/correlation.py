@@ -40,6 +40,7 @@ from .markov import (
     ScoreVector,
     _check_dims,
     _check_time,
+    _check_times,
     _propagator_apply,
     make_rng,
 )
@@ -78,7 +79,7 @@ def correlation_derivative(
 
 def _check_probes(W: RateMatrix, p0: ProbVector, scores, times) -> np.ndarray:
     """Validated probe times of a J-time correlation: sorted, from 0, one per score."""
-    ts = np.asarray(times, dtype=float)
+    ts = _check_times(times)
     if ts.ndim != 1 or ts.size < 1:
         raise TimesNotSortedError("need at least one time point")
     if ts[0] != 0.0:

@@ -272,6 +272,8 @@ def convolved_shift(
     """Trapezoidal convolution of the response kernel with a sampled drive."""
     pert = Perturbation(F, chi, drive)
     t = _check_time(t)
+    if not math.isfinite(dt):
+        raise NonFiniteError(f"convolution step must be finite, got {dt}")
     if dt <= 0.0:
         raise StepTooLargeError("convolution step must be > 0")
     grid = np.arange(0.0, t + 0.5 * dt, dt)
@@ -359,6 +361,8 @@ def perturbed_oracle(
     _check_dims(W, pert)
     t_end = _check_time(t_end)
     max_rate = float(W.escape.max())
+    if not math.isfinite(dt):
+        raise NonFiniteError(f"dt must be finite, got {dt}")
     if dt <= 0.0:
         raise StepTooLargeError("dt must be > 0")
     if max_rate > 0.0 and dt > 1e-3 / max_rate:

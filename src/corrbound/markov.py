@@ -12,12 +12,13 @@ Conventions used throughout the library:
   across threads; the operations below are pure functions.
 
 Every propagation goes through two primitives over whole time arrays,
-``_propagator_apply`` (e^{W t} v) and ``_integral_apply`` (int_0^t e^{W s} ds v).
-Each has two regimes, chosen per model: the eigenvector basis when it is well
-conditioned and reproduces W; otherwise (defective W) one batched
-``scipy.linalg.expm``, for the integral of the augmented generator
-``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals involving the matrix
-exponential", IEEE TAC 1978).
+``_propagator_apply`` (e^{W t} v) and ``_integral_apply`` (int_0^t e^{W s} ds v),
+both one loop (``_apply``) over two regimes, chosen per model: the
+eigenvector basis when it is well conditioned and reproduces W; otherwise
+(defective W) batched ``scipy.linalg.expm``, for the integral of the augmented
+generator ``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals involving the
+matrix exponential", IEEE TAC 1978). It evaluates in blocks of bounded memory,
+so no product's working memory grows with the times.
 
 A value may also hold a stack of models over the same states along a leading
 model axis (``_stack``): the primitives and ``steady_state`` then take and
@@ -28,7 +29,7 @@ with others of the same regime and the same arithmetic (a real spectrum
 stays real, as ``np.linalg.eig`` returns it for one model), and every
 model of a call has the same times (shared, or one row per model). A
 caller whose models need different numbers of times calls once per number,
-on the sub-stack ``RateMatrix._select``, which keeps the stack's eigenbases.
+with their indices as ``models``, evaluated on the stack's own eigenbases.
 
 Tolerances in rate dimension are relative to the largest escape rate max R,
 with no unit floor, so no result depends on the rate unit (max R = max|W|:
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -70,10 +71,10 @@ _EIG_RECON_RTOL = 1e-12
 _PROB_SUM_ATOL = 1e-10
 _PROB_NEG_DEFICIT = 1e-12
 
-# Memory cap of one _integral_apply block: models x times x n elements on
-# the eigenvector path, models x times x (n + 1)^2 (the augmented
-# generators) on the expm path. Longer time arrays, and larger stacks, are
-# evaluated block by block.
+# Memory cap of one block of the propagation primitives: models x times x n
+# elements on the eigenvector path, models x times x (n + 1)^2 (the augmented
+# generators; the propagator's n^2 fit in them) on the expm path. Longer time
+# arrays, and larger stacks, are evaluated block by block.
 _APPLY_ELEMENTS = 2**15
 
 
@@ -218,30 +219,16 @@ class RateMatrix:
     @cached_property
     def _regimes(self) -> list:
         """(basis, models) per propagation regime of the stack: each part of
-        ``_spectral``, then the rates of the models left to ``expm``;
-        ``models`` is a slice when one regime holds every model."""
+        ``_spectral``, then the rates of the models left to ``expm``, with
+        the ascending indices of the models of each."""
         w = self.w.reshape(-1, self.n, self.n)
         parts = [(sd, sd.models) for sd in self._spectral or ()]
-        if sum(models.size for _, models in parts) < w.shape[0]:
-            rest = np.ones(w.shape[0], dtype=bool)
-            for _, models in parts:
-                rest[models] = False
+        rest = np.ones(w.shape[0], dtype=bool)
+        for _, models in parts:
+            rest[models] = False
+        if rest.any():
             parts.append((w[rest], np.flatnonzero(rest)))
-        if len(parts) == 1:
-            return [(parts[0][0], slice(None))]
         return parts
-
-    def _select(self, models: np.ndarray) -> "RateMatrix":
-        """The stack of the models at the ascending indices ``models``, on
-        this stack's eigenbases: its models are not decomposed again."""
-        sub = _raw(RateMatrix, self.w[models])
-        parts = []
-        for sd in self._spectral or ():
-            keep = np.isin(sd.models, models)
-            if keep.any():
-                parts.append(replace(sd[keep], models=np.searchsorted(models, sd.models[keep])))
-        sub.__dict__["_spectral"] = tuple(parts) or None
-        return sub
 
     def scaled(self, factor: float) -> "RateMatrix":
         """Generator with all rates multiplied by ``factor >= 0``."""
@@ -399,32 +386,15 @@ def propagator_integral(W: RateMatrix, t: float) -> np.ndarray:
 
 
 def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows ``e^{W t} @ vec`` for a whole array of times; ``vec`` is one
-    vector or one row per time, after the model axis of a stack W, and the
-    rows come after it too. No propagator matrix is formed on the
-    eigenvector path, and rows at t = 0 are ``vec`` exactly."""
-    times, vec = np.asarray(times, dtype=float), np.asarray(vec)
-    lead, n = W.w.shape[:-2], W.n
-    per_time = vec.ndim > len(lead) + 1
-    vec = vec.reshape(math.prod(lead), -1 if per_time else 1, n)
-    rows = np.empty((vec.shape[0], times.size, n))
-    for basis, models in W._regimes:
-        rows[models] = _propagator_block(basis, vec[models], times.ravel())
-    rows = np.where((times.ravel() == 0.0)[:, None], vec, rows)
-    return rows.reshape(lead + times.shape + (n,))
-
-
-def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^{W t} vec for the models of one regime: ``basis`` is their
-    _Spectral, or their rates for ``expm``; ``vec`` leads with the model axis."""
-    if isinstance(basis, _Spectral):
-        coeff = vec @ basis.Vinv.mT
-        return np.real((np.exp(times[:, None] * basis.lam[:, None, :]) * coeff) @ basis.basis.mT)
-    return (scipy.linalg.expm(times[:, None, None] * basis[:, None]) @ vec[..., None])[..., 0]
+    """Rows ``e^{W t} @ vec`` for a whole array of times, in the layouts of
+    ``_integral_apply``. No propagator matrix is formed on the eigenvector
+    path, and rows at t = 0 are ``vec`` exactly."""
+    return _apply(_propagator_block, W, vec, times)
 
 
 def _integral_apply(
     W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None,
+    models: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times, or
     with ``left`` given their dot products with it; ``vec`` is one vector
@@ -432,59 +402,80 @@ def _integral_apply(
 
     For a stack W, ``vec`` and ``left`` lead with the model axis, and
     ``times`` is one array shared by every model or one row of times per
-    model; the rows lead with the model axis too.
+    model; the rows lead with the model axis too. ``models``, ascending
+    indices of models of the stack, evaluates those models alone, on the
+    stack's own eigenbases: ``vec``, ``times``, ``left`` and the rows then
+    lead with one row per model of ``models``.
 
     Quadratures over the dynamical activity call this in batch, with
-    ``left`` the escape rates. Both paths evaluate in blocks of at most
-    ``_APPLY_ELEMENTS`` elements (each model's times cut as for that model
-    alone), so their working memory grows neither with the times nor
-    with the models.
+    ``left`` the escape rates, one call per group of models.
     """
+    return _apply(_integral_block, W, vec, times, left, models)
+
+
+def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarray:
+    """The evaluation loop of both primitives, in the layouts of
+    ``_integral_apply``: ``block(basis, vec, times)`` on each regime of W in
+    blocks of at most ``_APPLY_ELEMENTS`` elements, each model's times cut as
+    for that model alone, and each block's rows contracted with ``left``
+    before the next block is evaluated."""
     times, vec = np.asarray(times, dtype=float), np.asarray(vec)
-    lead, n = W.w.shape[:-2], W.n
+    lead, n = (W.w.shape[:-2] if models is None else models.shape), W.n
     m = math.prod(lead)
-    per_time = vec.ndim > len(lead) + 1
-    vec = vec.reshape(m, -1 if per_time else 1, n)
+    vec = vec.reshape(m, -1, n)
+    per_time = vec.shape[1] > 1
     left = None if left is None else left.reshape(m, n)
-    tail = (n,) if left is None else ()
     times = np.atleast_2d(times)
-    if len(times) < m:  # shared by every model
-        times = np.repeat(times, m, axis=0)
+    shared = len(times) < m  # one row of times for every model
     c = times.shape[1]
-    out = np.empty(times.shape + tail)
-    for basis, models in W._regimes:
+    out = np.empty((m, c) + ((n,) if left is None else ()))
+    for basis, index in W._regimes:
+        # the positions of the evaluated models on the regime's basis, and
+        # their rows in the call
+        pos = np.arange(index.size) if models is None else np.flatnonzero(np.isin(index, models))
+        rows = index if models is None else np.searchsorted(models, index[pos])
         width = n if isinstance(basis, _Spectral) else (n + 1) ** 2
         step = max(_APPLY_ELEMENTS // width, 1)
-        index = np.arange(m)[models]
         # each model's times in blocks of `step`, as for one model; and as
         # many models per block as the memory cap leaves room for
         per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
-        for j in range(0, index.size, per):
-            sel, chunk = index[j:j + per], basis if per >= index.size else basis[j:j + per]
+        for j in range(0, pos.size, per):
+            sel, part = rows[j:j + per], pos[j:j + per]
+            chunk = basis if part.size == index.size else basis[part]
             for i in range(0, c, step):
-                rows = (sel, slice(i, i + step))
-                out[rows] = _integral_block(
-                    chunk, vec[rows] if per_time else vec[sel], times[rows],
-                    None if left is None else left[sel],
-                )
-    return out.reshape(lead + (-1,) + tail)
+                at = (sel, slice(i, i + step))
+                ts = times[:, i:i + step] if shared else times[at]
+                got = block(chunk, vec[at] if per_time else vec[sel], ts)
+                # real rows first: folding left into V.T (a complex
+                # matrix-vector product) measured 1.6x slower on the
+                # hard_generators benchmark
+                out[at] = got if left is None else _contract(got, left[sel])
+    return out.reshape(lead + out.shape[1:])
 
 
-def _integral_block(basis, vec: np.ndarray, times: np.ndarray, left) -> np.ndarray:
-    """One block of ``_integral_apply`` for the models of one regime, all
-    times in one shot: ``basis`` is their _Spectral, or their rates for
-    ``expm``; ``vec``, ``times`` and ``left`` lead with the model axis."""
+def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{W t} vec for the models of one regime, at one row of times each
+    or one for all: ``basis`` is their _Spectral, or their rates for
+    ``expm``; ``vec`` leads with the model axis. Rows at t = 0 are ``vec``
+    exactly."""
     if isinstance(basis, _Spectral):
         coeff = vec @ basis.Vinv.mT
-        # real rows first: folding left into V.T (a complex matrix-vector
-        # product) measured 1.6x slower on the hard_generators benchmark
-        rows = np.real((basis.phi_t(times) * coeff) @ basis.basis.mT)
+        rows = np.real((np.exp(times[..., None] * basis.lam[:, None, :]) * coeff) @ basis.basis.mT)
     else:
-        n = basis.shape[-1]
-        aug = np.zeros(times.shape + (n + 1, n + 1))
-        aug[..., :n, :n], aug[..., :n, n] = basis[:, None], vec
-        rows = scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
-    return rows if left is None else _contract(rows, left)
+        rows = (scipy.linalg.expm(times[..., None, None] * basis[:, None]) @ vec[..., None])[..., 0]
+    return np.where(times[..., None] == 0.0, vec, rows)
+
+
+def _integral_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """[int_0^t e^{W s} ds] vec for the models of one regime, as in
+    ``_propagator_block``."""
+    if isinstance(basis, _Spectral):
+        coeff = vec @ basis.Vinv.mT
+        return np.real((basis.phi_t(times) * coeff) @ basis.basis.mT)
+    n = basis.shape[-1]
+    aug = np.zeros((len(basis), times.shape[-1], n + 1, n + 1))
+    aug[..., :n, :n], aug[..., :n, n] = basis[:, None], vec
+    return scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
 
 
 def steady_state(W: RateMatrix) -> ProbVector:

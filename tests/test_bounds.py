@@ -280,14 +280,44 @@ class TestActivityQuadrature:
         sizes = []
         real_block = markov._integral_block
 
-        def counted(W_, vec, times, left):
+        def counted(W_, vec, times):
             sizes.append(np.size(times))
-            return real_block(W_, vec, times, left)
+            return real_block(W_, vec, times)
 
         monkeypatch.setattr(markov, "_integral_block", counted)
         got = _Plan(W, p0, knots).arc
         assert max(sizes) == 7
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("defective", [False, True], ids=["eigenbasis", "expm"])
+    def test_memory_cap_splits_propagator_calls(self, defective, monkeypatch):
+        # the twin of the test above for C, dC/dt, <S> and the (S, T, S)
+        # chain; the Jordan chain 0 -> 1 -> 2 -> 3 takes the expm regime
+        W, p0, S = random_model(4, 3)
+        if defective:
+            w = np.zeros((4, 4))
+            w[[1, 2, 3], [0, 1, 2]] = 1.3
+            W = validate_rate_matrix(w)
+        assert (W._spectral is None) == defective
+        knots = np.geomspace(1e-2, 10.0, 20)
+        names = ("corr", "corr_slope", "mean", "multi")
+        plan = _Plan(W, p0, knots, S, S)
+        ref = [getattr(plan, name) for name in names]
+        monkeypatch.setattr(markov, "_APPLY_ELEMENTS", 7 * W.n)
+        sizes = []
+        real_block = markov._propagator_block
+
+        def counted(W_, vec, times):
+            sizes.append(np.size(times))
+            return real_block(W_, vec, times)
+
+        monkeypatch.setattr(markov, "_propagator_block", counted)
+        plan = _Plan(W, p0, knots, S, S)
+        got = [getattr(plan, name) for name in names]
+        # three one-link quantities and a two-link chain, each over every knot
+        assert max(sizes) <= 7 and sum(sizes) == 5 * knots.size
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stiff_chain_matches_quad(self, seed):

@@ -19,6 +19,7 @@ from corrbound import (
 from corrbound.errors import (
     BadIntervalError,
     DimensionMismatchError,
+    NonFiniteError,
     TimesNotSortedError,
     TooFewSamplesError,
 )
@@ -154,6 +155,13 @@ class TestMultipoint:
             multipoint(W, p0, [S, T], (0.5, 1.0))
         with pytest.raises(TimesNotSortedError):
             multipoint(W, p0, [S, T, T], (0.0, 1.0))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # as bound_multipoint rejects it, rather than returning NaN
+        W, p0, S = random_model(3, 1)
+        with pytest.raises(NonFiniteError):
+            multipoint(W, p0, [S, S], [0.0, t])
 
 
 class TestTrajectory:

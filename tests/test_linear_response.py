@@ -137,13 +137,18 @@ class TestBadInputsRaiseTypedErrors:
         with pytest.raises(NonFiniteError):
             response_function(W, pst, F, T, 1.0)
 
-    @pytest.mark.parametrize("chi", [math.nan, math.inf, 0.0])
-    def test_bad_strength_in_convolved_shift(self, symmetric_model, chi):
+    @pytest.mark.parametrize(
+        "chi, dt",
+        [(math.nan, 1e-2), (math.inf, 1e-2), (0.0, 1e-2), (CHI, math.nan), (CHI, math.inf)],
+        ids=["nan", "inf", "0.0", "dt=nan", "dt=inf"],
+    )
+    def test_bad_strength_in_convolved_shift(self, symmetric_model, chi, dt):
+        # a non-finite step is rejected as a non-finite strength is
         W, pst, S, T = symmetric_model
         F = canonical_perturbation(W, S)
         drive = SampledDrive(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(NonFiniteError):
-            convolved_shift(W, pst, F, T, chi, drive, 0.5, 1e-2)
+            convolved_shift(W, pst, F, T, chi, drive, 0.5, dt)
 
     def test_non_finite_matrix_in_convolved_shift(self, symmetric_model):
         W, pst, S, T = symmetric_model
@@ -310,6 +315,13 @@ class TestPerturbedOracle:
         F = canonical_perturbation(W, S)
         with pytest.raises(StepTooLargeError):
             perturbed_oracle(W, F, CHI, StepDrive(), 1.0, 0.01)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, symmetric_model, dt):
+        W, _, S, _ = symmetric_model
+        F = canonical_perturbation(W, S)
+        with pytest.raises(NonFiniteError, match="dt must be finite"):
+            perturbed_oracle(W, F, CHI, StepDrive(), 1.0, dt)
 
     def test_divergence_detected(self, symmetric_model):
         W, _, S, _ = symmetric_model

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -397,15 +398,32 @@ class TestDefectiveFallback:
         sizes = []
         real_block = markov._integral_block
 
-        def counted(W, vec, ts, left):
+        def counted(W, vec, ts):
             sizes.append(ts.size)
-            return real_block(W, vec, ts, left)
+            return real_block(W, vec, ts)
 
         monkeypatch.setattr(markov, "_integral_block", counted)
         np.testing.assert_allclose(_integral_apply(chain, v, times), ref, rtol=0, atol=1e-15)
         # one row of vec per time (the identity's columns) is blocked with them
         np.testing.assert_allclose(propagator_integral(chain, 2.3), ref_matrix, rtol=0, atol=1e-15)
         assert sizes == [3, 3, 3, 2, 3, 1]
+
+    def test_propagator_memory_is_capped(self):
+        # a one-way chain is defective, so every time takes an n x n expm;
+        # all 400 at once take 1.2 MiB per array, and expm holds several
+        n = 20
+        w = np.zeros((n, n))
+        for i in range(n - 1):
+            w[i + 1, i] = 1.0
+        W = validate_rate_matrix(w)
+        assert W._spectral is None
+        tracemalloc.start()
+        try:
+            rows = _propagator_apply(W, np.full(n, 1.0 / n), np.linspace(0.0, 10.0, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 4 * markov._APPLY_ELEMENTS * 8
 
     def test_default_bounds_hold(self, chain):
         p0 = ProbVector(np.array([0.4, 0.3, 0.2, 0.1]))
@@ -516,7 +534,8 @@ class TestModelStacks:
 
     @pytest.mark.parametrize("picks", [[1, 2, 3], [0, 4, 5], [3]])
     def test_sub_stack_rows_equal_per_model_calls(self, models, picks, monkeypatch):
-        # the Jordan chain with a complex and a real spectrum; the two
+        # the models `picks` of the stack, evaluated on its eigenbases: the
+        # Jordan chain with a complex and a real spectrum; the two
         # arithmetics; one real spectrum alone
         W, _, _ = stack_of(models)
         rng = np.random.default_rng(6)
@@ -528,11 +547,10 @@ class TestModelStacks:
         W._spectral  # the stack's one decomposition
 
         def no_eig(*args):
-            raise AssertionError("a sub-stack decomposed its models again")
+            raise AssertionError("a subset of the stack decomposed its models again")
 
         monkeypatch.setattr(np.linalg, "eig", no_eig)
-        sub = W._select(np.array(picks))
-        rows = _integral_apply(sub, vec, own, left)
+        rows = _integral_apply(W, vec, own, left, models=np.array(picks))
         for i in range(len(picks)):
             assert np.array_equal(rows[i], alone[i]), i
 
