@@ -15,10 +15,17 @@ Every propagation goes through two primitives over whole time arrays,
 ``_propagator_apply`` (e^{W t} v) and ``_integral_apply`` (int_0^t e^{W s} ds v),
 both one loop (``_apply``) over two regimes, chosen per model: the
 eigenvector basis when it is well conditioned and reproduces W; otherwise
-(defective W) batched ``scipy.linalg.expm``, for the integral of the augmented
-generator ``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals involving the
-matrix exponential", IEEE TAC 1978). It evaluates in blocks of bounded memory,
-so no product's working memory grows with the times.
+(defective W) the matrix exponential ``_expm`` of W t, and for the integral of
+the augmented generator ``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals
+involving the matrix exponential", IEEE TAC 1978). ``_expm`` is the
+scaling-and-squaring method of Higham ("The scaling and squaring method for
+the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005) at
+the one Pade degree 13, vectorised over a whole stack of matrices. It squares
+Y = e^{2^-s A} - I rather than e^{2^-s A}: I + Y would round away the digits
+of a slow mode, which a stiff chain's many squarings then amplify, and a zero
+column of A (an absorbing state) gives an exactly zero column of Y. The loop
+evaluates in blocks of bounded memory, so no product's working memory grows
+with the times.
 
 A value may also hold a stack of models over the same states along a leading
 model axis (``_stack``): the primitives and ``steady_state`` then take and
@@ -46,7 +53,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadDimensionError,
@@ -72,10 +78,21 @@ _PROB_SUM_ATOL = 1e-10
 _PROB_NEG_DEFICIT = 1e-12
 
 # Memory cap of one block of the propagation primitives: models x times x n
-# elements on the eigenvector path, models x times x (n + 1)^2 (the augmented
-# generators; the propagator's n^2 fit in them) on the expm path. Longer time
+# elements on the eigenvector path; on the expm path models x times x the
+# working set of ``_expm`` per time, 4 (n + 1)^2 (it holds several arrays of
+# augmented generators; the propagator's n^2 fit in them). Longer time
 # arrays, and larger stacks, are evaluated block by block.
 _APPLY_ELEMENTS = 2**15
+
+# Coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the
+# largest 1-norm theta_13 at which its backward error is at most the unit
+# roundoff of double precision (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -434,7 +451,7 @@ def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarr
         # their rows in the call
         pos = np.arange(index.size) if models is None else np.flatnonzero(np.isin(index, models))
         rows = index if models is None else np.searchsorted(models, index[pos])
-        width = n if isinstance(basis, _Spectral) else (n + 1) ** 2
+        width = n if isinstance(basis, _Spectral) else 4 * (n + 1) ** 2
         step = max(_APPLY_ELEMENTS // width, 1)
         # each model's times in blocks of `step`, as for one model; and as
         # many models per block as the memory cap leaves room for
@@ -456,13 +473,13 @@ def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarr
 def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     """e^{W t} vec for the models of one regime, at one row of times each
     or one for all: ``basis`` is their _Spectral, or their rates for
-    ``expm``; ``vec`` leads with the model axis. Rows at t = 0 are ``vec``
+    ``_expm``; ``vec`` leads with the model axis. Rows at t = 0 are ``vec``
     exactly."""
     if isinstance(basis, _Spectral):
         coeff = vec @ basis.Vinv.mT
         rows = np.real((np.exp(times[..., None] * basis.lam[:, None, :]) * coeff) @ basis.basis.mT)
     else:
-        rows = (scipy.linalg.expm(times[..., None, None] * basis[:, None]) @ vec[..., None])[..., 0]
+        rows = (_expm(times[..., None, None] * basis[:, None]) @ vec[..., None])[..., 0]
     return np.where(times[..., None] == 0.0, vec, rows)
 
 
@@ -475,7 +492,45 @@ def _integral_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     n = basis.shape[-1]
     aug = np.zeros((len(basis), times.shape[-1], n + 1, n + 1))
     aug[..., :n, :n], aug[..., :n, n] = basis[:, None], vec
-    return scipy.linalg.expm(aug * times[..., None, None])[..., :n, n]
+    return _expm(aug * times[..., None, None])[..., :n, n]
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^A for every matrix A of the (..., k, k) stack ``a``.
+
+    Each A is scaled by 2^-s, with s the least integer >= 0 that brings its
+    1-norm to at most theta_13, where the Pade approximant r_13 is exact to
+    double precision; Y = r_13(2^-s A) - I = 2 (V - U)^{-1} U, with U and V
+    its odd and even parts, is then squared s times as Y <- 2 Y + Y^2,
+    which is (I + Y)^2 - I. Every matrix is computed alone, so its result
+    does not depend on the others of the stack.
+    """
+    b = _PADE13
+    with np.errstate(divide="ignore"):  # a zero matrix has log2(0) = -inf
+        s = np.maximum(np.ceil(np.log2(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)), 0).astype(int)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    y = np.linalg.solve(v - u, u)
+    y *= 2.0
+    # square the matrices with the most rounds first: sorted by s, the ones
+    # still squared in a round are a leading run of the stack
+    order = np.argsort(-s, axis=None, kind="stable")
+    rounds = s.reshape(-1)[order]
+    y = y.reshape(-1, *y.shape[-2:])[order]
+    for r in range(s.max(initial=0)):
+        run = y[: np.count_nonzero(rounds > r)]
+        sq = run @ run
+        run *= 2.0
+        run += sq
+    y += eye
+    out = np.empty_like(y)
+    out[order] = y
+    return out.reshape(a.shape)
 
 
 def steady_state(W: RateMatrix) -> ProbVector:

@@ -389,12 +389,12 @@ class TestDefectiveFallback:
             np.testing.assert_allclose(_integral_apply(W, v, times, left), expect, rtol=1e-14)
 
     def test_blocks_cap_augmented_generators(self, chain, monkeypatch):
-        # the expm path holds (n + 1)^2 elements per time, so a cap of three
-        # augmented generators gives blocks of three times
+        # the expm path counts a working set of 4 (n + 1)^2 elements per
+        # time, so a cap of three of them gives blocks of three times
         times = np.linspace(0.0, 5.0, 11)
         v = np.array([0.4, -0.3, 0.2, 0.7])
         ref, ref_matrix = _integral_apply(chain, v, times), propagator_integral(chain, 2.3)
-        monkeypatch.setattr(markov, "_APPLY_ELEMENTS", 3 * 5**2)
+        monkeypatch.setattr(markov, "_APPLY_ELEMENTS", 3 * 4 * 5**2)
         sizes = []
         real_block = markov._integral_block
 
@@ -431,6 +431,48 @@ class TestDefectiveFallback:
         reports = evaluate_bounds(chain, p0, S, S, np.geomspace(1e-2, 10.0, 12), DEFAULT_BOUNDS)
         assert reports
         assert max(r.ratio for r in reports) <= 1.0 + RATIO_SLACK
+
+
+class TestExpm:
+    """The batched Pade kernel of the expm path against a 40-digit mpmath
+    expm, on stiff generators where scaling and squaring loses most."""
+
+    TIMES = np.geomspace(1e-6, 30.0, 6)
+
+    @pytest.mark.parametrize("rate", [1e4, 1e8, 1e12])
+    def test_stiff_generator_and_its_augmentation(self, rate):
+        W, p0, _ = random_model(5, 7)
+        w = W.w.copy()
+        w[2, 1] = rate
+        w = validate_rate_matrix(w).w
+        aug = np.zeros((6, 6))  # Van Loan: [[W, p0], [0, 0]]
+        aug[:5, :5], aug[:5, 5] = w, p0.p
+        for a in (w, aug):
+            got = markov._expm(a * self.TIMES[:, None, None])
+            for t, g in zip(self.TIMES, got):
+                with mpmath.workdps(40):
+                    ref = mpmath.expm(mpmath.matrix((a * t).tolist()))
+                ref = np.array(ref.tolist(), dtype=float)
+                assert np.abs(g - ref).max() <= 1e-11 * np.abs(ref).max(), (rate, t)
+
+    def test_absorbing_column_is_exact(self):
+        # a zero column of W t stays exactly zero in every squared e^A - I
+        w = np.zeros((4, 4))
+        for i in range(3):
+            w[i + 1, i] = 1.3
+        got = markov._expm(validate_rate_matrix(w).w * self.TIMES[:, None, None])
+        assert np.array_equal(got[:, :, 3], np.tile(np.eye(4)[3], (self.TIMES.size, 1)))
+
+    def test_stack_equals_matrices_alone(self):
+        # each matrix has its own scaling; a stack gives each the numbers it
+        # gets alone
+        W, _, _ = random_model(4, 3)
+        w = W.w.copy()
+        w[1, 0] = 1e9
+        a = validate_rate_matrix(w).w * np.geomspace(1e-6, 30.0, 9)[:, None, None]
+        alone = np.stack([markov._expm(x) for x in a])
+        assert np.array_equal(markov._expm(a), alone)
+        assert np.array_equal(markov._expm(a.reshape(3, 3, 4, 4)), alone.reshape(3, 3, 4, 4))
 
 
 class TestSteadyState:
