@@ -14,7 +14,8 @@ Conventions used throughout the library:
 Every propagation goes through two primitives over whole time arrays,
 ``_propagator_apply`` (e^{W t} v) and ``_integral_apply`` (int_0^t e^{W s} ds v),
 both one loop (``_apply``) over two regimes, chosen per model: the
-eigenvector basis when it is well conditioned and reproduces W; otherwise
+eigenvector basis when it is well conditioned (cond_1(V) = |V|_1 |V^{-1}|_1,
+from the inverse the basis needs anyway) and reproduces W; otherwise
 (defective W) the matrix exponential ``_expm`` of W t, and for the integral of
 the augmented generator ``t [[W, v], [0, 0]]`` (Van Loan, "Computing integrals
 involving the matrix exponential", IEEE TAC 1978). ``_expm`` is the
@@ -25,7 +26,9 @@ Y = e^{2^-s A} - I rather than e^{2^-s A}: I + Y would round away the digits
 of a slow mode, which a stiff chain's many squarings then amplify, and a zero
 column of A (an absorbing state) gives an exactly zero column of Y. The loop
 evaluates in blocks of bounded memory, so no product's working memory grows
-with the times.
+with the times. On the eigenvector basis, e^{lam t} and (e^{lam t} - 1)/lam
+are evaluated once per complex-conjugate pair of eigenvalues: the second of
+a pair takes the conjugate of the first, which is the value it would get.
 
 A value may also hold a stack of models over the same states along a leading
 model axis (``_stack``): the primitives and ``steady_state`` then take and
@@ -112,6 +115,8 @@ class _Spectral:
     real spectrum the real part of the complex array, the layout in which
     ``np.linalg.eig`` returns a real basis for one model. Its products then
     take numpy's own loops rather than BLAS, as they do for that model.
+    The functions of lam t that the propagation takes (``exp_t``, ``phi_t``)
+    are evaluated once per conjugate pair of eigenvalues (``_modes``).
     """
 
     lam: np.ndarray
@@ -127,22 +132,68 @@ class _Spectral:
     def basis(self) -> np.ndarray:
         return self.V.real if self.lam.dtype.kind == "f" else self.V
 
+    def exp_t(self, t) -> np.ndarray:
+        """e^{lam t} elementwise, in the layout of ``phi_t``."""
+        return self._modes(lambda z, t: np.exp(z), t)
+
     def phi_t(self, t) -> np.ndarray:
         """(e^{lam t} - 1)/lam elementwise, as expm1(z)/z * t with z = lam t.
 
         numpy's complex expm1 has no cancellation for small |z|; z = 0
         (the pinned zero eigenvalue, or t = 0) gives exactly t. ``t`` has
-        one row of times per model; the result has a trailing eigenvalue
-        axis.
+        one row of times per model (or one row for all); the result has a
+        trailing eigenvalue axis.
+        """
+        return self._modes(_phi, t)
+
+    def _modes(self, f, t) -> np.ndarray:
+        """f(z, t) at z = lam t, for every eigenvalue lam and time t of the
+        rows ``t``, with a trailing eigenvalue axis.
+
+        ``np.linalg.eig`` returns the complex eigenvalues of a real generator
+        in conjugate pairs a + bi, a - bi, side by side. f is evaluated on
+        the first of each pair only, and the second takes its conjugate:
+        numpy's complex exp, expm1, division and real scaling are exactly
+        conjugate symmetric, so the values equal those f gives (a zero
+        imaginary part may change sign: phi at t = 0 is 0 - 0i). An
+        eigenvalue whose left neighbour is not exactly its conjugate (real
+        spectra, the pinned zero, a lone or reversed pair) is evaluated.
         """
         t = np.asarray(t, dtype=float)
-        z = t[..., None] * self.lam[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            phi = np.expm1(z)
-            phi /= z
-        phi[z == 0] = 1
-        phi *= t[..., None]
-        return phi
+        if self._pairs is None:
+            return f(t[..., None] * self.lam[:, None, :], t[..., None])
+        # eigenvalue-major, one row of times per evaluated eigenvalue, and one
+        # contiguous copy into the layout of the products that take the values
+        ev, mirror, model, lam = self._pairs
+        te = t if len(t) == 1 else t[model]
+        out = np.empty((self.lam.size, t.shape[-1]), dtype=complex)
+        out[ev] = f(te * lam, te)
+        out[mirror] = out[mirror - 1].conj()
+        return out.reshape(self.lam.shape + t.shape[-1:]).transpose(0, 2, 1).copy()
+
+    @cached_property
+    def _pairs(self):
+        """For ``_modes``: the flat indices (models x eigenvalues) of the
+        evaluated and the mirrored eigenvalues, the model of each evaluated
+        one and its eigenvalue as a column; None when none is mirrored."""
+        lam = self.lam
+        mirror = np.zeros(lam.shape, dtype=bool)
+        if lam.dtype.kind == "c":
+            mirror[:, 1:] = (lam.imag[:, 1:] < 0) & (lam[:, :-1] == lam[:, 1:].conj())
+        if not mirror.any():
+            return None
+        ev = np.flatnonzero(~mirror)
+        return ev, np.flatnonzero(mirror), ev // lam.shape[1], lam.reshape(-1, 1)[ev]
+
+
+def _phi(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """expm1(z)/z * t, exactly t at z = 0; ``t`` broadcasts against z."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = np.expm1(z)
+        phi /= z
+    phi[z == 0] = 1
+    phi *= t
+    return phi
 
 
 def _where(mask: np.ndarray, *arrays):
@@ -150,19 +201,40 @@ def _where(mask: np.ndarray, *arrays):
     return arrays if all(mask.tolist()) else tuple(a[mask] for a in arrays)
 
 
+def _inverses(a: np.ndarray) -> np.ndarray:
+    """The inverse of every matrix of the stack ``a``, NaN for an exactly
+    singular one: the batched ``np.linalg.inv`` raises for the whole stack
+    then, so each matrix is inverted alone, with the same bits."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        out = np.full_like(a, np.nan)
+        for i, m in enumerate(a):
+            try:
+                out[i] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest column sum of |a|) of every matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
 def _trusted_bases(w, lam, V, scale, models, real: bool) -> _Spectral | None:
     """The eigendecompositions (complex ``lam`` and ``V``) of the generators
     ``w`` that are well conditioned and reproduce w, in real arithmetic for
-    real spectra, with the zero eigenvalue pinned; None when there is none."""
+    real spectra, with the zero eigenvalue pinned; None when there is none.
+
+    The condition number is cond_1(V) = |V|_1 |V^{-1}|_1, from the inverse
+    the propagation needs anyway; no SVD is taken."""
     lam_a, V_a = (lam.real, V.real) if real else (lam, V)
-    try:
-        ok = np.linalg.cond(V_a) < _EIG_COND_LIMIT  # False for inf and NaN
-        if not any(ok.tolist()):
-            return None
-        w, lam_a, V, V_a, scale, models = _where(ok, w, lam_a, V, V_a, scale, models)
-        Vinv = np.linalg.inv(V_a)
-    except np.linalg.LinAlgError:
+    Vinv = _inverses(V_a)
+    ok = _norm1(V_a) * _norm1(Vinv) < _EIG_COND_LIMIT  # False for NaN
+    if not any(ok.tolist()):
         return None
+    w, lam_a, V, V_a, Vinv, scale, models = _where(ok, w, lam_a, V, V_a, Vinv, scale, models)
     recon = np.real((V_a * lam_a[:, None, :]) @ Vinv)
     ok = ~(np.abs(recon - w).max(axis=(1, 2)) > _EIG_RECON_RTOL * scale)
     if not any(ok.tolist()):
@@ -447,18 +519,21 @@ def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarr
     c = times.shape[1]
     out = np.empty((m, c) + ((n,) if left is None else ()))
     for basis, index in W._regimes:
-        # the positions of the evaluated models on the regime's basis, and
-        # their rows in the call
-        pos = np.arange(index.size) if models is None else np.flatnonzero(np.isin(index, models))
+        # the positions of the evaluated models on the regime's basis (all
+        # of them without `models`), and their rows in the call
+        pos = None if models is None else np.flatnonzero(np.isin(index, models))
         rows = index if models is None else np.searchsorted(models, index[pos])
         width = n if isinstance(basis, _Spectral) else 4 * (n + 1) ** 2
         step = max(_APPLY_ELEMENTS // width, 1)
         # each model's times in blocks of `step`, as for one model; and as
         # many models per block as the memory cap leaves room for
         per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
-        for j in range(0, pos.size, per):
-            sel, part = rows[j:j + per], pos[j:j + per]
-            chunk = basis if part.size == index.size else basis[part]
+        for j in range(0, rows.size, per):
+            sel = _run(rows[j:j + per])
+            if rows.size == index.size <= per:
+                chunk = basis
+            else:
+                chunk = basis[slice(j, j + per) if pos is None else _run(pos[j:j + per])]
             for i in range(0, c, step):
                 at = (sel, slice(i, i + step))
                 ts = times[:, i:i + step] if shared else times[at]
@@ -470,6 +545,14 @@ def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarr
     return out.reshape(lead + out.shape[1:])
 
 
+def _run(index: np.ndarray):
+    """Ascending indices as the slice they span when they are one contiguous
+    run, so that indexing with them takes a view rather than a copy."""
+    if index[-1] - index[0] == index.size - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     """e^{W t} vec for the models of one regime, at one row of times each
     or one for all: ``basis`` is their _Spectral, or their rates for
@@ -477,7 +560,7 @@ def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     exactly."""
     if isinstance(basis, _Spectral):
         coeff = vec @ basis.Vinv.mT
-        rows = np.real((np.exp(times[..., None] * basis.lam[:, None, :]) * coeff) @ basis.basis.mT)
+        rows = np.real((basis.exp_t(times) * coeff) @ basis.basis.mT)
     else:
         rows = (_expm(times[..., None, None] * basis[:, None]) @ vec[..., None])[..., 0]
     return np.where(times[..., None] == 0.0, vec, rows)

@@ -329,6 +329,145 @@ class TestPhiT:
         assert np.array_equal(got, np.zeros(3))
 
 
+class TestModes:
+    """``phi_t`` and the propagator's e^{lam t} evaluate the first eigenvalue
+    of each conjugate pair and give the second its conjugate; the values
+    equal the elementwise formulas on every eigenvalue. They are compared
+    on the float view: a mirrored phi at t = 0 may have imaginary part -0."""
+
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 40)])
+
+    @staticmethod
+    def formulas(lam, t):
+        z = t[..., None] * lam[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            phi = np.expm1(z)
+            phi /= z
+        phi[z == 0] = 1
+        phi *= t[..., None]
+        return phi, np.exp(z)
+
+    def check(self, sd, t):
+        for got, want in zip((sd.phi_t(t), sd.exp_t(t)), self.formulas(sd.lam, t)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(float), want.view(float))
+
+    @staticmethod
+    def mirrored(sd):
+        """(model, eigenvalue) of each mirrored eigenvalue."""
+        return np.divmod(sd._pairs[1], sd.lam.shape[1])
+
+    def test_complex_model_of_64_states(self):
+        (sd,) = random_model(64, 0)[0]._spectral
+        assert len(self.mirrored(sd)[1]) == 25
+        assert np.count_nonzero(sd.lam == 0) == 1  # the pinned zero
+        self.check(sd, self.TIMES[None])
+        self.check(sd, np.zeros((1, 3)))
+
+    def test_stacks_with_pairs_at_different_positions(self):
+        W, _, _ = stack_of([random_model(4, seed) for seed in range(16)])
+        sd = next(sd for sd in W._spectral if sd.lam.dtype.kind == "c")
+        models, positions = self.mirrored(sd)
+        assert set(positions.tolist()) == {2, 3} and models.size == len(sd.lam)
+        rng = np.random.default_rng(7)
+        self.check(sd, self.TIMES[None])  # shared times
+        own = rng.uniform(0.0, 5.0, (len(sd.lam), 9))
+        own[::3, 4] = 0.0
+        self.check(sd, own)  # one row of times per model
+
+    def test_real_spectra_are_evaluated(self):
+        (sd,) = random_model(4, 16)[0]._spectral
+        assert sd.lam.dtype.kind == "f" and sd._pairs is None
+        self.check(sd, self.TIMES[None])
+
+    def test_lone_and_reversed_pairs_are_evaluated(self):
+        # a pair at the front, a lone complex eigenvalue after its would-be
+        # partner's real part, and a pair in (a - bi, a + bi) order
+        lam = np.array([[-1 + 2j, -1 - 2j, 0, -1 + 3j, -2 - 1j, -3 - 1j, -3 + 1j]])
+        eye = np.eye(lam.shape[1])[None].astype(complex)
+        sd = _Spectral(lam, eye, eye, np.arange(1))
+        assert self.mirrored(sd)[1].tolist() == [1]
+        self.check(sd, self.TIMES[None])
+
+
+class TestConditionGate:
+    """The eigenbasis is trusted when cond_1(V) = |V|_1 |V^-1|_1 is below
+    1e8 and V reproduces W; the rule with the 2-norm condition number from
+    an SVD took the same regime on every model of the corpus."""
+
+    @staticmethod
+    def corpus():
+        ws = [random_model(n, seed)[0].w for n in range(2, 13) for seed in range(10)]
+        for k in range(6, 13):  # the stiffness ladder
+            for seed in range(5):
+                w = random_model(3, seed)[0].w.copy()
+                w[2, 1] = 1.4556 * 10.0**k * (1 + 0.1 * seed)
+                ws.append(w)
+        rng = np.random.default_rng(3)
+        for n in range(3, 7):  # one-way chains, near a Jordan block for small eps
+            for eps in np.geomspace(1e-12, 1e-1, 23):
+                w = np.zeros((n, n))
+                w[np.arange(1, n), np.arange(n - 1)] = 1 + eps * rng.uniform(size=n - 1)
+                ws.append(w)
+                # closed by a slow rate back to the first state: bases of
+                # cond_1 up to about 1e7 that still reproduce W
+                w = w.copy()
+                w[0, n - 1] = eps * rng.uniform()
+                ws.append(w)
+        return [validate_rate_matrix(w) for w in ws]
+
+    @staticmethod
+    def old_rule(W):
+        """Trusted as before: cond_2(V) < 1e8, then the reconstruction."""
+        w = W.w[None]
+        lam, V = np.linalg.eig(w)
+        if not np.linalg.cond(V)[0] < 1e8:
+            return False
+        recon = np.real((V * lam[:, None, :]) @ np.linalg.inv(V))
+        return not np.abs(recon - w).max() > 1e-12 * W.escape.max()
+
+    def test_regimes_equal_the_svd_rule(self):
+        models = self.corpus()
+        trusted = [W._spectral is not None for W in models]
+        assert trusted == [self.old_rule(W) for W in models]
+        assert 0 < sum(trusted) < len(models)
+
+    def test_no_svd_is_taken(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the acceptance rule took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        assert random_model(6, 1)[0]._spectral is not None
+
+    def test_singular_basis_leaves_its_stack_mates_alone(self, monkeypatch):
+        # complex spectra at 0, 1, 3; real at 2; model 1 gets a zero
+        # eigenvector, so the batched inverse of its part raises
+        models = [random_model(4, seed) for seed in (11, 12, 16, 13)]
+        rng = np.random.default_rng(8)
+        vec = rng.standard_normal((4, 4))
+        times = np.array([0.0, 0.3, 2.0, 9.0])
+        alone = [_propagator_apply(W, vec[j], times) for j, (W, _, _) in enumerate(models)]
+        W, _, _ = stack_of(models)
+        eig = np.linalg.eig
+
+        def singular_eig(a):
+            lam, V = eig(a)
+            V = V.copy()
+            V[1, :, 2] = 0.0
+            return lam, V
+
+        monkeypatch.setattr(np.linalg, "eig", singular_eig)
+        assert sorted(m for sd in W._spectral for m in sd.models.tolist()) == [0, 2, 3]
+        rates, index = W._regimes[-1]
+        assert not isinstance(rates, _Spectral) and index.tolist() == [1]
+        rows = _propagator_apply(W, vec, times)
+        for j in (0, 2, 3):
+            assert np.array_equal(rows[j], alone[j]), j
+        exact = [scipy.linalg.expm(models[1][0].w * t) @ vec[1] for t in times]
+        assert np.abs(rows[1] - exact).max() <= 1e-13
+
+
 class TestDefectiveFallback:
     """Chain 0 -> 1 -> 2 -> 3 at one rate k: a 3x3 Jordan block, so the
     eigenbasis is rejected and propagation takes the expm fallback."""
