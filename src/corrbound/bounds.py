@@ -15,7 +15,9 @@ rather than erroring. A ratio of 0/0 (frozen processes) is defined as
 Every bound reads off the same per-time quantities, which one plan per
 model (``_Plan``) computes once on a set of knots; each bound is one
 formula over them in the ``_BOUNDS`` table, and the public ``bound_*``
-functions evaluate it on a plan over their own times.
+functions evaluate it on a plan over their own times. The plan is the one
+place where C(t), dC/dt and the J-point chain are formed: the exact
+correlators of ``correlation`` read it too.
 
 The activity integral is evaluated after substituting t = s^2, which
 removes the integrable endpoint singularity at t1 = 0, as a cumulative
@@ -44,8 +46,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlation import _chain, _check_probes
-from .errors import BadIntervalError, NonFiniteError, NonPositiveTimeError, QuadratureError
+from .errors import (
+    BadIntervalError,
+    CorrboundError,
+    NonFiniteError,
+    NonPositiveTimeError,
+    QuadratureError,
+    TimesNotSortedError,
+)
 from .markov import (
     ProbVector,
     RateMatrix,
@@ -55,9 +63,9 @@ from .markov import (
     _contract,
     _integral_apply,
     _propagator_apply,
+    _survival,
     steady_state,
 )
-from . import path_space
 
 # Bounds are declared satisfied when lhs <= rhs * (1 + RATIO_SLACK).
 RATIO_SLACK = 1e-9
@@ -227,12 +235,39 @@ def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
             for b in (T.s.min(axis=-1), T.s.max(axis=-1))
         ]
         return 0.5 * (np.max(corners, axis=0) - np.min(corners, axis=0))
-    raise ValueError(f"unknown cmax mode {mode!r}")
+    raise CorrboundError(f"unknown cmax mode {mode!r}")
 
 
 def _col(x) -> np.ndarray:
     """A per-model value as a column against per-knot arrays."""
     return np.asarray(x)[..., None]
+
+
+def _check_probes(W: RateMatrix, p0: ProbVector, scores, times) -> np.ndarray:
+    """Validated probe times of a J-time correlation: sorted, from 0, one per score."""
+    ts = _check_times(times)
+    if ts.ndim != 1 or ts.size < 1:
+        raise TimesNotSortedError("need at least one time point")
+    if ts[0] != 0.0:
+        raise TimesNotSortedError(f"first time must be 0, got {ts[0]}")
+    if np.any(np.diff(ts) < 0.0):
+        raise TimesNotSortedError("times must be non-decreasing")
+    if len(scores) != ts.size:
+        raise TimesNotSortedError(
+            f"{len(scores)} scores but {ts.size} time points"
+        )
+    _check_dims(W, p0, *scores)
+    return ts
+
+
+def _chain(W: RateMatrix, p: np.ndarray, scores, times: np.ndarray) -> np.ndarray:
+    """J-time correlations, one per row of the m x J probe ``times``, with
+    each link of the chain applied to all rows at once (and to every model
+    of a stack W, after its model axis)."""
+    v = (scores[0].s * p)[..., None, :]
+    for i in range(1, len(scores)):
+        v = scores[i].s[..., None, :] * _propagator_apply(W, v, times[:, i] - times[:, i - 1])
+    return np.broadcast_to(v, v.shape[:-2] + (times.shape[0], W.n)).sum(axis=-1)
 
 
 class _Plan:
@@ -318,7 +353,7 @@ class _Plan:
     @cached_property
     def eta(self) -> np.ndarray:
         """eta(t), the squared survival overlap of path_space."""
-        return path_space._survival(self.W, self.p0, self.knots) ** 2
+        return _survival(self.W, self.p0, self.knots) ** 2
 
     @cached_property
     def arc(self) -> np.ndarray:
@@ -554,7 +589,7 @@ def bound_multipoint(
     ts = _check_probes(W, p0, scores, times)
     bound_id = {"sin": "MULTI_SIN_S40", "eta": "MULTI_ETA_S39"}.get(variant)
     if bound_id is None:
-        raise ValueError(f"unknown multipoint variant {variant!r}")
+        raise CorrboundError(f"unknown multipoint variant {variant!r}")
     t_end = float(ts[-1])
     knots = np.unique([0.0, t_end])
     # every probe at time 0 on the knot 0, at the given times on t_end
@@ -583,5 +618,5 @@ def bound_onepoint(
         "activity": "ONEPOINT_ACTIVITY_S45",
     }.get(variant)
     if bound_id is None:
-        raise ValueError(f"unknown onepoint variant {variant!r}")
+        raise CorrboundError(f"unknown onepoint variant {variant!r}")
     return plan.reports(bound_id, 0.0, t)[0]

@@ -357,28 +357,24 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     ]
 
     meta = _meta(seed=seed, generator=RANDOM_MODEL_METADATA["generator"])
-    try:
-        _write_text(
-            str(out / "fig2a.csv"),
-            _csv_document("t,lhs,rhs_sin,rhs_eta,in_domain", rows_a, meta),
-        )
-        _write_text(str(out / "fig2b.csv"), _csv_document("t,lhs,rhs", rows_b, meta))
-        _write_text(
-            str(out / "fig2c.csv"),
-            _csv_document("model,t,ratio,in_domain", rows_c, meta),
-        )
-        _write_text(str(out / "fig2d.csv"), _csv_document("model,t,ratio", rows_d, meta))
-        sidecar = {
-            "meta": meta,
-            "master_seed": seed,
-            "model_states": sizes,
-            "model_seeds": seeds,
-            "distributions": RANDOM_MODEL_METADATA,
-        }
-        _write_text(str(out / "fig2_models.json"), _json17(sidecar) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write figure data: {exc}", file=sys.stderr)
-        return 2
+    _write_text(
+        str(out / "fig2a.csv"),
+        _csv_document("t,lhs,rhs_sin,rhs_eta,in_domain", rows_a, meta),
+    )
+    _write_text(str(out / "fig2b.csv"), _csv_document("t,lhs,rhs", rows_b, meta))
+    _write_text(
+        str(out / "fig2c.csv"),
+        _csv_document("model,t,ratio,in_domain", rows_c, meta),
+    )
+    _write_text(str(out / "fig2d.csv"), _csv_document("model,t,ratio", rows_d, meta))
+    sidecar = {
+        "meta": meta,
+        "master_seed": seed,
+        "model_states": sizes,
+        "model_seeds": seeds,
+        "distributions": RANDOM_MODEL_METADATA,
+    }
+    _write_text(str(out / "fig2_models.json"), _json17(sidecar) + "\n")
     return 0
 
 
@@ -401,12 +397,8 @@ def cmd_figure3(out_dir: str, chi: float = DEFAULT_CHI) -> int:
         chi=fmt17(chi),
         model="two-state symmetric, unit rates",
     )
-    try:
-        for name, rows in sweeps.items():
-            _write_text(str(out / name), _csv_document(_RESPONSE_HEADER, rows, meta))
-    except OSError as exc:
-        print(f"error: cannot write figure data: {exc}", file=sys.stderr)
-        return 2
+    for name, rows in sweeps.items():
+        _write_text(str(out / name), _csv_document(_RESPONSE_HEADER, rows, meta))
     return 0
 
 
@@ -617,17 +609,16 @@ def main(argv=None) -> int:
                 chi=args.chi,
             )
             return code
-        if args.command == "response":
-            grid = _parse_tgrid(args.tgrid) if args.tgrid else None
-            return cmd_response(
-                drive=args.drive,
-                model_path=args.model,
-                chi=args.chi,
-                t_grid=grid,
-                output_path=args.out,
-                output_format=args.format,
-            )
-        raise CorrboundError(f"unknown command {args.command!r}")
+        # argparse admits only the five subcommands: this one is response
+        grid = _parse_tgrid(args.tgrid) if args.tgrid else None
+        return cmd_response(
+            drive=args.drive,
+            model_path=args.model,
+            chi=args.chi,
+            t_grid=grid,
+            output_path=args.out,
+            output_format=args.format,
+        )
     except (CorrboundError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
 """Correlation functions of Markov jump processes, exact and sampled.
 
-The exact routines contract diagonal score matrices around matrix
-exponentials as matrix-vector chains evaluated right to left. Each link
-is one call of ``markov._propagator_apply``, which gives e^{W t} v for a
-whole array of times without forming a propagator matrix, so a chain
-costs O(J n^2) and a batch of chains one call per link. The Monte Carlo
+The exact correlators read the evaluation plan of ``bounds._Plan``, the
+one place where a model's C(t) and dC/dt are formed: ``two_point`` is a
+plan's ``corr`` and ``correlation_derivative`` its ``corr_slope``, on the
+single time t. ``multipoint`` contracts diagonal score matrices around
+matrix exponentials as one matrix-vector chain (``bounds._chain``),
+evaluated right to left, each link one call of
+``markov._propagator_apply``, so a chain costs O(J n^2). The Monte Carlo
 estimator draws trajectories with the Gillespie algorithm: exponential
 holding times with the state's escape rate and jump targets chosen
 proportionally to the outgoing rates. Samplers take an explicit
@@ -29,21 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadIntervalError,
-    TimesNotSortedError,
-    TooFewSamplesError,
-)
-from .markov import (
-    ProbVector,
-    RateMatrix,
-    ScoreVector,
-    _check_dims,
-    _check_time,
-    _check_times,
-    _propagator_apply,
-    make_rng,
-)
+from .bounds import _chain, _check_probes, _Plan
+from .errors import BadIntervalError, TooFewSamplesError
+from .markov import ProbVector, RateMatrix, ScoreVector, _check_dims, _check_time, make_rng
 
 
 def two_point(
@@ -57,10 +47,7 @@ def two_point(
 
     Bounded in magnitude by ``S.max_abs * T.max_abs`` for any t >= 0.
     """
-    _check_dims(W, p0, S, T)
-    t = _check_time(t)
-    v = _propagator_apply(W, S.s * p0.p, np.array([t]))[0]
-    return float(T.s @ v)
+    return float(_Plan(W, p0, (t,), S, T).corr[0])
 
 
 def correlation_derivative(
@@ -71,37 +58,7 @@ def correlation_derivative(
     t: float,
 ) -> float:
     """Time derivative of the two-time correlation: 1 T e^{Wt} W S P(0)."""
-    _check_dims(W, p0, S, T)
-    t = _check_time(t)
-    v = _propagator_apply(W, W.w @ (S.s * p0.p), np.array([t]))[0]
-    return float(T.s @ v)
-
-
-def _check_probes(W: RateMatrix, p0: ProbVector, scores, times) -> np.ndarray:
-    """Validated probe times of a J-time correlation: sorted, from 0, one per score."""
-    ts = _check_times(times)
-    if ts.ndim != 1 or ts.size < 1:
-        raise TimesNotSortedError("need at least one time point")
-    if ts[0] != 0.0:
-        raise TimesNotSortedError(f"first time must be 0, got {ts[0]}")
-    if np.any(np.diff(ts) < 0.0):
-        raise TimesNotSortedError("times must be non-decreasing")
-    if len(scores) != ts.size:
-        raise TimesNotSortedError(
-            f"{len(scores)} scores but {ts.size} time points"
-        )
-    _check_dims(W, p0, *scores)
-    return ts
-
-
-def _chain(W: RateMatrix, p: np.ndarray, scores, times: np.ndarray) -> np.ndarray:
-    """J-time correlations, one per row of the m x J probe ``times``, with
-    each link of the chain applied to all rows at once (and to every model
-    of a stack W, after its model axis)."""
-    v = (scores[0].s * p)[..., None, :]
-    for i in range(1, len(scores)):
-        v = scores[i].s[..., None, :] * _propagator_apply(W, v, times[:, i] - times[:, i - 1])
-    return np.broadcast_to(v, v.shape[:-2] + (times.shape[0], W.n)).sum(axis=-1)
+    return float(_Plan(W, p0, (t,), S, T).corr_slope[0])
 
 
 def multipoint(

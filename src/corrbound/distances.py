@@ -16,11 +16,12 @@ distances meet (1e-9 in ``path_space``, 1e-10 here).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KeyMismatchError, NegativeProbabilityError, NotNormalizedError
+from .errors import KeyMismatchError, NegativeProbabilityError, NonFiniteError, NotNormalizedError
 
 _SUM_ATOL = 1e-10
 
@@ -44,6 +45,8 @@ class FiniteDistribution:
                 raise NegativeProbabilityError(f"negative weight {worst!r}")
             probs = np.clip(probs, 0.0, None)
         total = float(np.sum(probs))
+        if not math.isfinite(total):  # NaN or +inf weights; -inf is negative
+            raise NonFiniteError(f"weights sum to {total!r}")
         if abs(total - 1.0) > _SUM_ATOL:
             raise NotNormalizedError(f"weights sum to {total!r}, expected 1")
         probs = probs.copy()

@@ -474,6 +474,13 @@ def propagator_integral(W: RateMatrix, t: float) -> np.ndarray:
     return _integral_apply(W, np.eye(W.n), np.full(W.n, t)).T
 
 
+def _survival(W: RateMatrix, p0: ProbVector, times) -> np.ndarray:
+    """``sum_mu p0[mu] exp(-t R(mu) / 2)`` for each t of the 1-d ``times``,
+    capped at 1; after the model axis of a stack."""
+    decay = np.exp((-0.5 * np.asarray(times))[:, None] * W.escape[..., None, :])
+    return np.minimum(_contract(decay, p0.p), 1.0)
+
+
 def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows ``e^{W t} @ vec`` for a whole array of times, in the layouts of
     ``_integral_apply``. No propagator matrix is formed on the eigenvector

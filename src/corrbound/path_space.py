@@ -4,7 +4,10 @@ The time-rescaled process on a fixed horizon ``tau`` runs the original
 dynamics with every rate multiplied by ``t / tau``; its law at horizon
 ``tau`` matches the original law at time ``t``. A skeleton records the
 state at ``L + 1`` equally spaced instants, giving an exhaustively
-enumerable distribution over ``N^(L+1)`` state sequences.
+enumerable distribution over ``N^(L+1)`` state sequences. Its one-step
+matrix e^{(t/tau) W (tau/L)} = e^{W t/L} does not depend on ``tau``, so
+it is propagated from W itself: ``verify_path_inequalities`` decomposes W
+once for both skeletons and the activity integral.
 
 A skeleton is a deterministic coarse-graining of the continuous-time
 path measure, so total variation between two skeletons can only shrink
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import RATIO_SLACK, geodesic_arg
 from .distances import FiniteDistribution, bhattacharyya, tvd
 from .errors import BadIntervalError, TooManyPathsError
-from .markov import ProbVector, RateMatrix, _check_dims, _check_time, _contract, propagator
+from .markov import ProbVector, RateMatrix, _check_dims, _check_time, _survival, propagator
 
 MAX_PATHS = 10**6
 
@@ -81,15 +85,15 @@ def skeleton_distribution(
 
     The probability of the sequence (x_0, ..., x_L) is
     ``p0[x_0] * prod_k M[x_{k+1}, x_k]`` with the one-step matrix
-    ``M = e^{(t/tau) W (tau/L)}``; keys are base-N encodings of the
-    sequences.
+    ``M = e^{(t/tau) W (tau/L)} = e^{W t/L}``; keys are base-N encodings
+    of the sequences. ``tau`` is validated but does not enter the law.
     """
     _check_dims(W, p0)
     t = _check_time(t)
     tau = _check_time(tau)
     skel = PathSkeleton(W.n, L, tau)
     count = skel.path_count
-    step = propagator(W.scaled(t / tau), tau / L)
+    step = propagator(W, t / L)
     probs = p0.p
     for _ in range(L):
         # axis order (x_0, ..., x_k); append x_{k+1} via M[x_{k+1}, x_k]
@@ -107,13 +111,6 @@ def bhat_survival(W: RateMatrix, p0: ProbVector, t: float) -> float:
     """
     _check_dims(W, p0)
     return float(_survival(W, p0, np.array([_check_time(t)]))[0])
-
-
-def _survival(W: RateMatrix, p0: ProbVector, times) -> np.ndarray:
-    """``sum_mu p0[mu] exp(-t R(mu) / 2)`` for each t of the 1-d ``times``,
-    capped at 1; after the model axis of a stack."""
-    decay = np.exp((-0.5 * np.asarray(times))[:, None] * W.escape[..., None, :])
-    return np.minimum(_contract(decay, p0.p), 1.0)
 
 
 def eta(W: RateMatrix, p0: ProbVector, t: float) -> float:
@@ -139,9 +136,6 @@ class PathInequalityReport:
     bhat_ok: bool
 
 
-_PATH_SLACK = 1e-9
-
-
 def verify_path_inequalities(
     W: RateMatrix,
     p0: ProbVector,
@@ -155,12 +149,10 @@ def verify_path_inequalities(
     Computes TVD and Bhattacharyya between the skeleton laws at rescaled
     times t1 and t2 and compares them against the activity integral:
     arccos(Bhat) must not exceed it, and TVD must not exceed its sine,
-    whenever the integral is at most pi/2.
+    whenever the integral is at most pi/2, each within ``RATIO_SLACK``.
     """
     if not (0.0 <= t1 <= t2 <= tau):
         raise BadIntervalError(f"need 0 <= t1 <= t2 <= tau, got {(t1, t2, tau)}")
-    from .bounds import geodesic_arg  # deferred: bounds imports eta from here
-
     d1 = skeleton_distribution(W, p0, tau, L, t1)
     d2 = skeleton_distribution(W, p0, tau, L, t2)
     tv = tvd(d1, d2)
@@ -169,8 +161,8 @@ def verify_path_inequalities(
     in_domain = arg <= math.pi / 2.0
     sin_rhs = math.sin(arg) if in_domain else 1.0
     arccos_lhs = math.acos(bh)
-    tvd_ok = (tv <= sin_rhs + _PATH_SLACK) if in_domain else True
-    bhat_ok = (arccos_lhs <= arg + _PATH_SLACK) if in_domain else True
+    tvd_ok = (tv <= sin_rhs + RATIO_SLACK) if in_domain else True
+    bhat_ok = (arccos_lhs <= arg + RATIO_SLACK) if in_domain else True
     return PathInequalityReport(
         tvd_path=tv,
         bhat_path=bh,

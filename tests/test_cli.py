@@ -484,24 +484,45 @@ def tally_from_reports(n_models, seed, t_grid, mode="standard", n_list=(2, 3, 4)
 
 class TestStressTally:
     GRID = np.geomspace(1e-2, 10.0, 6)
+    # out to t = 1e3 the models of a stack refine the activity quadrature to
+    # unequal open-panel counts, so its integrand is called on a subset of
+    # the stack; the default grid never does
+    WIDE_GRID = np.geomspace(1e-2, 1e3, 4)
 
     @pytest.mark.parametrize(
-        "n_models, n_list, seed, mode",
+        "n_models, n_list, seed, mode, grid",
         [
-            pytest.param(9, (2, 3, 4), 777, "standard", id="777-standard"),
-            pytest.param(9, (2, 3, 4), 2_024, "tight", id="2024-tight"),
+            pytest.param(9, (2, 3, 4), 777, "standard", GRID, id="777-standard"),
+            pytest.param(9, (2, 3, 4), 2_024, "tight", GRID, id="2024-tight"),
             # the 7-state group holds one model
-            pytest.param(10, (2, 3, 4, 7), 777, "standard", id="777-standard-7states"),
-            pytest.param(10, (2, 3, 4, 7), 2_024, "tight", id="2024-tight-7states"),
+            pytest.param(10, (2, 3, 4, 7), 777, "standard", GRID, id="777-standard-7states"),
+            pytest.param(10, (2, 3, 4, 7), 2_024, "tight", GRID, id="2024-tight-7states"),
+            pytest.param(9, (2, 3, 4), 2_024, "tight", WIDE_GRID, id="2024-tight-wide"),
+            pytest.param(
+                10, (2, 3, 4, 7), 2_024, "tight", WIDE_GRID, id="2024-tight-7states-wide"
+            ),
         ],
     )
-    def test_array_tally_equals_report_tally(self, tmp_path, n_models, n_list, seed, mode):
+    def test_array_tally_equals_report_tally(
+        self, tmp_path, monkeypatch, n_models, n_list, seed, mode, grid
+    ):
+        subsets = []
+        real_activity = bounds._Plan._activity
+
+        def spy(plan, ts, models=None):
+            stack = math.prod(plan.W.w.shape[:-2])
+            subsets.append(models is not None and models.size < stack)
+            return real_activity(plan, ts, models)
+
+        monkeypatch.setattr(bounds._Plan, "_activity", spy)
         out = tmp_path / "tally.json"
         _, tally = cmd_stress(
-            n_models=n_models, n_list=n_list, seed=seed, t_grid=self.GRID, cmax_mode=mode,
+            n_models=n_models, n_list=n_list, seed=seed, t_grid=grid, cmax_mode=mode,
             output_path=str(out),
         )
-        assert tally == tally_from_reports(n_models, seed, self.GRID, mode, n_list)
+        if grid is self.WIDE_GRID:
+            assert any(subsets)
+        assert tally == tally_from_reports(n_models, seed, grid, mode, n_list)
         assert json.loads(out.read_text())["tally"] == tally
 
     def test_sweep_output_is_pinned(self, tmp_path):
@@ -693,6 +714,24 @@ class TestMainEntry:
             warnings.simplefilter("error")
             assert main(["response", "--drive", "pulse", "--tgrid", "nan:1:3:lin", "--out", out]) == 2
             assert main(["check", "--states", "3", "--tgrid", "0:inf:3:lin", "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "command, blocked", [("figure2", "fig2a.csv"), ("figure3", "fig3a.csv")]
+    )
+    def test_unwritable_figure_exits_two(self, tmp_path, command, blocked, capsys):
+        # a directory in the place of a figure file: main maps the OSError to 2
+        (tmp_path / blocked).mkdir()
+        args = ["--models", "2"] if command == "figure2" else []
+        assert main([command, *args, "--out", str(tmp_path)]) == 2
+        assert blocked in capsys.readouterr().err
+
+    def test_stress_subcommand_writes_the_bytes_of_a_direct_call(self, tmp_path):
+        via_main, direct = tmp_path / "main.json", tmp_path / "direct.json"
+        args = ["--models", "6", "--seed", "2024", "--tgrid", "0.01:10:4:log"]
+        assert main(["stress", *args, "--out", str(via_main)]) == 0
+        grid = np.geomspace(1e-2, 10.0, 4)
+        assert cmd_stress(n_models=6, seed=2_024, t_grid=grid, output_path=str(direct))[0] == 0
+        assert via_main.read_bytes() == direct.read_bytes()
 
     def test_check_runs_without_scipy(self, tmp_path):
         # the Jordan chain 0 -> 1 -> 2 -> 3 is defective, so every product

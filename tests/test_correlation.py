@@ -24,6 +24,7 @@ from corrbound.errors import (
     TooFewSamplesError,
 )
 from corrbound.correlation import _sample_states_at
+from corrbound.markov import _propagator_apply
 from conftest import model_sweep
 
 
@@ -92,6 +93,25 @@ class TestCorrelationDerivative:
                 assert correlation_derivative(W, p0, S, S, t) == pytest.approx(
                     fd, abs=1e-6
                 )
+
+
+class TestCorrelatorsReadThePlan:
+    """two_point and correlation_derivative read the evaluation plan; they
+    keep the bits of the direct matrix-vector formulas they replaced."""
+
+    TIMES = (0.0, 1e-3, 0.1, 0.5, 1.0, 3.7, 10.0, 100.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 30])
+    def test_equal_to_the_direct_formulas_bit_for_bit(self, n):
+        for seed in range(4):
+            W, p0, S = random_model(n, seed)
+            T = ScoreVector(np.cos(np.arange(n)))
+            for t in self.TIMES:
+                at = np.array([t])
+                corr = float(T.s @ _propagator_apply(W, S.s * p0.p, at)[0])
+                slope = float(T.s @ _propagator_apply(W, W.w @ (S.s * p0.p), at)[0])
+                assert two_point(W, p0, S, T, t) == corr
+                assert correlation_derivative(W, p0, S, T, t) == slope
 
 
 class TestMultipoint:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrbound import FiniteDistribution, bhattacharyya, tvd
-from corrbound.errors import KeyMismatchError, NotNormalizedError
+from corrbound.errors import (
+    KeyMismatchError,
+    NegativeProbabilityError,
+    NonFiniteError,
+    NotNormalizedError,
+)
 
 
 def dist(values, keys=None):
@@ -32,6 +37,21 @@ class TestConstruction:
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalizedError):
             dist([0.5, 0.4])
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([math.nan, math.nan], NonFiniteError),
+            ([0.5, math.nan], NonFiniteError),
+            ([math.inf, 0.0], NonFiniteError),
+            ([1.0, math.inf], NonFiniteError),
+            # -inf is a negative weight
+            ([math.inf, -math.inf], NegativeProbabilityError),
+        ],
+    )
+    def test_non_finite_weights_rejected(self, values, error):
+        with pytest.raises(error):
+            dist(values)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(KeyMismatchError):

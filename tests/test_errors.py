@@ -1,0 +1,95 @@
+"""Every domain error is a typed ``CorrboundError``.
+
+One row per raise site that no other test reaches: the call and the exact
+error type it must raise.
+"""
+
+import numpy as np
+import pytest
+
+from corrbound import (
+    ProbVector,
+    PulseDrive,
+    SampledDrive,
+    ScoreVector,
+    Trajectory,
+    bound_main,
+    bound_multipoint,
+    bound_onepoint,
+    canonical_perturbation,
+    cmax,
+    convolved_shift,
+    load_model,
+    make_rng,
+    multipoint,
+    perturbed_oracle,
+    random_model,
+    skeleton_distribution,
+    steady_state,
+)
+from corrbound.cli import RunConfig, _parse_tgrid, cmd_response, evaluate_bounds
+from corrbound.errors import (
+    BadDimensionError,
+    BadIntervalError,
+    CorrboundError,
+    NegativeRateError,
+    NonFiniteError,
+    NonPositiveTimeError,
+    StepTooLargeError,
+    TimesNotSortedError,
+)
+from corrbound.linear_response import Perturbation
+
+W, P0, S = random_model(3, 1)
+DRIVE = SampledDrive(np.linspace(0.0, 2.0, 5), np.ones(5))
+
+CASES = [
+    ("scaled-negative", lambda: W.scaled(-1.0), NegativeRateError),
+    ("prob-vector-2d", lambda: ProbVector(np.full((2, 2), 0.25)), BadDimensionError),
+    ("score-vector-2d", lambda: ScoreVector(np.zeros((2, 2))), BadDimensionError),
+    ("rng-negative-seed", lambda: make_rng(-1), BadDimensionError),
+    ("model-not-an-object", lambda: load_model([1, 2]), BadDimensionError),
+    ("bound-main-reversed", lambda: bound_main(W, P0, S, S, 2.0, 1.0), BadIntervalError),
+    ("trajectory-negative-horizon", lambda: Trajectory(0, (), -1.0), BadIntervalError),
+    ("skeleton-zero-tau", lambda: skeleton_distribution(W, P0, 0.0, 2, 0.0), BadIntervalError),
+    ("config-empty-grid", lambda: RunConfig(t_grid=[]), CorrboundError),
+    ("config-unsorted-grid", lambda: RunConfig(t_grid=[1.0, 0.5]), CorrboundError),
+    ("config-no-bounds", lambda: RunConfig(t_grid=[1.0], bounds=()), CorrboundError),
+    ("evaluate-unknown-bound", lambda: evaluate_bounds(W, P0, S, S, [1.0], ("BOGUS",)), CorrboundError),
+    ("tgrid-unknown-kind", lambda: _parse_tgrid("0:1:3:cubic"), CorrboundError),
+    ("response-unknown-drive", lambda: cmd_response("bogus"), CorrboundError),
+    ("onepoint-unknown-variant", lambda: bound_onepoint(W, P0, S, 1.0, "bogus"), CorrboundError),
+    (
+        "multipoint-unknown-variant",
+        lambda: bound_multipoint(W, P0, [S, S], [0.0, 1.0], "bogus"),
+        CorrboundError,
+    ),
+    ("cmax-unknown-mode", lambda: cmax(S, S, "bogus"), CorrboundError),
+    ("multipoint-no-times", lambda: multipoint(W, P0, [], []), TimesNotSortedError),
+    ("pulse-zero-width", lambda: PulseDrive(width=0.0), NonPositiveTimeError),
+    (
+        "sampled-drive-mismatch",
+        lambda: SampledDrive(np.array([0.0, 1.0, 2.0]), np.ones(2)),
+        NonFiniteError,
+    ),
+    ("perturbation-non-square", lambda: Perturbation(np.zeros((2, 3)), 0.1, DRIVE), NonFiniteError),
+    (
+        "convolution-zero-step",
+        lambda: convolved_shift(
+            W, steady_state(W), canonical_perturbation(W, S), S, 0.01, DRIVE, 1.0, 0.0
+        ),
+        StepTooLargeError,
+    ),
+    (
+        "oracle-zero-step",
+        lambda: perturbed_oracle(W, canonical_perturbation(W, S), 0.01, DRIVE, 1.0, 0.0),
+        StepTooLargeError,
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_raise_site_has_its_type(call, error):
+    with pytest.raises(CorrboundError) as info:
+        call()
+    assert type(info.value) is error

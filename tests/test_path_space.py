@@ -13,6 +13,7 @@ from corrbound import (
     eta,
     geodesic_arg,
     propagate,
+    random_model,
     skeleton_distribution,
     tvd,
     two_point,
@@ -25,7 +26,7 @@ from corrbound.errors import (
     NegativeTimeError,
     TooManyPathsError,
 )
-from corrbound.path_space import _survival
+from corrbound.markov import _survival
 from conftest import model_sweep
 
 
@@ -108,6 +109,13 @@ class TestSkeletonDistribution:
         monkeypatch.setattr(path_space, "propagator", lambda W, t: bad)
         with pytest.raises(NegativeProbabilityError):
             skeleton_distribution(W, p0, 1.0, 2, 1.0)
+
+    def test_law_does_not_depend_on_tau(self):
+        # the one-step matrix is e^{W t / L}, whatever the horizon tau
+        W, p0, _ = random_model(3, 8)
+        ref = skeleton_distribution(W, p0, 1.0, 3, 0.6).probs
+        for tau in (0.6, 2.5, 1e3):
+            assert np.array_equal(skeleton_distribution(W, p0, tau, 3, 0.6).probs, ref)
 
     def test_negative_time_rejected(self, decay_model):
         W, p0, _, _ = decay_model
@@ -237,6 +245,21 @@ class TestVerifyPathInequalities:
             verify_path_inequalities(W, p0, 1.0, 2, 0.8, 0.4)
         with pytest.raises(BadIntervalError):
             verify_path_inequalities(W, p0, 1.0, 2, 0.0, 1.5)
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        # both skeletons and the activity integral share the eigenbasis of W
+        calls = []
+        real_eig = np.linalg.eig
+
+        def counting(a):
+            calls.append(a.shape)
+            return real_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        W, p0, _ = random_model(3, 5)
+        r = verify_path_inequalities(W, p0, 1.0, 3, 0.25, 0.75)
+        assert r.tvd_ok and r.bhat_ok
+        assert len(calls) == 1
 
     def test_random_models_inside_domain(self):
         rng = np.random.default_rng(12)
