@@ -25,10 +25,10 @@ sum over the intervals between neighbouring knots, each refined to
 GEODESIC_ATOL / intervals, so every interval is within GEODESIC_ATOL.
 The adaptive Gauss-Legendre quadrature is level-synchronous: at each
 refinement level the 10 and 21 nodes of every open panel of every
-interval go to A(t) in one batch per open-panel count (one for a single
-model), and only the panels whose two estimates disagree are bisected
-for the next level (``_integral_apply`` splits a large batch into blocks
-of bounded memory). A non-finite integrand, more than
+interval go to A(t) in one batch per level, shared by every model of a
+stack, and only the panels whose two estimates disagree for some model
+are bisected for the next level (``_integral_apply`` splits a large batch
+into blocks of bounded memory). A non-finite integrand, more than
 ``_QUAD_MAX_PANELS`` open panels in one interval at one level, or a
 panel still open after 20 levels raises instead of
 returning a silently loose value; the panel cap keeps a refinement that
@@ -147,75 +147,62 @@ _GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
 
 
 def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
-    """Level-synchronous panel-adaptive Gauss-Legendre over many intervals.
+    """Level-synchronous panel-adaptive Gauss-Legendre over many intervals,
+    for one model or a whole stack at once.
 
-    ``lo``, ``hi`` and ``tol`` are arrays with one entry per interval,
-    after a leading model axis for the intervals of a stack of models;
-    returns the integral of ``f`` over each interval. At every refinement
-    level the 10 and 21 nodes of the open panels go to ``f`` in one call
-    per open-panel count, as ``f(nodes, models)``: ``models`` are the
-    (ascending) indices of the models with that many open panels, and
-    ``nodes`` holds one row per model. A product's bits depend on its row
-    count, so only models with equal counts share a call and the 10- and
-    21-node sums over it. A panel whose embedded 10/21-node estimates agree
-    within its tolerance adds its 21-node value to its interval; any other
-    panel is bisected, each half with half the tolerance. Each model's
-    panels keep the order they would have alone, so its integrals are those
-    of a quadrature of its intervals alone. Non-finite values, more than
+    ``lo``, ``hi`` and ``tol`` are 1-d arrays with one entry per interval,
+    shared by every model. At every refinement level the 10 and 21 nodes of
+    the open panels go to ``f`` in one call, as one 1-d array; ``f``
+    returns their values after a leading model axis, or without one for a
+    single model, and the result has one integral per model and interval
+    in the same layout. A panel whose embedded 10/21-node estimates agree
+    within its tolerance adds its 21-node value to its interval, for each
+    model where they agree; that model ignores its descendants. A panel
+    stays open, bisected with half the tolerance per half, while any model
+    it is live for still disagrees. Each model thus adds the panels it adds
+    alone, in the same order. Non-finite values at a live panel, more than
     ``_QUAD_MAX_PANELS`` open panels of one interval at one level, or a
     panel still open after ``_QUAD_MAX_DEPTH`` levels are hard errors
     naming a failing panel.
     """
-    shape = np.atleast_1d(lo).shape
-    lo, hi, tol = (np.array(x, dtype=float, ndmin=2) for x in (lo, hi, tol))
-    models, per_model = lo.shape
-    lo, hi, tol = lo.ravel(), hi.ravel(), tol.ravel()
-    totals = np.zeros(lo.size)
+    lo, hi, tol = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi, tol))
     owner = np.arange(lo.size)
+    live = True  # models x panels once the model count is known
     n_lo = _GL_LO[0].size
     for depth in range(_QUAD_MAX_DEPTH + 1):
-        if owner.size == 0:
-            break
-        model = owner // per_model
-        counts = np.bincount(model, minlength=models)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        coarse, fine = np.empty(owner.size), np.empty(owner.size)
-        finite = np.empty(owner.size, dtype=bool)
-        for c in sorted(set(counts.tolist()) - {0}):
-            group = (counts == c).nonzero()[0]
-            # panels lie model by model: one row of c panels per model
-            rows = (counts[model] == c).nonzero()[0].reshape(group.size, c)
-            nodes = mid[rows, None] + half[rows, None] * _GL_NODES
-            v = f(nodes.reshape(group.size, -1), group).reshape(nodes.shape)
-            finite[rows] = np.isfinite(v).all(axis=-1)
-            coarse[rows], fine[rows] = v[..., :n_lo] @ _GL_LO[1], v[..., n_lo:] @ _GL_HI[1]
-        if not finite.all():
-            k = np.flatnonzero(~finite)[0]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()))
+        if depth == 0:  # flat totals: the intervals of model m start at m * intervals
+            shape = v.shape[:-1] + tol.shape
+            models = math.prod(shape[:-1])
+            totals, start = np.zeros(models * tol.size), tol.size * np.arange(models)[:, None]
+        v = v.reshape(models, lo.size, _GL_NODES.size)
+        coarse, fine = half * (v[..., :n_lo] @ _GL_LO[1]), half * (v[..., n_lo:] @ _GL_HI[1])
+        # every panel of a level has been halved `depth` times, and so has its tolerance
+        done = np.abs(fine - coarse) <= np.maximum(np.ldexp(tol[owner], -depth), 1e-16)
+        np.add.at(totals, (start + owner)[live & done], fine[live & done])
+        live = live & ~done
+        # a non-finite value never agrees, so its panel is still live
+        open_values = v[live]
+        if not np.isfinite(open_values).all():
+            k = np.nonzero(live & ~np.isfinite(v).all(axis=-1))[1][0]
             raise QuadratureError(
                 f"activity integrand is not finite on [{float(lo[k])}, {float(hi[k])}]"
             )
-        coarse, fine = half * coarse, half * fine
-        done = np.abs(fine - coarse) <= np.maximum(tol, 1e-16)
-        np.add.at(totals, owner[done], fine[done])
-        open_ = ~done
-        if not open_.any():
+        if open_values.size == 0:
             break
+        open_ = live.any(axis=0)
         # bisection doubles each interval's open panels for the next level
-        crowded = 2 * np.bincount(owner[open_], minlength=totals.size) > _QUAD_MAX_PANELS
+        crowded = 2 * np.bincount(owner[open_], minlength=tol.size) > _QUAD_MAX_PANELS
         stuck = open_ & crowded[owner] if depth < _QUAD_MAX_DEPTH else open_
         if stuck.any():
             k = np.flatnonzero(stuck)[0]
             raise QuadratureError(
                 f"activity integral did not converge on [{float(lo[k])}, {float(hi[k])}]"
             )
-        lo, mid, hi, owner = lo[open_], mid[open_], hi[open_], owner[open_]
+        lo, mid, hi = lo[open_], mid[open_], hi[open_]
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        tol = np.tile(0.5 * tol[open_], 2)
-        owner = np.tile(owner, 2)
-        if models > 1:  # left halves, then right halves, of each model in turn
-            order = np.argsort(owner // per_model, kind="stable")
-            lo, hi, tol, owner = lo[order], hi[order], tol[order], owner[order]
+        owner, live = np.tile(owner[open_], 2), np.tile(live[:, open_], 2)
     return totals.reshape(shape)
 
 
@@ -335,15 +322,9 @@ class _Plan:
         """The J-point correlation of the probes at each knot."""
         return _chain(self.W, self.p0.p, *self.probes)
 
-    def _activity(self, ts: np.ndarray, models=None) -> np.ndarray:
-        """A at the times ts; with ``models``, for those models of a stack
-        alone, at one row of times each, on the stack's eigenbases."""
-        p0, escape = self.p0.p, self.W.escape
-        if models is not None and models.size < math.prod(self.W.w.shape[:-2]):
-            p0, escape = p0[models], escape[models]
-        else:
-            models = None
-        return np.clip(_integral_apply(self.W, p0, ts, escape, models), 0.0, None)
+    def _activity(self, ts: np.ndarray) -> np.ndarray:
+        """A at the times ts, shared by every model of a stack."""
+        return np.clip(_integral_apply(self.W, self.p0.p, ts, self.W.escape), 0.0, None)
 
     @cached_property
     def activity(self) -> np.ndarray:
@@ -360,13 +341,12 @@ class _Plan:
         """Activity integral from the first knot to each knot."""
         s = np.sqrt(self.knots)
 
-        def integrand(x: np.ndarray, models: np.ndarray) -> np.ndarray:
-            return np.sqrt(self._activity(x * x, models)) / x
+        def integrand(x: np.ndarray) -> np.ndarray:
+            return np.sqrt(self._activity(x * x)) / x
 
         tol = np.full(s.size - 1, GEODESIC_ATOL / max(s.size - 1, 1))
+        panels = _adaptive_gauss_legendre(integrand, s[:-1], s[1:], tol)
         lead = self.W.w.shape[:-2]
-        ends = np.repeat([s[:-1], s[1:], tol], math.prod(lead), axis=0)
-        panels = _adaptive_gauss_legendre(integrand, *ends.reshape((3,) + lead + tol.shape))
         return np.concatenate((np.zeros(lead + (1,)), np.cumsum(panels, axis=-1)), axis=-1)
 
     def arg(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -101,6 +101,9 @@ class RunConfig:
             raise CorrboundError("time grid must be sorted and non-negative")
         if not self.bounds:
             raise CorrboundError("at least one bound must be selected")
+        if not (math.isfinite(self.rhs_scale) and self.rhs_scale >= 0.0):
+            # a negative or infinite scale passes every bound, nan fails each
+            raise CorrboundError(f"rhs scale must be finite and >= 0, got {self.rhs_scale}")
         unknown = set(self.bounds) - set(BOUND_IDS)
         if unknown:
             raise CorrboundError(f"unknown bound ids: {sorted(unknown)}")

@@ -37,9 +37,18 @@ of a stack gets the same numbers, bit for bit, as when it is alone: BLAS
 results depend on a product's row count, so the models are batched only
 with others of the same regime and the same arithmetic (a real spectrum
 stays real, as ``np.linalg.eig`` returns it for one model), and every
-model of a call has the same times (shared, or one row per model). A
-caller whose models need different numbers of times calls once per number,
-with their indices as ``models``, evaluated on the stack's own eigenbases.
+model of a call has the same times (shared, or one row per model).
+
+The activity quadrature of ``bounds`` refines a stack as one: each level
+evaluates every model at the nodes of the panels still open for any of
+them. A stacked model gets its single-model numbers bit for bit whenever the
+models of its stack refine alike, as on every default-grid sweep, where all
+panels converge at the first level. Where they refine differently, a
+model's rows come from a call with more rows than it has alone, and BLAS
+blocking can move their last bit. On stacks of 12 rate-scaled random models
+with 7, 8 or 64 states and knots 0, 0.5, 1, 100 and 1000, at most two models
+of a stack moved, by at most 1.9e-16 relative in the activity integral
+(``tests/test_bounds.py::TestStackedPlan``).
 
 Tolerances in rate dimension are relative to the largest escape rate max R,
 with no unit floor, so no result depends on the rate unit (max R = max|W|:
@@ -489,8 +498,7 @@ def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.n
 
 
 def _integral_apply(
-    W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None,
-    models: np.ndarray | None = None,
+    W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None
 ) -> np.ndarray:
     """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times, or
     with ``left`` given their dot products with it; ``vec`` is one vector
@@ -498,25 +506,22 @@ def _integral_apply(
 
     For a stack W, ``vec`` and ``left`` lead with the model axis, and
     ``times`` is one array shared by every model or one row of times per
-    model; the rows lead with the model axis too. ``models``, ascending
-    indices of models of the stack, evaluates those models alone, on the
-    stack's own eigenbases: ``vec``, ``times``, ``left`` and the rows then
-    lead with one row per model of ``models``.
+    model; the rows lead with the model axis too.
 
     Quadratures over the dynamical activity call this in batch, with
-    ``left`` the escape rates, one call per group of models.
+    ``left`` the escape rates and the nodes of a level shared by the stack.
     """
-    return _apply(_integral_block, W, vec, times, left, models)
+    return _apply(_integral_block, W, vec, times, left)
 
 
-def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarray:
+def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
     """The evaluation loop of both primitives, in the layouts of
     ``_integral_apply``: ``block(basis, vec, times)`` on each regime of W in
     blocks of at most ``_APPLY_ELEMENTS`` elements, each model's times cut as
     for that model alone, and each block's rows contracted with ``left``
     before the next block is evaluated."""
     times, vec = np.asarray(times, dtype=float), np.asarray(vec)
-    lead, n = (W.w.shape[:-2] if models is None else models.shape), W.n
+    lead, n = W.w.shape[:-2], W.n
     m = math.prod(lead)
     vec = vec.reshape(m, -1, n)
     per_time = vec.shape[1] > 1
@@ -526,21 +531,14 @@ def _apply(block, W: RateMatrix, vec, times, left=None, models=None) -> np.ndarr
     c = times.shape[1]
     out = np.empty((m, c) + ((n,) if left is None else ()))
     for basis, index in W._regimes:
-        # the positions of the evaluated models on the regime's basis (all
-        # of them without `models`), and their rows in the call
-        pos = None if models is None else np.flatnonzero(np.isin(index, models))
-        rows = index if models is None else np.searchsorted(models, index[pos])
         width = n if isinstance(basis, _Spectral) else 4 * (n + 1) ** 2
         step = max(_APPLY_ELEMENTS // width, 1)
         # each model's times in blocks of `step`, as for one model; and as
         # many models per block as the memory cap leaves room for
         per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
-        for j in range(0, rows.size, per):
-            sel = _run(rows[j:j + per])
-            if rows.size == index.size <= per:
-                chunk = basis
-            else:
-                chunk = basis[slice(j, j + per) if pos is None else _run(pos[j:j + per])]
+        for j in range(0, index.size, per):
+            sel = _run(index[j:j + per])
+            chunk = basis if index.size <= per else basis[j:j + per]
             for i in range(0, c, step):
                 at = (sel, slice(i, i + step))
                 ts = times[:, i:i + step] if shared else times[at]

@@ -197,20 +197,20 @@ class TestActivityQuadrature:
         lo, hi = np.array([0.0, 0.5, 2.0, 2.0]), np.array([0.5, 2.0, 9.0, 2.5])
         tol = np.array([1e-12, 1e-9, 1e-6, 1e-13])
 
-        def f(x, counts):
+        def f(x):
             return 1.0 / (1e-3 + (x - 0.4) ** 2) + np.sqrt(1.0 + x)
 
         both = _adaptive_gauss_legendre(f, lo, hi, tol)
         alone = [_adaptive_gauss_legendre(f, *panel)[0] for panel in zip(lo, hi, tol)]
         np.testing.assert_allclose(both, alone, rtol=1e-14, atol=0)
         for got, a, b in zip(both, lo, hi):
-            ref, _ = scipy.integrate.quad(f, a, b, args=(None,), epsabs=1e-13, limit=200)
+            ref, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, limit=200)
             assert abs(got - ref) < 1e-6
 
     def test_one_integrand_call_per_level(self):
         calls = []
 
-        def f(x, counts):
+        def f(x):
             calls.append(x.size)
             return 1.0 / (1e-3 + (x - 0.3) ** 2)
 
@@ -219,14 +219,16 @@ class TestActivityQuadrature:
         assert all(size % 31 == 0 for size in calls)
         assert len(calls) <= bounds._QUAD_MAX_DEPTH + 1
 
-    def test_no_intervals_no_call(self):
-        got = _adaptive_gauss_legendre(None, [], [], [])
-        assert got.shape == (0,)
+    def test_no_intervals_no_integrals(self):
+        # one call on no nodes tells the model axis of the empty result
+        assert _adaptive_gauss_legendre(lambda x: x, [], [], []).shape == (0,)
+        stack = _adaptive_gauss_legendre(lambda x: np.stack((x, x)), [], [], [])
+        assert stack.shape == (2, 0)
 
     def test_unconverged_refinement_raises(self, monkeypatch):
         monkeypatch.setattr(bounds, "_QUAD_MAX_DEPTH", 0)
         with pytest.raises(QuadratureError, match=r"\[-1.0, 1.0\]"):
-            _adaptive_gauss_legendre(lambda x, _: np.abs(x), [0.0, -1.0], [1.0, 1.0], [1e-9, 1e-9])
+            _adaptive_gauss_legendre(lambda x: np.abs(x), [0.0, -1.0], [1.0, 1.0], [1e-9, 1e-9])
         W, p0 = stiff_chain(0)
         with pytest.raises(QuadratureError):
             geodesic_arg(W, p0, 0.0, 1e4)
@@ -234,9 +236,9 @@ class TestActivityQuadrature:
     @pytest.mark.parametrize(
         "f, match",
         [
-            (lambda x, _: np.full(x.shape, np.nan), "not finite"),
+            (lambda x: np.full(x.shape, np.nan), "not finite"),
             # roundoff of a 1e10 panel stays above every halved tolerance
-            (lambda x, _: np.full(x.shape, 1e10), "did not converge"),
+            (lambda x: np.full(x.shape, 1e10), "did not converge"),
         ],
     )
     def test_hopeless_refinement_fails_fast(self, f, match):
@@ -244,9 +246,9 @@ class TestActivityQuadrature:
         # the first level, long before 2^20 panels per interval
         nodes = []
 
-        def counted(x, counts):
+        def counted(x):
             nodes.append(x.size)
-            return f(x, counts)
+            return f(x)
 
         lo, hi = np.arange(40.0), np.arange(1.0, 41.0)
         with pytest.raises(QuadratureError, match=match):
@@ -258,7 +260,7 @@ class TestActivityQuadrature:
         # panels open per level in total, but only one or two per interval
         opened = []
 
-        def f(x, counts):
+        def f(x):
             opened.append(x.size // 31)
             return np.abs(np.sin(np.pi * x))
 
@@ -351,21 +353,25 @@ class TestStackedPlan:
         models = [(*stiff_chain(seed), scores) for seed in range(4)]
         models += [random_model(6, seed) for seed in range(4)]
         W, p0, S = (markov._stack(list(v)) for v in zip(*models))
-        rows = []
+        quadratures = []  # the integrand calls of each quadrature
         real_quad = bounds._adaptive_gauss_legendre
 
         def recording(f, *ends):
-            def counted(nodes, models):
-                rows.append(len(nodes))
-                return f(nodes, models)
+            calls = []
+            quadratures.append(calls)
+
+            def counted(nodes):
+                values = f(nodes)
+                calls.append((nodes.size, values.shape[:-1]))
+                return values
 
             return real_quad(counted, *ends)
 
         monkeypatch.setattr(bounds, "_adaptive_gauss_legendre", recording)
         stacked = _Plan(W, p0, self.KNOTS, S, S, "tight", chi=0.3)
         stacked.arc
-        assert rows[0] == len(models)
-        assert min(rows) < len(models)  # a level with unequal panel counts
+        # every level evaluates the whole stack
+        assert all(lead == (len(models),) for _, lead in quadratures[0])
         half = self.KNOTS / 2
         for j, (Wj, pj, Sj) in enumerate(models):
             alone = _Plan(Wj, pj, self.KNOTS, Sj, Sj, "tight", chi=0.3)
@@ -378,6 +384,47 @@ class TestStackedPlan:
                 expect = start[1].sides(bid, t1, t2)
                 for a, b in zip(got, expect):
                     assert (a is None and b is None) or np.array_equal(a[j], b), bid
+        # the models alone refine to different node counts
+        assert len({tuple(size for size, _ in calls) for calls in quadratures[1:]}) > 1
+
+    @staticmethod
+    def rate_scaled(n):
+        """12 random models with rates scaled from 10^-1.5 to 10^1.25."""
+        models = [random_model(n, 100 + j) for j in range(12)]
+        return [(W.scaled(10.0 ** (j / 4 - 1.5)), p0, S) for j, (W, p0, S) in enumerate(models)]
+
+    @pytest.mark.parametrize("n", [7, 8, 64])
+    def test_unequal_refinement_moves_at_most_the_last_bit(self, n, monkeypatch):
+        # the stack is evaluated at the union of its models' open panels, in
+        # calls with more rows than a model has alone; BLAS blocking may then
+        # move a last bit, but the model still accepts its own panels
+        models = self.rate_scaled(n)
+        knots = np.array([0.0, 0.5, 1.0, 100.0, 1000.0])
+        W, p0, _ = (markov._stack(list(v)) for v in zip(*models))
+        stacked = _Plan(W, p0, knots).arc
+        nodes = []
+        real_activity = bounds._Plan._activity
+
+        def counted(plan, ts):
+            nodes[-1] += np.size(ts)
+            return real_activity(plan, ts)
+
+        monkeypatch.setattr(bounds._Plan, "_activity", counted)
+        for j, (Wj, pj, _) in enumerate(models):
+            nodes.append(0)
+            alone = _Plan(Wj, pj, knots).arc
+            np.testing.assert_allclose(stacked[j], alone, rtol=1e-15, atol=0)
+        assert len(set(nodes)) > 1  # the models refine differently
+
+    def test_equal_refinement_is_bit_for_bit(self):
+        # on a default sweep grid every panel converges at the first level
+        grid = np.geomspace(1e-2, 10.0, 20)
+        knots = np.concatenate((grid / 2, grid))
+        models = self.rate_scaled(8)
+        W, p0, _ = (markov._stack(list(v)) for v in zip(*models))
+        stacked = _Plan(W, p0, knots).arc
+        for j, (Wj, pj, _) in enumerate(models):
+            assert np.array_equal(stacked[j], _Plan(Wj, pj, knots).arc), j
 
 
 class TestCmax:

@@ -33,6 +33,7 @@ from corrbound import (
 )
 from corrbound.bounds import fmt17
 from corrbound.cli import (
+    DEFAULT_BOUNDS,
     FIG2_RATIO_GRID,
     RunConfig,
     _json17,
@@ -211,6 +212,18 @@ class TestCmdCheck:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("scale", ["-0.5", "nan", "inf"])
+    def test_unusable_rhs_scale_exits_two(self, tmp_path, scale, capsys):
+        # a negative or infinite scale would pass every bound, and nan
+        # would fail every one
+        model = tmp_path / "model.json"
+        model.write_text(FIG2_JSON)
+        out = tmp_path / "out.csv"
+        argv = ["check", "--model", str(model), "--rhs-scale", scale, "--out", str(out)]
+        assert main(argv) == 2
+        assert "rhs scale must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_output(self, tmp_path):
         model = tmp_path / "model.json"
@@ -485,8 +498,8 @@ def tally_from_reports(n_models, seed, t_grid, mode="standard", n_list=(2, 3, 4)
 class TestStressTally:
     GRID = np.geomspace(1e-2, 10.0, 6)
     # out to t = 1e3 the models of a stack refine the activity quadrature to
-    # unequal open-panel counts, so its integrand is called on a subset of
-    # the stack; the default grid never does
+    # unequal open-panel counts, and the stack is evaluated at the union of
+    # their panels; on the default grid they all converge at the first level
     WIDE_GRID = np.geomspace(1e-2, 1e3, 4)
 
     @pytest.mark.parametrize(
@@ -506,13 +519,15 @@ class TestStressTally:
     def test_array_tally_equals_report_tally(
         self, tmp_path, monkeypatch, n_models, n_list, seed, mode, grid
     ):
-        subsets = []
+        calls = {}
         real_activity = bounds._Plan._activity
 
-        def spy(plan, ts, models=None):
-            stack = math.prod(plan.W.w.shape[:-2])
-            subsets.append(models is not None and models.size < stack)
-            return real_activity(plan, ts, models)
+        def spy(plan, ts):
+            values = real_activity(plan, ts)
+            # every call covers the whole stack
+            assert values.shape[:-1] == plan.W.w.shape[:-2]
+            calls.setdefault(plan, []).append(np.size(ts))
+            return values
 
         monkeypatch.setattr(bounds._Plan, "_activity", spy)
         out = tmp_path / "tally.json"
@@ -520,9 +535,14 @@ class TestStressTally:
             n_models=n_models, n_list=n_list, seed=seed, t_grid=grid, cmax_mode=mode,
             output_path=str(out),
         )
-        if grid is self.WIDE_GRID:
-            assert any(subsets)
+        stacked = set(calls)
         assert tally == tally_from_reports(n_models, seed, grid, mode, n_list)
+        if grid is self.WIDE_GRID:
+            # models of one stack refine to different node counts alone
+            alone = {}
+            for plan in set(calls) - stacked:
+                alone.setdefault(plan.W.n, set()).add(tuple(calls[plan]))
+            assert any(len(counts) > 1 for counts in alone.values())
         assert json.loads(out.read_text())["tally"] == tally
 
     def test_sweep_output_is_pinned(self, tmp_path):
@@ -836,6 +856,21 @@ class TestDefectReplays:
         if worst > 1.0 + bounds.RATIO_SLACK and worst != pytest.approx(ratio, abs=1e-3):
             pytest.fail(f"the slope fails another way: ratio {worst}")
         assert worst <= 1.0 + bounds.RATIO_SLACK, worst
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_stiffness_ladder(self, k):
+        # defect 4's recipe with one rate at 10^k, seeds 0-19: the activity
+        # quadrature converges and every bound but DERIV_EQ7 (defect 4
+        # itself) holds
+        grid = np.geomspace(1e-2, 10.0, 20)
+        for seed in range(20):
+            W, _, S = random_model(3, seed)
+            w = W.w.copy()
+            w[2, 1] = 1.4556 * 10.0**k * (1 + 0.1 * seed)
+            W, p0 = validate_rate_matrix(w), ProbVector(np.array([0.0, 1.0, 0.0]))
+            for r in evaluate_bounds(W, p0, S, S, grid, DEFAULT_BOUNDS):
+                if r.bound_id != "DERIV_EQ7":
+                    assert r.ratio <= 1.0 + bounds.RATIO_SLACK, (seed, r)
 
     def test_stiff_chain_quadrature(self, tmp_path, capsys):
         # A(t) on the expm path must be accurate below the halved panel

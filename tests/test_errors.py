@@ -55,6 +55,7 @@ CASES = [
     ("config-empty-grid", lambda: RunConfig(t_grid=[]), CorrboundError),
     ("config-unsorted-grid", lambda: RunConfig(t_grid=[1.0, 0.5]), CorrboundError),
     ("config-no-bounds", lambda: RunConfig(t_grid=[1.0], bounds=()), CorrboundError),
+    ("config-negative-rhs-scale", lambda: RunConfig(t_grid=[1.0], rhs_scale=-0.5), CorrboundError),
     ("evaluate-unknown-bound", lambda: evaluate_bounds(W, P0, S, S, [1.0], ("BOGUS",)), CorrboundError),
     ("tgrid-unknown-kind", lambda: _parse_tgrid("0:1:3:cubic"), CorrboundError),
     ("response-unknown-drive", lambda: cmd_response("bogus"), CorrboundError),

@@ -713,28 +713,6 @@ class TestModelStacks:
         assert _integral_apply(W, p0.p, np.empty(0), W.escape).shape == (len(models), 0)
         assert _integral_apply(models[0][0], p0.p[0], np.empty(0)).shape == (0, 4)
 
-    @pytest.mark.parametrize("picks", [[1, 2, 3], [0, 4, 5], [3]])
-    def test_sub_stack_rows_equal_per_model_calls(self, models, picks, monkeypatch):
-        # the models `picks` of the stack, evaluated on its eigenbases: the
-        # Jordan chain with a complex and a real spectrum; the two
-        # arithmetics; one real spectrum alone
-        W, _, _ = stack_of(models)
-        rng = np.random.default_rng(6)
-        own = rng.uniform(0.0, 4.0, (len(picks), 9))
-        vec, left = rng.standard_normal((2, len(picks), 4))
-        alone = [
-            _integral_apply(models[j][0], vec[i], own[i], left[i]) for i, j in enumerate(picks)
-        ]
-        W._spectral  # the stack's one decomposition
-
-        def no_eig(*args):
-            raise AssertionError("a subset of the stack decomposed its models again")
-
-        monkeypatch.setattr(np.linalg, "eig", no_eig)
-        rows = _integral_apply(W, vec, own, left, models=np.array(picks))
-        for i in range(len(picks)):
-            assert np.array_equal(rows[i], alone[i]), i
-
     def test_steady_states_equal_per_model_calls(self):
         models = [random_model(3, seed) for seed in range(8)]
         W, _, _ = stack_of(models)
