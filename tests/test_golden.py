@@ -35,7 +35,9 @@ ARTIFACTS = {
                             "--bounds", ",".join(BOUND_IDS), "--format", "json"]
         for n in (3, 12, 64)
     },
+    "check-12-tight.csv": ["check", "--states", "12", "--seed", "1", "--cmax", "tight"],
     **{f"response-{drive}.csv": ["response", "--drive", drive] for drive in ("pulse", "step")},
+    "response-step.json": ["response", "--drive", "step", "--format", "json"],
 }
 
 
