@@ -102,31 +102,27 @@ class BoundReport:
     def satisfied(self) -> bool:
         return self.ratio <= 1.0 + RATIO_SLACK
 
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.bound_id,
-                fmt17(self.t1),
-                fmt17(self.t2),
-                fmt17(self.lhs),
-                fmt17(self.rhs),
-                fmt17(self.ratio),
-                str(self.in_validity_domain).lower(),
-                self.cmax_mode,
-            )
+    def row(self) -> tuple:
+        """The fields in ``CSV_HEADER`` order."""
+        return (
+            self.bound_id, self.t1, self.t2, self.lhs, self.rhs, self.ratio,
+            self.in_validity_domain, self.cmax_mode,
         )
 
+    def csv_row(self) -> str:
+        return _csv_line(self.row())
+
     def as_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "t1": self.t1,
-            "t2": self.t2,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "in_domain": self.in_validity_domain,
-            "cmax_mode": self.cmax_mode,
-        }
+        return dict(zip(CSV_HEADER.split(","), self.row()))
+
+
+def _csv_line(cells) -> str:
+    """One CSV line: reals through ``fmt17``, booleans as true/false and
+    anything else through ``str``."""
+    return ",".join(
+        fmt17(c) if isinstance(c, float) else str(c).lower() if isinstance(c, bool) else str(c)
+        for c in cells
+    )
 
 
 def _ratio(lhs, rhs):

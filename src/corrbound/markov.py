@@ -37,7 +37,7 @@ of a stack gets the same numbers, bit for bit, as when it is alone: BLAS
 results depend on a product's row count, so the models are batched only
 with others of the same regime and the same arithmetic (a real spectrum
 stays real, as ``np.linalg.eig`` returns it for one model), and every
-model of a call has the same times (shared, or one row per model).
+model of a call has the same times.
 
 The activity quadrature of ``bounds`` refines a stack as one: each level
 evaluates every model at the nodes of the panels still open for any of
@@ -149,15 +149,15 @@ class _Spectral:
         """(e^{lam t} - 1)/lam elementwise, as expm1(z)/z * t with z = lam t.
 
         numpy's complex expm1 has no cancellation for small |z|; z = 0
-        (the pinned zero eigenvalue, or t = 0) gives exactly t. ``t`` has
-        one row of times per model (or one row for all); the result has a
-        trailing eigenvalue axis.
+        (the pinned zero eigenvalue, or t = 0) gives exactly t. ``t`` is one
+        1-d array of times for every model; the result has a trailing
+        eigenvalue axis.
         """
         return self._modes(_phi, t)
 
     def _modes(self, f, t) -> np.ndarray:
         """f(z, t) at z = lam t, for every eigenvalue lam and time t of the
-        rows ``t``, with a trailing eigenvalue axis.
+        1-d ``t``, with a trailing eigenvalue axis.
 
         ``np.linalg.eig`` returns the complex eigenvalues of a real generator
         in conjugate pairs a + bi, a - bi, side by side. f is evaluated on
@@ -170,21 +170,20 @@ class _Spectral:
         """
         t = np.asarray(t, dtype=float)
         if self._pairs is None:
-            return f(t[..., None] * self.lam[:, None, :], t[..., None])
+            return f(t[:, None] * self.lam[:, None, :], t[:, None])
         # eigenvalue-major, one row of times per evaluated eigenvalue, and one
         # contiguous copy into the layout of the products that take the values
-        ev, mirror, model, lam = self._pairs
-        te = t if len(t) == 1 else t[model]
-        out = np.empty((self.lam.size, t.shape[-1]), dtype=complex)
-        out[ev] = f(te * lam, te)
+        ev, mirror, lam = self._pairs
+        out = np.empty((self.lam.size, t.size), dtype=complex)
+        out[ev] = f(t * lam, t)
         out[mirror] = out[mirror - 1].conj()
-        return out.reshape(self.lam.shape + t.shape[-1:]).transpose(0, 2, 1).copy()
+        return out.reshape(self.lam.shape + t.shape).transpose(0, 2, 1).copy()
 
     @cached_property
     def _pairs(self):
         """For ``_modes``: the flat indices (models x eigenvalues) of the
-        evaluated and the mirrored eigenvalues, the model of each evaluated
-        one and its eigenvalue as a column; None when none is mirrored."""
+        evaluated and the mirrored eigenvalues, and each evaluated eigenvalue
+        as a column; None when none is mirrored."""
         lam = self.lam
         mirror = np.zeros(lam.shape, dtype=bool)
         if lam.dtype.kind == "c":
@@ -192,7 +191,7 @@ class _Spectral:
         if not mirror.any():
             return None
         ev = np.flatnonzero(~mirror)
-        return ev, np.flatnonzero(mirror), ev // lam.shape[1], lam.reshape(-1, 1)[ev]
+        return ev, np.flatnonzero(mirror), lam.reshape(-1, 1)[ev]
 
 
 def _phi(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -500,13 +499,12 @@ def _propagator_apply(W: RateMatrix, vec: np.ndarray, times: np.ndarray) -> np.n
 def _integral_apply(
     W: RateMatrix, vec: np.ndarray, times: np.ndarray, left: np.ndarray | None = None
 ) -> np.ndarray:
-    """Rows ``[int_0^t e^{W s} ds] @ vec`` for a whole array of times, or
+    """Rows ``[int_0^t e^{W s} ds] @ vec`` for the 1-d array ``times``, or
     with ``left`` given their dot products with it; ``vec`` is one vector
     or one row per time, and rows at t = 0 are 0.
 
-    For a stack W, ``vec`` and ``left`` lead with the model axis, and
-    ``times`` is one array shared by every model or one row of times per
-    model; the rows lead with the model axis too.
+    For a stack W, ``vec`` and ``left`` lead with the model axis, and every
+    model takes the same ``times``; the rows lead with the model axis too.
 
     Quadratures over the dynamical activity call this in batch, with
     ``left`` the escape rates and the nodes of a level shared by the stack.
@@ -526,9 +524,7 @@ def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
     vec = vec.reshape(m, -1, n)
     per_time = vec.shape[1] > 1
     left = None if left is None else left.reshape(m, n)
-    times = np.atleast_2d(times)
-    shared = len(times) < m  # one row of times for every model
-    c = times.shape[1]
+    c = times.size
     out = np.empty((m, c) + ((n,) if left is None else ()))
     for basis, index in W._regimes:
         width = n if isinstance(basis, _Spectral) else 4 * (n + 1) ** 2
@@ -541,8 +537,7 @@ def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
             chunk = basis if index.size <= per else basis[j:j + per]
             for i in range(0, c, step):
                 at = (sel, slice(i, i + step))
-                ts = times[:, i:i + step] if shared else times[at]
-                got = block(chunk, vec[at] if per_time else vec[sel], ts)
+                got = block(chunk, vec[at] if per_time else vec[sel], times[i:i + step])
                 # real rows first: folding left into V.T (a complex
                 # matrix-vector product) measured 1.6x slower on the
                 # hard_generators benchmark
@@ -559,16 +554,15 @@ def _run(index: np.ndarray):
 
 
 def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """e^{W t} vec for the models of one regime, at one row of times each
-    or one for all: ``basis`` is their _Spectral, or their rates for
-    ``_expm``; ``vec`` leads with the model axis. Rows at t = 0 are ``vec``
-    exactly."""
+    """e^{W t} vec for the models of one regime at the 1-d ``times``:
+    ``basis`` is their _Spectral, or their rates for ``_expm``; ``vec``
+    leads with the model axis. Rows at t = 0 are ``vec`` exactly."""
     if isinstance(basis, _Spectral):
         coeff = vec @ basis.Vinv.mT
         rows = np.real((basis.exp_t(times) * coeff) @ basis.basis.mT)
     else:
-        rows = (_expm(times[..., None, None] * basis[:, None]) @ vec[..., None])[..., 0]
-    return np.where(times[..., None] == 0.0, vec, rows)
+        rows = (_expm(times[:, None, None] * basis[:, None]) @ vec[..., None])[..., 0]
+    return np.where(times[:, None] == 0.0, vec, rows)
 
 
 def _integral_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -578,9 +572,9 @@ def _integral_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
         coeff = vec @ basis.Vinv.mT
         return np.real((basis.phi_t(times) * coeff) @ basis.basis.mT)
     n = basis.shape[-1]
-    aug = np.zeros((len(basis), times.shape[-1], n + 1, n + 1))
+    aug = np.zeros((len(basis), times.size, n + 1, n + 1))
     aug[..., :n, :n], aug[..., :n, n] = basis[:, None], vec
-    return _expm(aug * times[..., None, None])[..., :n, n]
+    return _expm(aug * times[:, None, None])[..., :n, n]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

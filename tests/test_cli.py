@@ -753,6 +753,14 @@ class TestMainEntry:
         assert cmd_stress(n_models=6, seed=2_024, t_grid=grid, output_path=str(direct))[0] == 0
         assert via_main.read_bytes() == direct.read_bytes()
 
+    def test_repeated_bound_id_is_written_once(self, tmp_path):
+        # each row was once written as often as its id was listed
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        args = ["check", "--states", "3", "--tgrid", "1:2:2:lin"]
+        assert main([*args, "--bounds", "MAIN_EQ5", "--out", str(once)]) == 0
+        assert main([*args, "--bounds", "MAIN_EQ5,MAIN_EQ5", "--out", str(twice)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_check_runs_without_scipy(self, tmp_path):
         # the Jordan chain 0 -> 1 -> 2 -> 3 is defective, so every product
         # takes the expm path; a fresh interpreter in which importing scipy

@@ -298,11 +298,11 @@ class TestPhiT:
 
     @staticmethod
     def phi(lam, t):
-        # a stack of one basis, with its times as one row
+        # a stack of one basis, with its times as one 1-d array
         lam = np.asarray(lam, dtype=complex)[None]
         eye = np.eye(lam.size)[None]
         t = np.asarray(t, dtype=float)
-        got = _Spectral(lam, eye, eye, np.arange(1)).phi_t(t.reshape(1, -1))
+        got = _Spectral(lam, eye, eye, np.arange(1)).phi_t(t.reshape(-1))
         return got.reshape(t.shape + (lam.size,))
 
     def check(self, lam, ts):
@@ -361,24 +361,20 @@ class TestModes:
         (sd,) = random_model(64, 0)[0]._spectral
         assert len(self.mirrored(sd)[1]) == 25
         assert np.count_nonzero(sd.lam == 0) == 1  # the pinned zero
-        self.check(sd, self.TIMES[None])
-        self.check(sd, np.zeros((1, 3)))
+        self.check(sd, self.TIMES)
+        self.check(sd, np.zeros(3))
 
     def test_stacks_with_pairs_at_different_positions(self):
         W, _, _ = stack_of([random_model(4, seed) for seed in range(16)])
         sd = next(sd for sd in W._spectral if sd.lam.dtype.kind == "c")
         models, positions = self.mirrored(sd)
         assert set(positions.tolist()) == {2, 3} and models.size == len(sd.lam)
-        rng = np.random.default_rng(7)
-        self.check(sd, self.TIMES[None])  # shared times
-        own = rng.uniform(0.0, 5.0, (len(sd.lam), 9))
-        own[::3, 4] = 0.0
-        self.check(sd, own)  # one row of times per model
+        self.check(sd, self.TIMES)
 
     def test_real_spectra_are_evaluated(self):
         (sd,) = random_model(4, 16)[0]._spectral
         assert sd.lam.dtype.kind == "f" and sd._pairs is None
-        self.check(sd, self.TIMES[None])
+        self.check(sd, self.TIMES)
 
     def test_lone_and_reversed_pairs_are_evaluated(self):
         # a pair at the front, a lone complex eigenvalue after its would-be
@@ -387,7 +383,7 @@ class TestModes:
         eye = np.eye(lam.shape[1])[None].astype(complex)
         sd = _Spectral(lam, eye, eye, np.arange(1))
         assert self.mirrored(sd)[1].tolist() == [1]
-        self.check(sd, self.TIMES[None])
+        self.check(sd, self.TIMES)
 
 
 class TestConditionGate:
@@ -687,14 +683,12 @@ class TestModelStacks:
         vec = rng.standard_normal((len(models), 4))
         per_time = rng.standard_normal((len(models), times.size, 4))
         left = rng.standard_normal((len(models), 4))
-        own = rng.uniform(0.0, 4.0, (len(models), 7))  # one row of times per model
         stacked = (
             _propagator_apply(W, vec, times),
             _propagator_apply(W, per_time, times),
             _integral_apply(W, vec, times),
             _integral_apply(W, vec, times, left),
             _integral_apply(W, per_time, times),
-            _integral_apply(W, vec, own, left),
         )
         for j, (Wj, _, _) in enumerate(models):
             alone = (
@@ -703,7 +697,6 @@ class TestModelStacks:
                 _integral_apply(Wj, vec[j], times),
                 _integral_apply(Wj, vec[j], times, left[j]),
                 _integral_apply(Wj, per_time[j], times),
-                _integral_apply(Wj, vec[j], own[j], left[j]),
             )
             for k, (a, b) in enumerate(zip((rows[j] for rows in stacked), alone)):
                 assert np.array_equal(a, b), (j, k)
