@@ -20,21 +20,25 @@ place where C(t), dC/dt and the J-point chain are formed: the exact
 correlators of ``correlation`` read it too.
 
 The activity integral is evaluated after substituting t = s^2, which
-removes the integrable endpoint singularity at t1 = 0, as a cumulative
-sum over the intervals between neighbouring knots, each refined to
-GEODESIC_ATOL / intervals, so every interval is within GEODESIC_ATOL.
-The adaptive Gauss-Legendre quadrature is level-synchronous: at each
-refinement level the 10 and 21 nodes of every open panel of every
-interval go to A(t) in one batch per level, shared by every model of a
-stack, and only the panels whose two estimates disagree for some model
-are bisected for the next level (``_integral_apply`` splits a large batch
-into blocks of bounded memory). A non-finite integrand, more than
-``_QUAD_MAX_PANELS`` open panels in one interval at one level, or a
-panel still open after 20 levels raises instead of
-returning a silently loose value; the panel cap keeps a refinement that
-cannot converge (roundoff above the halved tolerance on every panel)
-from doubling its work at every level. For a steady-state start
-A(t) = a t, the substituted integrand is the constant sqrt(a), so the
+removes the integrable endpoint singularity at t1 = 0, as one piecewise
+Chebyshev series of g(s) = sqrt(A(s^2)) / s over [s_first, s_last]
+(Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
+Each piece interpolates g at 49 first-kind Chebyshev points, which never
+touch the 0/0 at s = 0. A model accepts a piece when the tail of its
+coefficients is negligible against their largest, and a piece stays open,
+split in two, while some model rejects it. The refinement is
+level-synchronous: the points of every open piece go to A(t) in one batch
+per level, shared by every model of a stack (``_integral_apply`` splits a
+large batch into blocks of bounded memory). Each accepted series is
+integrated once, and the integral at every knot is read from the
+antiderivatives, so the knots do not shape the work: a random model on a
+default grid costs 49 evaluations of A(t). A non-finite integrand, more
+than ``_QUAD_MAX_PIECES`` open pieces of one model at one level, or a
+piece still open 20 halvings below the narrowest knot interval raises
+instead of returning a silently wrong value; the piece cap keeps a
+refinement that cannot converge (roundoff above the tail tolerance on
+every piece) from doubling its work at every level. For a steady-state
+start A(t) = a t, g is the constant sqrt(a), a series of degree 0, so the
 quadrature reproduces the closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
 """
 
@@ -70,11 +74,17 @@ from .markov import (
 # Bounds are declared satisfied when lhs <= rhs * (1 + RATIO_SLACK).
 RATIO_SLACK = 1e-9
 
+# The absolute accuracy the activity integral is held to; artifacts record it.
 GEODESIC_ATOL = 1e-9
+# Halvings a refinement may take below the narrowest gap between its points.
 _QUAD_MAX_DEPTH = 20
-# Work cap of the refinement: the open panels one interval may hold at one
-# level. Past it every panel keeps failing, and each level would double them.
-_QUAD_MAX_PANELS = 64
+# Work cap of the refinement: the open pieces one model may hold at one
+# level. Past it every piece keeps failing, and each level would double them.
+_QUAD_MAX_PIECES = 64
+# A piece is accepted when its last _CHEB_TAIL coefficients are at most
+# _CHEB_RTOL of its largest.
+_CHEB_TAIL = 4
+_CHEB_RTOL = 1e-14
 
 CSV_HEADER = "bound_id,t1,t2,lhs,rhs,ratio,in_domain,cmax_mode"
 
@@ -137,69 +147,121 @@ def activity_rate(W: RateMatrix, p: ProbVector) -> float:
     return _contract(W.escape[..., None, :], p.p)[..., 0]
 
 
-_GL_LO = np.polynomial.legendre.leggauss(10)
-_GL_HI = np.polynomial.legendre.leggauss(21)
-_GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
+def _chebyshev_rule(n: int):
+    """The n first-kind Chebyshev points cos((2k + 1) pi / 2n) on [-1, 1],
+    and the matrix taking values there to the coefficients of their
+    interpolant in T_0 .. T_{n-1}."""
+    k = np.arange(n)
+    # cos(j (2k + 1) pi / 2n), with the angle reduced mod 2 pi in integers
+    to_coef = np.cos(np.outer(k, 2 * k + 1) % (4 * n) * (np.pi / (2 * n))) * (2.0 / n)
+    to_coef[0] /= 2.0
+    return np.cos((2 * k + 1) * (np.pi / (2 * n))), to_coef
 
 
-def _adaptive_gauss_legendre(f, lo, hi, tol) -> np.ndarray:
-    """Level-synchronous panel-adaptive Gauss-Legendre over many intervals,
-    for one model or a whole stack at once.
+_CHEB_NODES, _CHEB_TO_COEF = _chebyshev_rule(49)
+# the degrees 1 .. n of an antiderivative's terms, and T_j(-1)
+_CHEB_J = np.arange(1, _CHEB_NODES.size + 1)
+_CHEB_SIGN = (-1.0) ** _CHEB_J
 
-    ``lo``, ``hi`` and ``tol`` are 1-d arrays with one entry per interval,
-    shared by every model. At every refinement level the 10 and 21 nodes of
-    the open panels go to ``f`` in one call, as one 1-d array; ``f``
-    returns their values after a leading model axis, or without one for a
-    single model, and the result has one integral per model and interval
-    in the same layout. A panel whose embedded 10/21-node estimates agree
-    within its tolerance adds its 21-node value to its interval, for each
-    model where they agree; that model ignores its descendants. A panel
-    stays open, bisected with half the tolerance per half, while any model
-    it is live for still disagrees. Each model thus adds the panels it adds
-    alone, in the same order. Non-finite values at a live panel, more than
-    ``_QUAD_MAX_PANELS`` open panels of one interval at one level, or a
-    panel still open after ``_QUAD_MAX_DEPTH`` levels are hard errors
-    naming a failing panel.
+
+def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """C_1 .. C_n of the antiderivative F(u) = sum_j C_j (T_j(u) - T_j(-1))
+    of each piece's series, in x = mid + half u, so that F is 0 at the
+    piece's left end: C_j = half (c_{j-1} - c_{j+1}) / 2j, with c_0 counted
+    twice."""
+    lower, upper = coef.copy(), np.zeros_like(coef)
+    lower[..., 0] *= 2.0
+    upper[..., :-2] = coef[..., 2:]
+    return (lower - upper) * (half[:, None] / (2 * _CHEB_J))
+
+
+def _chebyshev_quadrature(f, x) -> np.ndarray:
+    """Integrals of ``f`` from x[0] to each point of the sorted ``x``, from
+    one piecewise Chebyshev series over [x[0], x[-1]]; for one model or a
+    whole stack at once.
+
+    The points are shared by every model, and the range starts as one
+    piece. At every refinement level the 49 Chebyshev points of the open
+    pieces go to ``f`` in one call, as one 1-d array; ``f`` returns their
+    values after a leading model axis, or without one for a single model,
+    and the result has one row per model in the same layout. A model
+    accepts a piece when the last ``_CHEB_TAIL`` coefficients of its
+    interpolant are at most ``_CHEB_RTOL`` of the largest, and then ignores
+    the piece's descendants. A piece stays open while any model it is
+    live for rejects it, and is split at sqrt(lo hi) when hi > 4 lo > 0 (a
+    layer at the low end of a wide range takes few levels) and at its
+    midpoint otherwise. Each model thus accepts the pieces it accepts
+    alone, and its integrals are summed from those pieces alone, in order
+    of position. Non-finite values at a live piece, more than
+    ``_QUAD_MAX_PIECES`` open pieces of one model at one level, or a piece
+    still open ``_QUAD_MAX_DEPTH`` halvings below the narrowest gap between
+    the points are hard errors naming a failing piece.
     """
-    lo, hi, tol = (np.array(x, dtype=float, ndmin=1) for x in (lo, hi, tol))
-    owner = np.arange(lo.size)
-    live = True  # models x panels once the model count is known
-    n_lo = _GL_LO[0].size
-    for depth in range(_QUAD_MAX_DEPTH + 1):
+    x = np.array(x, dtype=float, ndmin=1)
+    floor = np.ldexp(np.diff(x).min(initial=np.inf), -_QUAD_MAX_DEPTH)
+    lo, hi = x[:-1][:1], x[1:][-1:]  # one piece, or none for a single point
+    live = True  # models x pieces once the model count is known
+    accepted = []  # per level: lo, hi, coefficients, accepted by each model
+    while True:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()))
-        if depth == 0:  # flat totals: the intervals of model m start at m * intervals
-            shape = v.shape[:-1] + tol.shape
-            models = math.prod(shape[:-1])
-            totals, start = np.zeros(models * tol.size), tol.size * np.arange(models)[:, None]
-        v = v.reshape(models, lo.size, _GL_NODES.size)
-        coarse, fine = half * (v[..., :n_lo] @ _GL_LO[1]), half * (v[..., n_lo:] @ _GL_HI[1])
-        # every panel of a level has been halved `depth` times, and so has its tolerance
-        done = np.abs(fine - coarse) <= np.maximum(np.ldexp(tol[owner], -depth), 1e-16)
-        np.add.at(totals, (start + owner)[live & done], fine[live & done])
+        v = np.asarray(f((mid[:, None] + half[:, None] * _CHEB_NODES).ravel()))
+        if not accepted:
+            shape = v.shape[:-1]
+            models = math.prod(shape)
+        v = v.reshape(models, lo.size, _CHEB_NODES.size)
+        # einsum, not BLAS: each row is summed in one order, whatever the row count
+        coef = np.einsum("mpk,jk->mpj", v, _CHEB_TO_COEF)
+        size = np.abs(coef)
+        # a non-finite value makes every coefficient non-finite, and its
+        # piece is never accepted
+        scale = size.max(axis=-1)
+        finite = np.isfinite(scale)
+        done = live & finite & (size[..., -_CHEB_TAIL:].max(axis=-1) <= _CHEB_RTOL * scale)
+        kept = done.any(axis=0)
+        accepted.append((lo[kept], hi[kept], coef[:, kept], done[:, kept]))
         live = live & ~done
-        # a non-finite value never agrees, so its panel is still live
-        open_values = v[live]
-        if not np.isfinite(open_values).all():
-            k = np.nonzero(live & ~np.isfinite(v).all(axis=-1))[1][0]
+        bad = live & ~finite
+        if bad.any():
+            k = np.nonzero(bad)[1][0]
             raise QuadratureError(
                 f"activity integrand is not finite on [{float(lo[k])}, {float(hi[k])}]"
             )
-        if open_values.size == 0:
-            break
         open_ = live.any(axis=0)
-        # bisection doubles each interval's open panels for the next level
-        crowded = 2 * np.bincount(owner[open_], minlength=tol.size) > _QUAD_MAX_PANELS
-        stuck = open_ & crowded[owner] if depth < _QUAD_MAX_DEPTH else open_
+        if not open_.any():
+            break
+        lo, hi, mid = lo[open_], hi[open_], mid[open_]
+        # splitting doubles each model's open pieces
+        crowded = 2 * live.sum(axis=1) > _QUAD_MAX_PIECES
+        stuck = (live[:, open_] & crowded[:, None]).any(axis=0) | (hi - lo <= floor)
         if stuck.any():
             k = np.flatnonzero(stuck)[0]
             raise QuadratureError(
                 f"activity integral did not converge on [{float(lo[k])}, {float(hi[k])}]"
             )
-        lo, mid, hi = lo[open_], mid[open_], hi[open_]
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        owner, live = np.tile(owner[open_], 2), np.tile(live[:, open_], 2)
-    return totals.reshape(shape)
+        cut = np.where((hi > 4.0 * lo) & (lo > 0.0), np.sqrt(np.maximum(lo, 0.0) * hi), mid)
+        lo, hi = np.concatenate((lo, cut)), np.concatenate((cut, hi))
+        live = np.concatenate((live[:, open_], live[:, open_]), axis=1)
+    lo, hi, coef, done = zip(*accepted)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    coef, done = np.concatenate(coef, axis=1), np.concatenate(done, axis=1)
+    order = np.argsort(lo, kind="stable")
+    lo, hi, coef, done = lo[order], hi[order], coef[:, order], done[:, order]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    anti = _antiderivative(coef, half)
+    # each piece's share of the integral up to each point: all of it past
+    # the piece, none before it, and F(u) at a point inside it
+    whole = np.einsum("mpj,j->mp", anti, 1.0 - _CHEB_SIGN)
+    share = np.where(x >= hi[:, None], whole[..., None], 0.0)
+    p, k = np.nonzero((x > lo[:, None]) & (x < hi[:, None]))
+    theta = np.arccos(np.clip((x[k] - mid[p]) / half[p], -1.0, 1.0))
+    chebyshev = np.cos(theta[:, None] * _CHEB_J)  # T_j(u) = cos(j arccos u)
+    share[:, p, k] = np.einsum("mqj,qj->mq", anti[:, p], chebyshev - _CHEB_SIGN)
+    out = np.zeros((models, x.size))
+    for accepts, part in zip(done.T, np.moveaxis(share, 1, 0)):
+        # in order of position, and x + 0 is x: a model's sum is the sum
+        # over its own pieces, whatever the other models accept
+        out += np.where(accepts[:, None], part, 0.0)
+    return out.reshape(shape + x.shape)
 
 
 def cmax(S: ScoreVector, T: ScoreVector, mode: str = "standard") -> float:
@@ -340,10 +402,7 @@ class _Plan:
         def integrand(x: np.ndarray) -> np.ndarray:
             return np.sqrt(self._activity(x * x)) / x
 
-        tol = np.full(s.size - 1, GEODESIC_ATOL / max(s.size - 1, 1))
-        panels = _adaptive_gauss_legendre(integrand, s[:-1], s[1:], tol)
-        lead = self.W.w.shape[:-2]
-        return np.concatenate((np.zeros(lead + (1,)), np.cumsum(panels, axis=-1)), axis=-1)
+        return _chebyshev_quadrature(integrand, s)
 
     def arg(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Activity integral between the knots with indices a and b."""

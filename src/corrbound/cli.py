@@ -521,8 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", help="output file (default stdout)")
     p_check.add_argument("--format", choices=("csv", "json"), default="csv")
     p_check.add_argument(
-        "--rhs-scale", type=float, default=1.0,
-        help="self-test hook: scale every bound rhs (0.5 must trigger exit 1)",
+        "--rhs-scale", type=float, default=1.0, metavar="S",
+        help="self-test hook: scale every bound rhs by s; exits 1 exactly when some "
+        "unscaled ratio exceeds s (0.5 trips on the fig2 decay chain)",
     )
 
     p_f2 = sub.add_parser("figure2", help="correlation-bound figure data")

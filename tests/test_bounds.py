@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +32,13 @@ from corrbound import (
     steady_state,
     validate_rate_matrix,
 )
-from corrbound.cli import evaluate_bounds
+from corrbound.cli import cmd_figure2, cmd_stress, evaluate_bounds
 from corrbound import bounds, markov
 from corrbound.bounds import (
     CSV_HEADER,
     GEODESIC_ATOL,
     RATIO_SLACK,
-    _adaptive_gauss_legendre,
+    _chebyshev_quadrature,
     _Plan,
     _ratio,
     fmt17,
@@ -46,6 +50,8 @@ from corrbound.errors import (
     QuadratureError,
 )
 from conftest import model_sweep
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def midpoint_refined(f, a, b, tol=1e-8):
@@ -191,21 +197,39 @@ def stiff_chain(seed):
 
 
 class TestActivityQuadrature:
-    def test_intervals_batched_equal_intervals_alone(self):
-        # an interval gets the same panels whether or not other intervals
-        # share its refinement levels
-        lo, hi = np.array([0.0, 0.5, 2.0, 2.0]), np.array([0.5, 2.0, 9.0, 2.5])
-        tol = np.array([1e-12, 1e-9, 1e-6, 1e-13])
+    @staticmethod
+    def peak(x):
+        return 1.0 / (1e-3 + (x - 0.4) ** 2) + np.sqrt(1.0 + x)
 
-        def f(x):
-            return 1.0 / (1e-3 + (x - 0.4) ** 2) + np.sqrt(1.0 + x)
+    def test_models_batched_equal_models_alone(self):
+        # a model gets the same pieces, and the same integrals bit for bit,
+        # whether or not other models share its refinement levels
+        x = np.array([0.0, 0.3, 0.5, 1.0, 2.0, 2.2, 2.5, 9.0])
+        rows = (self.peak, lambda x: np.sqrt(1.0 + x), lambda x: np.exp(-x))
+        both = _chebyshev_quadrature(lambda x: np.stack([g(x) for g in rows]), x)
+        alone = [_chebyshev_quadrature(g, x) for g in rows]
+        assert np.array_equal(both, alone)
+        for got, end in zip(both[0], x):
+            ref, _ = scipy.integrate.quad(self.peak, 0.0, end, epsabs=1e-13, limit=200)
+            assert abs(got - ref) <= 1e-12 * max(ref, 1.0), end
 
-        both = _adaptive_gauss_legendre(f, lo, hi, tol)
-        alone = [_adaptive_gauss_legendre(f, *panel)[0] for panel in zip(lo, hi, tol)]
-        np.testing.assert_allclose(both, alone, rtol=1e-14, atol=0)
-        for got, a, b in zip(both, lo, hi):
-            ref, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, limit=200)
-            assert abs(got - ref) < 1e-6
+    def test_points_do_not_shape_the_work(self):
+        # the pieces follow the integrand over [x[0], x[-1]], not the points
+        # in between: more points cost no integrand call, and the integral
+        # to the last point is the same bit for bit
+        nodes = {}
+
+        def counted(key):
+            def f(x):
+                nodes.setdefault(key, []).append(x)
+                return self.peak(x)
+            return f
+
+        few = _chebyshev_quadrature(counted("few"), [0.0, 9.0])
+        many = _chebyshev_quadrature(counted("many"), np.linspace(0.0, 9.0, 201))
+        assert len(nodes["few"]) == len(nodes["many"]) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(nodes["few"], nodes["many"]))
+        assert few[-1] == many[-1] and few[0] == many[0] == 0.0
 
     def test_one_integrand_call_per_level(self):
         calls = []
@@ -214,21 +238,25 @@ class TestActivityQuadrature:
             calls.append(x.size)
             return 1.0 / (1e-3 + (x - 0.3) ** 2)
 
-        _adaptive_gauss_legendre(f, [0.0, 1.0], [1.0, 2.0], [1e-10, 1e-10])
-        assert calls[0] == 2 * 31  # both intervals, 10 + 21 nodes each
-        assert all(size % 31 == 0 for size in calls)
+        _chebyshev_quadrature(f, [0.0, 1.0, 2.0])
+        assert calls[0] == 49  # one piece over both knot intervals
+        assert len(calls) > 1 and all(size % 49 == 0 for size in calls)
         assert len(calls) <= bounds._QUAD_MAX_DEPTH + 1
 
     def test_no_intervals_no_integrals(self):
-        # one call on no nodes tells the model axis of the empty result
-        assert _adaptive_gauss_legendre(lambda x: x, [], [], []).shape == (0,)
-        stack = _adaptive_gauss_legendre(lambda x: np.stack((x, x)), [], [], [])
+        # one call on no nodes tells the model axis of the result
+        assert _chebyshev_quadrature(lambda x: x, []).shape == (0,)
+        stack = _chebyshev_quadrature(lambda x: np.stack((x, x)), [])
         assert stack.shape == (2, 0)
+        one = _chebyshev_quadrature(lambda x: np.stack((x, x)), [1.0])
+        assert np.array_equal(one, np.zeros((2, 1)))
 
     def test_unconverged_refinement_raises(self, monkeypatch):
+        # no halving below the narrowest knot interval: the kink of |x| at 0
+        # stays inside the one piece
         monkeypatch.setattr(bounds, "_QUAD_MAX_DEPTH", 0)
         with pytest.raises(QuadratureError, match=r"\[-1.0, 1.0\]"):
-            _adaptive_gauss_legendre(lambda x: np.abs(x), [0.0, -1.0], [1.0, 1.0], [1e-9, 1e-9])
+            _chebyshev_quadrature(np.abs, [-1.0, 1.0])
         W, p0 = stiff_chain(0)
         with pytest.raises(QuadratureError):
             geodesic_arg(W, p0, 0.0, 1e4)
@@ -237,42 +265,38 @@ class TestActivityQuadrature:
         "f, match",
         [
             (lambda x: np.full(x.shape, np.nan), "not finite"),
-            # roundoff of a 1e10 panel stays above every halved tolerance
-            (lambda x: np.full(x.shape, 1e10), "did not converge"),
+            # the coefficients of a sign flip every 3e-7 never fall
+            (lambda x: np.sign(np.sin(1e7 * x)), "did not converge"),
         ],
     )
     def test_hopeless_refinement_fails_fast(self, f, match):
-        # at the real _QUAD_MAX_DEPTH: the error comes from the panel cap or
-        # the first level, long before 2^20 panels per interval
+        # at the real _QUAD_MAX_DEPTH: the error comes from the piece cap or
+        # the first level, long before 2^20 pieces per knot interval
         nodes = []
 
         def counted(x):
             nodes.append(x.size)
             return f(x)
 
-        lo, hi = np.arange(40.0), np.arange(1.0, 41.0)
         with pytest.raises(QuadratureError, match=match):
-            _adaptive_gauss_legendre(counted, lo, hi, np.full(40, 1e-12))
-        assert sum(nodes) <= 40 * 31 * 2 * bounds._QUAD_MAX_PANELS
+            _chebyshev_quadrature(counted, np.arange(41.0))
+        assert sum(nodes) <= 49 * 2 * bounds._QUAD_MAX_PIECES
 
-    def test_panel_cap_is_per_interval(self):
-        # 100 intervals with a kink each keep more than _QUAD_MAX_PANELS
-        # panels open per level in total, but only one or two per interval
+    def test_piece_cap_is_per_model(self):
+        # 100 models with a peak each keep more than _QUAD_MAX_PIECES
+        # pieces open per level in total, but only a few per model
         opened = []
+        peaks = np.arange(100.0)[:, None] / 100
 
         def f(x):
-            opened.append(x.size // 31)
-            return np.abs(np.sin(np.pi * x))
+            opened.append(x.size // 49)
+            return 1.0 / (1e-6 + (x - peaks) ** 2)
 
-        k = np.arange(100.0)
-        got = _adaptive_gauss_legendre(f, k - 0.3, k + 0.7, np.full(k.size, 1e-7))
-        assert max(opened[1:]) > bounds._QUAD_MAX_PANELS
-        ref = [
-            scipy.integrate.quad(lambda x: abs(math.sin(math.pi * x)), a - 0.3, a + 0.7,
-                                 points=[a], epsabs=1e-12)[0]
-            for a in k
-        ]
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-7)
+        got = _chebyshev_quadrature(f, [0.0, 2.0])[:, -1]
+        assert max(opened) > bounds._QUAD_MAX_PIECES
+        # the antiderivative of 1 / (c^2 + y^2) is atan(y / c) / c
+        ref = 1e3 * (np.arctan(1e3 * (2.0 - peaks[:, 0])) - np.arctan(-1e3 * peaks[:, 0]))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_memory_cap_splits_integrand_calls(self, monkeypatch):
         W, p0, _ = random_model(5, 3)
@@ -340,12 +364,109 @@ class TestActivityQuadrature:
         assert np.abs(arc - ref).max() <= GEODESIC_ATOL
 
 
+def record_quadratures(monkeypatch):
+    """A list that collects, per activity quadrature, its point count and
+    the node count of each integrand call."""
+    quadratures = []
+    real_quad = bounds._chebyshev_quadrature
+
+    def recording(f, x):
+        calls = []
+        quadratures.append((np.size(x), calls))
+
+        def counted(nodes):
+            calls.append(nodes.size)
+            return f(nodes)
+
+        return real_quad(counted, x)
+
+    monkeypatch.setattr(bounds, "_chebyshev_quadrature", recording)
+    return quadratures
+
+
+def dense_args(plan):
+    """Reference args over the knot intervals of a plan of one model:
+    composite Gauss-Legendre on g(s) = sqrt(A(s^2)) / s, 64 panels of 40
+    points each, graded geometrically (down to 1e-13 of the right end on an
+    interval from 0, where g may have a layer)."""
+    x40, w40 = np.polynomial.legendre.leggauss(40)
+    s = np.sqrt(plan.knots)
+    args = []
+    for a, b in zip(s[:-1], s[1:]):
+        if a > 0.0:
+            edges = np.geomspace(a, b, 65)
+        else:
+            edges = np.concatenate(([0.0], np.geomspace(1e-13 * b, b, 64)))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        x = (mid[:, None] + half[:, None] * x40).ravel()
+        g = np.sqrt(plan._activity(x * x)) / x
+        args.append(np.sum(half * (g.reshape(64, 40) @ w40)))
+    return np.array(args)
+
+
+class TestChebyshevArc:
+    """The work of the activity integral no longer follows the knots, and
+    its accuracy holds against a dense reference."""
+
+    def test_one_call_of_49_points_per_stress_plan(self, tmp_path, monkeypatch):
+        # one piece per plan on the default grid, where the Gauss-Legendre
+        # rule took 40 knot intervals x 31 nodes per model
+        quadratures = record_quadratures(monkeypatch)
+        cmd_stress(n_models=100, seed=12_345, output_path=str(tmp_path / "t.json"))
+        assert len(quadratures) == 3  # one stacked plan per state count
+        assert all(calls == [49] for _, calls in quadratures)
+
+    def test_one_call_for_the_figure2_curve(self, tmp_path, monkeypatch):
+        # 201 knots, where the Gauss-Legendre rule took 200 x 31 nodes
+        quadratures = record_quadratures(monkeypatch)
+        assert cmd_figure2(str(tmp_path), n_random=8, seed=4_321) == 0
+        assert quadratures[0] == (201, [49])
+
+    def test_wide_range_splits_geometrically(self, monkeypatch):
+        # knots from t/2 on a grid to t = 1e4, as a sweep of MAIN_EQ5 on a
+        # stiff chain: s spans a factor 1414, and splitting at sqrt(lo hi)
+        # resolves the layers in 3 levels where halving took 9
+        quadratures = record_quadratures(monkeypatch)
+        W, p0 = stiff_chain(0)
+        grid = np.geomspace(1e-2, 1e4, 20)
+        _Plan(W, p0, np.concatenate((grid / 2, grid))).arc
+        assert len(quadratures[0][1]) == 3
+
+    @pytest.mark.parametrize("case", ["check-64", "ladder-0", "ladder-4", "ladder-19"])
+    def test_args_match_a_dense_reference(self, case):
+        # the knots of `check` on its default grid, from t = 0: the 64-state
+        # model of `check --states 64 --seed 1`, and the stiffness ladder's
+        # models at k = 12, whose g has a layer near s = 1e-6
+        grid = np.geomspace(1e-2, 10.0, 20)
+        knots = np.concatenate(([0.0], grid / 2, grid))
+        if case == "check-64":
+            W, p0, _ = random_model(64, 1)
+        else:
+            seed = int(case.split("-")[1])
+            W, _, _ = random_model(3, seed)
+            w = W.w.copy()
+            w[2, 1] = 1.4556e12 * (1 + 0.1 * seed)
+            W, p0 = validate_rate_matrix(w), ProbVector(np.array([0.0, 1.0, 0.0]))
+        plan = _Plan(W, p0, knots)
+        np.testing.assert_allclose(np.diff(plan.arc), dense_args(plan), rtol=1e-12, atol=0)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # set-up cost: nothing in the package needs numpy.polynomial
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = "import sys, corrbound; sys.exit('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr or "import corrbound loads numpy.polynomial"
+
+
 class TestStackedPlan:
     """One plan over a stack of models gives each model the plan it gets
     alone, bit for bit: every quantity and every bound's sides."""
 
-    # few, wide knot intervals, so that the activity quadrature refines
-    # the stiff chains' intervals to different panel counts
+    # a wide knot range, so that the activity quadrature refines
+    # the stiff chains to different piece counts
     KNOTS = np.array([0.0, 0.05, 3.0, 40.0, 300.0])
 
     def test_every_bound_equals_the_plans_alone(self, monkeypatch):
@@ -354,7 +475,7 @@ class TestStackedPlan:
         models += [random_model(6, seed) for seed in range(4)]
         W, p0, S = (markov._stack(list(v)) for v in zip(*models))
         quadratures = []  # the integrand calls of each quadrature
-        real_quad = bounds._adaptive_gauss_legendre
+        real_quad = bounds._chebyshev_quadrature
 
         def recording(f, *ends):
             calls = []
@@ -367,7 +488,7 @@ class TestStackedPlan:
 
             return real_quad(counted, *ends)
 
-        monkeypatch.setattr(bounds, "_adaptive_gauss_legendre", recording)
+        monkeypatch.setattr(bounds, "_chebyshev_quadrature", recording)
         stacked = _Plan(W, p0, self.KNOTS, S, S, "tight", chi=0.3)
         stacked.arc
         # every level evaluates the whole stack
@@ -395,9 +516,9 @@ class TestStackedPlan:
 
     @pytest.mark.parametrize("n", [7, 8, 64])
     def test_unequal_refinement_moves_at_most_the_last_bit(self, n, monkeypatch):
-        # the stack is evaluated at the union of its models' open panels, in
+        # the stack is evaluated at the union of its models' open pieces, in
         # calls with more rows than a model has alone; BLAS blocking may then
-        # move a last bit, but the model still accepts its own panels
+        # move a last bit, but the model still accepts its own pieces
         models = self.rate_scaled(n)
         knots = np.array([0.0, 0.5, 1.0, 100.0, 1000.0])
         W, p0, _ = (markov._stack(list(v)) for v in zip(*models))
@@ -417,7 +538,7 @@ class TestStackedPlan:
         assert len(set(nodes)) > 1  # the models refine differently
 
     def test_equal_refinement_is_bit_for_bit(self):
-        # on a default sweep grid every panel converges at the first level
+        # on a default sweep grid every piece converges at the first level
         grid = np.geomspace(1e-2, 10.0, 20)
         knots = np.concatenate((grid / 2, grid))
         models = self.rate_scaled(8)

@@ -498,8 +498,8 @@ def tally_from_reports(n_models, seed, t_grid, mode="standard", n_list=(2, 3, 4)
 class TestStressTally:
     GRID = np.geomspace(1e-2, 10.0, 6)
     # out to t = 1e3 the models of a stack refine the activity quadrature to
-    # unequal open-panel counts, and the stack is evaluated at the union of
-    # their panels; on the default grid they all converge at the first level
+    # unequal open-piece counts, and the stack is evaluated at the union of
+    # their pieces; on the default grid they all converge at the first level
     WIDE_GRID = np.geomspace(1e-2, 1e3, 4)
 
     @pytest.mark.parametrize(
@@ -551,7 +551,7 @@ class TestStressTally:
         out = tmp_path / "tally.json"
         cmd_stress(n_models=60, seed=31415, output_path=str(out))
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "41314db62f9b1ef1ae1effcd0d9818361c91a55e5d60e6bf800e3c9a31673342"
+        assert digest == "8ebb036476369cd0379522221dad7eb8e621c794e4824213c7bbc5223109a665"
 
     def test_one_plan_per_state_count(self, tmp_path, monkeypatch):
         # 30 models cycling 2, 3, 4: one plan per state count (and its
@@ -881,8 +881,8 @@ class TestDefectReplays:
                     assert r.ratio <= 1.0 + bounds.RATIO_SLACK, (seed, r)
 
     def test_stiff_chain_quadrature(self, tmp_path, capsys):
-        # A(t) on the expm path must be accurate below the halved panel
-        # tolerance, or the activity quadrature stops at its panel cap
+        # A(t) on the expm path must be accurate below the tail tolerance,
+        # or the activity quadrature stops at its piece cap
         path = tmp_path / "model.json"
         path.write_text(json.dumps(STIFF_CHAIN))
         out = str(tmp_path / "out.csv")
