@@ -74,8 +74,6 @@ from .markov import (
 # Bounds are declared satisfied when lhs <= rhs * (1 + RATIO_SLACK).
 RATIO_SLACK = 1e-9
 
-# The absolute accuracy the activity integral is held to; artifacts record it.
-GEODESIC_ATOL = 1e-9
 # Halvings a refinement may take below the narrowest gap between its points.
 _QUAD_MAX_DEPTH = 20
 # Work cap of the refinement: the open pieces one model may hold at one

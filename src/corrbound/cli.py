@@ -35,7 +35,6 @@ from . import __version__
 from .bounds import (
     BOUND_IDS,
     CSV_HEADER,
-    GEODESIC_ATOL,
     RATIO_SLACK,
     BoundReport,
     _BOUNDS,
@@ -141,7 +140,6 @@ def _meta(**extra) -> dict:
     meta = {
         "artifact": f"corrbound {__version__}",
         "ratio_slack": fmt17(RATIO_SLACK),
-        "geodesic_atol": fmt17(GEODESIC_ATOL),
     }
     meta.update({k: v for k, v in extra.items() if v is not None})
     return meta

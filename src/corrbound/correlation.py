@@ -89,7 +89,7 @@ class Trajectory:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon < 0.0:
+        if not self.horizon >= 0.0:
             raise BadIntervalError("horizon must be >= 0")
         prev_t, prev_s = 0.0, self.initial_state
         for t, s in self.jumps:

@@ -26,9 +26,7 @@ Y = e^{2^-s A} - I rather than e^{2^-s A}: I + Y would round away the digits
 of a slow mode, which a stiff chain's many squarings then amplify, and a zero
 column of A (an absorbing state) gives an exactly zero column of Y. The loop
 evaluates in blocks of bounded memory, so no product's working memory grows
-with the times. On the eigenvector basis, e^{lam t} and (e^{lam t} - 1)/lam
-are evaluated once per complex-conjugate pair of eigenvalues: the second of
-a pair takes the conjugate of the first, which is the value it would get.
+with the times.
 
 A value may also hold a stack of models over the same states along a leading
 model axis (``_stack``): the primitives and ``steady_state`` then take and
@@ -60,6 +58,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -108,10 +107,22 @@ _THETA13 = 5.371920351148152
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadDimensionError(f"{name} is not a rectangular array of numbers") from exc
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_int(x, name: str) -> int:
+    """``x`` as an int when it is one (numpy integers too); a float or any
+    other value raises, where ``int`` would truncate it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise BadDimensionError(f"{name} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +135,6 @@ class _Spectral:
     real spectrum the real part of the complex array, the layout in which
     ``np.linalg.eig`` returns a real basis for one model. Its products then
     take numpy's own loops rather than BLAS, as they do for that model.
-    The functions of lam t that the propagation takes (``exp_t``, ``phi_t``)
-    are evaluated once per conjugate pair of eigenvalues (``_modes``).
     """
 
     lam: np.ndarray
@@ -143,7 +152,7 @@ class _Spectral:
 
     def exp_t(self, t) -> np.ndarray:
         """e^{lam t} elementwise, in the layout of ``phi_t``."""
-        return self._modes(lambda z, t: np.exp(z), t)
+        return np.exp(t[:, None] * self.lam[:, None, :])
 
     def phi_t(self, t) -> np.ndarray:
         """(e^{lam t} - 1)/lam elementwise, as expm1(z)/z * t with z = lam t.
@@ -153,45 +162,7 @@ class _Spectral:
         1-d array of times for every model; the result has a trailing
         eigenvalue axis.
         """
-        return self._modes(_phi, t)
-
-    def _modes(self, f, t) -> np.ndarray:
-        """f(z, t) at z = lam t, for every eigenvalue lam and time t of the
-        1-d ``t``, with a trailing eigenvalue axis.
-
-        ``np.linalg.eig`` returns the complex eigenvalues of a real generator
-        in conjugate pairs a + bi, a - bi, side by side. f is evaluated on
-        the first of each pair only, and the second takes its conjugate:
-        numpy's complex exp, expm1, division and real scaling are exactly
-        conjugate symmetric, so the values equal those f gives (a zero
-        imaginary part may change sign: phi at t = 0 is 0 - 0i). An
-        eigenvalue whose left neighbour is not exactly its conjugate (real
-        spectra, the pinned zero, a lone or reversed pair) is evaluated.
-        """
-        t = np.asarray(t, dtype=float)
-        if self._pairs is None:
-            return f(t[:, None] * self.lam[:, None, :], t[:, None])
-        # eigenvalue-major, one row of times per evaluated eigenvalue, and one
-        # contiguous copy into the layout of the products that take the values
-        ev, mirror, lam = self._pairs
-        out = np.empty((self.lam.size, t.size), dtype=complex)
-        out[ev] = f(t * lam, t)
-        out[mirror] = out[mirror - 1].conj()
-        return out.reshape(self.lam.shape + t.shape).transpose(0, 2, 1).copy()
-
-    @cached_property
-    def _pairs(self):
-        """For ``_modes``: the flat indices (models x eigenvalues) of the
-        evaluated and the mirrored eigenvalues, and each evaluated eigenvalue
-        as a column; None when none is mirrored."""
-        lam = self.lam
-        mirror = np.zeros(lam.shape, dtype=bool)
-        if lam.dtype.kind == "c":
-            mirror[:, 1:] = (lam.imag[:, 1:] < 0) & (lam[:, :-1] == lam[:, 1:].conj())
-        if not mirror.any():
-            return None
-        ev = np.flatnonzero(~mirror)
-        return ev, np.flatnonzero(mirror), lam.reshape(-1, 1)[ev]
+        return _phi(t[:, None] * self.lam[:, None, :], t[:, None])
 
 
 def _phi(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -438,7 +409,7 @@ def validate_rate_matrix(w) -> RateMatrix:
     The diagonal of ``w`` is ignored and recomputed as the negative
     column escape rate; off-diagonal entries must be finite and >= 0.
     """
-    return RateMatrix(np.asarray(w, dtype=float))
+    return RateMatrix(w)
 
 
 def _check_dims(W: RateMatrix, *others) -> None:
@@ -533,8 +504,8 @@ def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
         # many models per block as the memory cap leaves room for
         per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
         for j in range(0, index.size, per):
-            sel = _run(index[j:j + per])
-            chunk = basis if index.size <= per else basis[j:j + per]
+            sel = index[j:j + per]
+            chunk = basis[j:j + per]
             for i in range(0, c, step):
                 at = (sel, slice(i, i + step))
                 got = block(chunk, vec[at] if per_time else vec[sel], times[i:i + step])
@@ -543,14 +514,6 @@ def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
                 # hard_generators benchmark
                 out[at] = got if left is None else _contract(got, left[sel])
     return out.reshape(lead + out.shape[1:])
-
-
-def _run(index: np.ndarray):
-    """Ascending indices as the slice they span when they are one contiguous
-    run, so that indexing with them takes a view rather than a copy."""
-    if index[-1] - index[0] == index.size - 1:
-        return slice(index[0], index[-1] + 1)
-    return index
 
 
 def _propagator_block(basis, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -647,7 +610,8 @@ def steady_state(W: RateMatrix) -> ProbVector:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox); identical streams on every platform."""
-    if not 0 <= int(seed) < 2**64:
+    seed = _as_int(seed, "seed")
+    if not 0 <= seed < 2**64:
         raise BadDimensionError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -699,7 +663,7 @@ def load_model(source) -> tuple[RateMatrix, ProbVector, ScoreVector, ScoreVector
     if not isinstance(data, dict):
         raise BadDimensionError("model description must be a JSON object")
     try:
-        n = int(data["n"])
+        n = _as_int(data["n"], "'n'")
         rates = data["rates"]
         p0 = data["p0"]
         s = data["S"]
@@ -708,8 +672,8 @@ def load_model(source) -> tuple[RateMatrix, ProbVector, ScoreVector, ScoreVector
     W = validate_rate_matrix(rates)
     if W.n != n:
         raise DimensionMismatchError(f"'n'={n} but rates are {W.n}x{W.n}")
-    pv = ProbVector(np.asarray(p0, dtype=float))
-    sv = ScoreVector(np.asarray(s, dtype=float))
-    tv = ScoreVector(np.asarray(data.get("T", s), dtype=float))
+    pv = ProbVector(p0)
+    sv = ScoreVector(s)
+    tv = ScoreVector(data.get("T", s))
     _check_dims(W, pv, sv, tv)
     return W, pv, sv, tv

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import RATIO_SLACK, geodesic_arg
 from .distances import FiniteDistribution, bhattacharyya, tvd
-from .errors import BadIntervalError, TooManyPathsError
+from .errors import BadDimensionError, BadIntervalError, TooManyPathsError
 from .markov import ProbVector, RateMatrix, _check_dims, _check_time, _survival, propagator
 
 MAX_PATHS = 10**6
@@ -45,9 +45,11 @@ class PathSkeleton:
     tau: float
 
     def __post_init__(self):
+        if self.n_states < 1:
+            raise BadDimensionError(f"need at least 1 state, got {self.n_states}")
         if self.n_steps < 1:
             raise BadIntervalError(f"need at least 1 step, got {self.n_steps}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise BadIntervalError("horizon tau must be > 0")
         if self.path_count > MAX_PATHS:
             raise TooManyPathsError(

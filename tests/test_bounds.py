@@ -36,7 +36,6 @@ from corrbound.cli import cmd_figure2, cmd_stress, evaluate_bounds
 from corrbound import bounds, markov
 from corrbound.bounds import (
     CSV_HEADER,
-    GEODESIC_ATOL,
     RATIO_SLACK,
     _chebyshev_quadrature,
     _Plan,
@@ -361,7 +360,8 @@ class TestActivityQuadrature:
             for a, b in zip(knots[:-1], knots[1:])
         ]
         ref = np.concatenate(([0.0], np.cumsum([value for value, _ in pieces])))
-        assert np.abs(arc - ref).max() <= GEODESIC_ATOL
+        atol = 1e-9  # absolute accuracy of the activity integral
+        assert np.abs(arc - ref).max() <= atol
 
 
 def record_quadratures(monkeypatch):

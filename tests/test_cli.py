@@ -551,7 +551,7 @@ class TestStressTally:
         out = tmp_path / "tally.json"
         cmd_stress(n_models=60, seed=31415, output_path=str(out))
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "8ebb036476369cd0379522221dad7eb8e621c794e4824213c7bbc5223109a665"
+        assert digest == "1d997c0d5a08f23dc5d625395506a90f01ea4586a1be5f25e6d4428bdb39b8e2"
 
     def test_one_plan_per_state_count(self, tmp_path, monkeypatch):
         # 30 models cycling 2, 3, 4: one plan per state count (and its

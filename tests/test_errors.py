@@ -9,6 +9,7 @@ import pytest
 
 from corrbound import (
     ProbVector,
+    PathSkeleton,
     PulseDrive,
     SampledDrive,
     ScoreVector,
@@ -26,6 +27,7 @@ from corrbound import (
     random_model,
     skeleton_distribution,
     steady_state,
+    validate_rate_matrix,
 )
 from corrbound.cli import RunConfig, _parse_tgrid, cmd_response, evaluate_bounds
 from corrbound.errors import (
@@ -48,9 +50,20 @@ CASES = [
     ("prob-vector-2d", lambda: ProbVector(np.full((2, 2), 0.25)), BadDimensionError),
     ("score-vector-2d", lambda: ScoreVector(np.zeros((2, 2))), BadDimensionError),
     ("rng-negative-seed", lambda: make_rng(-1), BadDimensionError),
+    ("rng-fractional-seed", lambda: make_rng(2.9), BadDimensionError),
     ("model-not-an-object", lambda: load_model([1, 2]), BadDimensionError),
+    (
+        "model-fractional-n",
+        lambda: load_model({"n": 2.5, "rates": W.w, "p0": P0.p, "S": S.s}),
+        BadDimensionError,
+    ),
+    ("rate-matrix-ragged", lambda: validate_rate_matrix([[0, 1], [1]]), BadDimensionError),
+    ("prob-vector-non-numeric", lambda: ProbVector([0.5, "x"]), BadDimensionError),
     ("bound-main-reversed", lambda: bound_main(W, P0, S, S, 2.0, 1.0), BadIntervalError),
     ("trajectory-negative-horizon", lambda: Trajectory(0, (), -1.0), BadIntervalError),
+    ("trajectory-nan-horizon", lambda: Trajectory(0, (), np.nan), BadIntervalError),
+    ("path-skeleton-nan-tau", lambda: PathSkeleton(3, 2, np.nan), BadIntervalError),
+    ("path-skeleton-no-states", lambda: PathSkeleton(0, 2, 1.0), BadDimensionError),
     ("skeleton-zero-tau", lambda: skeleton_distribution(W, P0, 0.0, 2, 0.0), BadIntervalError),
     ("config-empty-grid", lambda: RunConfig(t_grid=[]), CorrboundError),
     ("config-unsorted-grid", lambda: RunConfig(t_grid=[1.0, 0.5]), CorrboundError),

@@ -329,63 +329,6 @@ class TestPhiT:
         assert np.array_equal(got, np.zeros(3))
 
 
-class TestModes:
-    """``phi_t`` and the propagator's e^{lam t} evaluate the first eigenvalue
-    of each conjugate pair and give the second its conjugate; the values
-    equal the elementwise formulas on every eigenvalue. They are compared
-    on the float view: a mirrored phi at t = 0 may have imaginary part -0."""
-
-    TIMES = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 40)])
-
-    @staticmethod
-    def formulas(lam, t):
-        z = t[..., None] * lam[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            phi = np.expm1(z)
-            phi /= z
-        phi[z == 0] = 1
-        phi *= t[..., None]
-        return phi, np.exp(z)
-
-    def check(self, sd, t):
-        for got, want in zip((sd.phi_t(t), sd.exp_t(t)), self.formulas(sd.lam, t)):
-            assert got.shape == want.shape and got.flags.c_contiguous
-            assert np.array_equal(got.view(float), want.view(float))
-
-    @staticmethod
-    def mirrored(sd):
-        """(model, eigenvalue) of each mirrored eigenvalue."""
-        return np.divmod(sd._pairs[1], sd.lam.shape[1])
-
-    def test_complex_model_of_64_states(self):
-        (sd,) = random_model(64, 0)[0]._spectral
-        assert len(self.mirrored(sd)[1]) == 25
-        assert np.count_nonzero(sd.lam == 0) == 1  # the pinned zero
-        self.check(sd, self.TIMES)
-        self.check(sd, np.zeros(3))
-
-    def test_stacks_with_pairs_at_different_positions(self):
-        W, _, _ = stack_of([random_model(4, seed) for seed in range(16)])
-        sd = next(sd for sd in W._spectral if sd.lam.dtype.kind == "c")
-        models, positions = self.mirrored(sd)
-        assert set(positions.tolist()) == {2, 3} and models.size == len(sd.lam)
-        self.check(sd, self.TIMES)
-
-    def test_real_spectra_are_evaluated(self):
-        (sd,) = random_model(4, 16)[0]._spectral
-        assert sd.lam.dtype.kind == "f" and sd._pairs is None
-        self.check(sd, self.TIMES)
-
-    def test_lone_and_reversed_pairs_are_evaluated(self):
-        # a pair at the front, a lone complex eigenvalue after its would-be
-        # partner's real part, and a pair in (a - bi, a + bi) order
-        lam = np.array([[-1 + 2j, -1 - 2j, 0, -1 + 3j, -2 - 1j, -3 - 1j, -3 + 1j]])
-        eye = np.eye(lam.shape[1])[None].astype(complex)
-        sd = _Spectral(lam, eye, eye, np.arange(1))
-        assert self.mirrored(sd)[1].tolist() == [1]
-        self.check(sd, self.TIMES)
-
-
 class TestConditionGate:
     """The eigenbasis is trusted when cond_1(V) = |V|_1 |V^-1|_1 is below
     1e8 and V reproduces W; the rule with the 2-norm condition number from
@@ -435,6 +378,11 @@ class TestConditionGate:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(np.linalg, "cond", no_svd)
         assert random_model(6, 1)[0]._spectral is not None
+
+    def test_zero_eigenvalue_is_pinned(self):
+        (sd,) = random_model(64, 0)[0]._spectral
+        assert sd.lam.dtype.kind == "c"
+        assert np.count_nonzero(sd.lam == 0) == 1
 
     def test_singular_basis_leaves_its_stack_mates_alone(self, monkeypatch):
         # complex spectra at 0, 1, 3; real at 2; model 1 gets a zero
@@ -764,6 +712,8 @@ class TestRandomModel:
     def test_make_rng_platform_stable_stream(self):
         # frozen first draws of the documented counter-based generator
         assert make_rng(0).random() == make_rng(0).random()
+        # numpy integers are seeds too
+        assert make_rng(np.uint64(2**63 + 5)).random() == make_rng(2**63 + 5).random()
 
 
 class TestLoadModel:
@@ -784,6 +734,7 @@ class TestLoadModel:
         payload["T"] = [3, 4]
         _, _, S, T = load_model(payload)
         assert np.array_equal(T.s, [3, 4])
+        assert load_model({**payload, "n": np.int64(2)})[0].n == 2
 
     def test_missing_field(self):
         with pytest.raises(BadDimensionError):
