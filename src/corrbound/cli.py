@@ -16,8 +16,9 @@ produce byte-identical output. Non-finite reals are written as ``inf``,
 ``-inf`` and ``nan``, quoted in JSON. The bounds of one model are
 evaluated through one plan over the time grid (``bounds._Plan``); the
 random sweeps of stress and figure2 evaluate the models of each state count
-together, through one plan over their stack (``markov._stack``), and read
-its ratio arrays.
+together, through one plan over their stack, and read its ratio arrays.
+Each such stack is drawn by one re-keyed generator and validated once
+(``markov._random_stack``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .markov import (
     ProbVector,
     RateMatrix,
     ScoreVector,
+    _as_int,
+    _random_stack,
     _stack,
     load_model,
     make_rng,
@@ -295,11 +298,13 @@ def _random_sweep(n_models: int, seed: int, n_list=(2, 3, 4)):
     """The randomized sweep protocol of figure2 and stress: state counts
     cycling ``n_list`` and per-model seeds drawn from one master stream;
     scores are reused for both probes."""
+    n_models = _as_int(n_models, "n_models")
     if n_models < 0:
         raise CorrboundError("n_models must be >= 0")
     if not n_list:
         raise CorrboundError("need at least one state count")
-    sizes = [int(n_list[i % len(n_list)]) for i in range(n_models)]
+    n_list = [_as_int(n, "state count") for n in n_list]
+    sizes = [n_list[i % len(n_list)] for i in range(n_models)]
     seeds = [int(s) for s in make_rng(seed).integers(0, 2**63 - 1, size=n_models)]
     return sizes, seeds
 
@@ -309,15 +314,25 @@ def _random_sweep(n_models: int, seed: int, n_list=(2, 3, 4)):
 _STACK_MODELS = 256
 
 
-def _stacks(sizes, model):
+def _stacks(sizes, seeds, lead=()):
     """The models of a sweep as stacks of one state count each, in runs of
-    at most ``_STACK_MODELS``: (sweep indices, W, p0, S) per stack, where
-    ``model(i)`` builds model i and has ``sizes[i]`` states."""
+    at most ``_STACK_MODELS``: (sweep indices, W, p0, S) per stack.
+
+    The fixed models ``lead``, each (W, p0, S), take the first sweep indices;
+    random model i, ``random_model(sizes[i], seeds[i])``, takes index
+    ``len(lead) + i``. The random models of a stack are drawn by one
+    re-keyed generator and validated once (``markov._random_stack``); a fixed
+    model is joined ahead of them with ``markov._stack``.
+    """
+    k = len(lead)
+    sizes = [m[0].n for m in lead] + list(sizes)
     for n in dict.fromkeys(sizes):
         group = [i for i, size in enumerate(sizes) if size == n]
         for start in range(0, len(group), _STACK_MODELS):
             chunk = group[start:start + _STACK_MODELS]
-            yield (chunk, *map(_stack, zip(*map(model, chunk))))
+            fixed = [lead[i] for i in chunk if i < k]
+            stack = _random_stack(n, [seeds[i - k] for i in chunk if i >= k])
+            yield (chunk, *(map(_stack, zip(*fixed, stack)) if fixed else stack))
 
 
 def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
@@ -334,17 +349,17 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     rows_a = [(s.t2, s.lhs, s.rhs, e.rhs, s.in_validity_domain) for s, e in zip(sines, etas)]
     rows_b = [(r.t2, r.lhs, r.rhs) for r in curve if r.bound_id == "DERIV_EQ7"]
 
-    models = [fig2_model()[:3]] + [random_model(n, s) for n, s in zip(sizes, seeds)]
     sweep = {}  # (bound id, model index) -> (t2, ratio, in_domain) per grid time
-    for chunk, Wm, p0m, Sm in _stacks([m[0].n for m in models], models.__getitem__):
+    for chunk, Wm, p0m, Sm in _stacks(sizes, seeds, lead=[fig2_model()[:3]]):
         for bid, _, plan, t1, t2 in _walk_bounds(
             Wm, p0m, Sm, Sm, FIG2_RATIO_GRID, ("ZERO_T_EQ6", "DERIV_EQ7"), "standard", DEFAULT_CHI
         ):
             _, _, ratio, in_domain, _ = plan.sides(bid, t1, t2)
             for j, idx in enumerate(chunk):
                 sweep[bid, idx] = list(zip(t2.tolist(), ratio[j].tolist(), in_domain[j].tolist()))
-    rows_c = [(idx, *x) for idx in range(len(models)) for x in sweep["ZERO_T_EQ6", idx]]
-    rows_d = [(idx, t, r) for idx in range(len(models)) for t, r, _ in sweep["DERIV_EQ7", idx]]
+    models = range(1 + len(sizes))
+    rows_c = [(idx, *x) for idx in models for x in sweep["ZERO_T_EQ6", idx]]
+    rows_d = [(idx, t, r) for idx in models for t, r, _ in sweep["DERIV_EQ7", idx]]
 
     meta = _meta(seed=seed, generator=RANDOM_MODEL_METADATA["generator"])
     _write_table(str(out / "fig2a.csv"), "t,lhs,rhs_sin,rhs_eta,in_domain", rows_a, meta)
@@ -409,7 +424,7 @@ def cmd_stress(
         for bid in BOUND_IDS
     }
     worst_at = {}  # bound id -> sweep index of its worst case
-    for chunk, W, p0, S in _stacks(sizes, lambda i: random_model(sizes[i], seeds[i])):
+    for chunk, W, p0, S in _stacks(sizes, seeds):
         for bid, _, plan, t1, t2 in _walk_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi):
             ratio = plan.sides(bid, t1, t2)[2]
             if ratio.size == 0:

@@ -29,7 +29,8 @@ evaluates in blocks of bounded memory, so no product's working memory grows
 with the times.
 
 A value may also hold a stack of models over the same states along a leading
-model axis (``_stack``): the primitives and ``steady_state`` then take and
+model axis (``_stack``, or ``_random_stack`` for seeded random models drawn
+and validated as one stack): the primitives and ``steady_state`` then take and
 return that axis, and run each step once for the whole stack. Every model
 of a stack gets the same numbers, bit for bit, as when it is alone: BLAS
 results depend on a product's row count, so the models are batched only
@@ -242,17 +243,7 @@ class RateMatrix:
         n = w.shape[0]
         if n < 2:
             raise BadDimensionError(f"need at least 2 states, got {n}")
-        off = w.copy()
-        np.fill_diagonal(off, 0.0)
-        neg = np.argwhere(off < 0.0)
-        if neg.size:
-            nu, mu = neg[0]
-            raise NegativeRateError(
-                f"negative rate {w[nu, mu]!r} at (row {nu + 1}, col {mu + 1})"
-            )
-        np.fill_diagonal(off, -off.sum(axis=0))
-        off.setflags(write=False)
-        object.__setattr__(self, "w", off)
+        object.__setattr__(self, "w", _generators(w.copy()))
 
     @property
     def n(self) -> int:
@@ -303,6 +294,23 @@ class RateMatrix:
         if factor < 0.0:
             raise NegativeRateError("scale factor must be >= 0")
         return RateMatrix(self.w * factor)
+
+
+def _generators(off: np.ndarray) -> np.ndarray:
+    """The generators of the finite rates ``off`` (..., n, n), in place and
+    read-only: the diagonal is ignored and becomes the negative column sums.
+    A negative off-diagonal rate raises for the first at fault."""
+    diag = np.arange(off.shape[-1])
+    off[..., diag, diag] = 0.0
+    neg = np.argwhere(off < 0.0)
+    if neg.size:
+        *_, nu, mu = neg[0]
+        raise NegativeRateError(
+            f"negative rate {off[tuple(neg[0])]!r} at (row {nu + 1}, col {mu + 1})"
+        )
+    off[..., diag, diag] = -off.sum(axis=-2)
+    off.setflags(write=False)
+    return off
 
 
 def _clamped_probs(p: np.ndarray) -> np.ndarray:
@@ -391,10 +399,14 @@ def _raw(cls, array: np.ndarray):
 
 
 def _stack(values):
-    """Validated values of one type over the same states as one value
-    holding their stack along a new leading model axis."""
+    """Validated values of one type over the same states, each one model or
+    a stack of models, as one value holding all their models along a
+    leading model axis."""
     first = fields(values[0])[0].name
-    return _raw(type(values[0]), np.stack([getattr(v, first) for v in values]))
+    per_model = 2 if isinstance(values[0], RateMatrix) else 1
+    arrays = [getattr(v, first) for v in values]
+    models = [a.reshape(-1, *a.shape[-per_model:]) for a in arrays]
+    return _raw(type(values[0]), np.concatenate(models))
 
 
 def _contract(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -608,12 +620,18 @@ def steady_state(W: RateMatrix) -> ProbVector:
     return pst
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox); identical streams on every platform."""
+def _philox_key(seed) -> np.ndarray:
+    """The Philox key of ``seed``, an integer 0 <= seed < 2**64, as the two
+    64-bit words of the 128-bit key."""
     seed = _as_int(seed, "seed")
     if not 0 <= seed < 2**64:
         raise BadDimensionError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.array([seed, 0], dtype=np.uint64)
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator (Philox); identical streams on every platform."""
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed)))
 
 
 def random_model(n: int, seed: int) -> tuple[RateMatrix, ProbVector, ScoreVector]:
@@ -623,22 +641,42 @@ def random_model(n: int, seed: int) -> tuple[RateMatrix, ProbVector, ScoreVector
     off-diagonal rates i.i.d. uniform on (0, 1]; initial probabilities
     uniform on the simplex via normalized exponentials; scores i.i.d.
     uniform on [-1, 1]. Same ``(n, seed)`` always yields bitwise-identical
-    output.
+    output. The one-model case of ``_random_stack``.
     """
+    W, p0, s = _random_stack(n, (seed,))
+    return _raw(RateMatrix, W.w[0]), _raw(ProbVector, p0.p[0]), _raw(ScoreVector, s.s[0])
+
+
+def _random_stack(n: int, seeds) -> tuple[RateMatrix, ProbVector, ScoreVector]:
+    """The models ``random_model(n, seed)`` of ``seeds``, in order, as one
+    stack along a leading model axis.
+
+    One Philox, re-keyed to the start of ``make_rng(seed)``'s stream for
+    each seed, draws every model into preallocated arrays: its rates
+    ``1 - random()``, then its exponentials, then its scores ``2 random() - 1``,
+    the draws of ``rng.uniform(-1, 1)``. The rates, laws and scores are then
+    finished and validated once for the whole stack.
+    """
+    n = _as_int(n, "n")
     if n < 2:
         raise BadDimensionError(f"need at least 2 states, got {n}")
-    rng = make_rng(seed)
-    rates = 1.0 - rng.random((n, n))  # uniform on (0, 1]
-    np.fill_diagonal(rates, 0.0)
-    W = RateMatrix(rates)
-    p0 = ProbVector(_normalized_exponentials(rng, n))
-    scores = ScoreVector(rng.uniform(-1.0, 1.0, size=n))
-    return W, p0, scores
-
-
-def _normalized_exponentials(rng: np.random.Generator, n: int) -> np.ndarray:
-    e = rng.exponential(1.0, size=n)
-    return e / e.sum()
+    keys = [_philox_key(seed) for seed in seeds]
+    m = len(keys)
+    rates, expo, scores = np.empty((m, n, n)), np.empty((m, n)), np.empty((m, n))
+    rng = make_rng(0)
+    state = rng.bit_generator.state  # counter 0 and an empty buffer
+    for i, key in enumerate(keys):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        rng.random(out=rates[i])
+        rng.standard_exponential(out=expo[i])
+        rng.random(out=scores[i])
+    np.subtract(1.0, rates, out=rates)  # uniform on (0, 1]
+    expo /= expo.sum(axis=-1, keepdims=True)
+    scores *= 2.0
+    scores -= 1.0  # uniform on [-1, 1)
+    W = _generators(_as_float_array(rates, "rate matrix"))
+    return _raw(RateMatrix, W), _raw(ProbVector, _clamped_probs(expo)), _raw(ScoreVector, scores)
 
 
 RANDOM_MODEL_METADATA = {

@@ -31,7 +31,15 @@ import numpy as np
 from .bounds import RATIO_SLACK, geodesic_arg
 from .distances import FiniteDistribution, bhattacharyya, tvd
 from .errors import BadDimensionError, BadIntervalError, TooManyPathsError
-from .markov import ProbVector, RateMatrix, _check_dims, _check_time, _survival, propagator
+from .markov import (
+    ProbVector,
+    RateMatrix,
+    _as_int,
+    _check_dims,
+    _check_time,
+    _survival,
+    propagator,
+)
 
 MAX_PATHS = 10**6
 
@@ -45,6 +53,8 @@ class PathSkeleton:
     tau: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_states", _as_int(self.n_states, "n_states"))
+        object.__setattr__(self, "n_steps", _as_int(self.n_steps, "n_steps"))
         if self.n_states < 1:
             raise BadDimensionError(f"need at least 1 state, got {self.n_states}")
         if self.n_steps < 1:

@@ -29,7 +29,7 @@ from corrbound import (
     steady_state,
     validate_rate_matrix,
 )
-from corrbound.cli import RunConfig, _parse_tgrid, cmd_response, evaluate_bounds
+from corrbound.cli import RunConfig, _parse_tgrid, _random_sweep, cmd_response, evaluate_bounds
 from corrbound.errors import (
     BadDimensionError,
     BadIntervalError,
@@ -51,6 +51,9 @@ CASES = [
     ("score-vector-2d", lambda: ScoreVector(np.zeros((2, 2))), BadDimensionError),
     ("rng-negative-seed", lambda: make_rng(-1), BadDimensionError),
     ("rng-fractional-seed", lambda: make_rng(2.9), BadDimensionError),
+    ("random-model-fractional-n", lambda: random_model(2.5, 1), BadDimensionError),
+    ("random-model-float-n", lambda: random_model(3.0, 1), BadDimensionError),
+    ("sweep-fractional-states", lambda: _random_sweep(4, 1, (2.5, 3)), BadDimensionError),
     ("model-not-an-object", lambda: load_model([1, 2]), BadDimensionError),
     (
         "model-fractional-n",
@@ -64,6 +67,8 @@ CASES = [
     ("trajectory-nan-horizon", lambda: Trajectory(0, (), np.nan), BadIntervalError),
     ("path-skeleton-nan-tau", lambda: PathSkeleton(3, 2, np.nan), BadIntervalError),
     ("path-skeleton-no-states", lambda: PathSkeleton(0, 2, 1.0), BadDimensionError),
+    ("path-skeleton-fractional-states", lambda: PathSkeleton(2.5, 2, 1.0), BadDimensionError),
+    ("path-skeleton-fractional-steps", lambda: PathSkeleton(3, 2.5, 1.0), BadDimensionError),
     ("skeleton-zero-tau", lambda: skeleton_distribution(W, P0, 0.0, 2, 0.0), BadIntervalError),
     ("config-empty-grid", lambda: RunConfig(t_grid=[]), CorrboundError),
     ("config-unsorted-grid", lambda: RunConfig(t_grid=[1.0, 0.5]), CorrboundError),

@@ -38,6 +38,7 @@ from corrbound.errors import (
     NotNormalizedError,
 )
 from corrbound.markov import (
+    RateMatrix,
     _check_time,
     _check_times,
     _integral_apply,
@@ -595,7 +596,8 @@ class TestSteadyState:
 
 
 def stack_of(models):
-    """(W, p0, S) stacks of a list of (W, p0, S) models over the same states."""
+    """(W, p0, S) stacks of a list of (W, p0, S) models, or stacks of them,
+    over the same states."""
     return tuple(markov._stack(list(values)) for values in zip(*models))
 
 
@@ -711,9 +713,70 @@ class TestRandomModel:
 
     def test_make_rng_platform_stable_stream(self):
         # frozen first draws of the documented counter-based generator
-        assert make_rng(0).random() == make_rng(0).random()
+        assert make_rng(0).random() == 0.011546754286331562
+        assert make_rng(2**63 + 5).random() == 0.4474363910727892
+        assert make_rng(2**64 - 1).random() == 0.23494158814525556
         # numpy integers are seeds too
-        assert make_rng(np.uint64(2**63 + 5)).random() == make_rng(2**63 + 5).random()
+        assert make_rng(np.uint64(2**63 + 5)).random() == 0.4474363910727892
+
+
+def model_alone(n, seed):
+    """A random model drawn and validated alone, by the per-model recipe
+    that ``random_model`` documents: its own generator, then the rates, the
+    normalised exponentials and the scores."""
+    rng = make_rng(seed)
+    rates = 1.0 - rng.random((n, n))
+    e = rng.exponential(1.0, n)
+    return RateMatrix(rates), ProbVector(e / e.sum()), ScoreVector(rng.uniform(-1.0, 1.0, n))
+
+
+def same_bytes(stack, models):
+    """Whether the stack holds exactly the models, in order, byte for byte."""
+    W, p0, S = stack
+    return [W.w.tobytes(), p0.p.tobytes(), S.s.tobytes()] == [
+        b"".join(getattr(m[k], name).tobytes() for m in models)
+        for k, name in enumerate(("w", "p", "s"))
+    ]
+
+
+class TestRandomStack:
+    SEEDS = (0, 2**64 - 1, 7, 2**63 + 5, 424242, 31415)
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 40])
+    def test_stack_equals_models_drawn_alone(self, n):
+        stack = markov._random_stack(n, self.SEEDS)
+        assert stack[0].w.shape == (len(self.SEEDS), n, n)
+        assert same_bytes(stack, [model_alone(n, seed) for seed in self.SEEDS])
+
+    def test_permuted_seeds_permute_the_stack(self):
+        # no stream state is carried from one model to the next
+        perm = (3, 0, 5, 1, 4, 2)
+        W, p0, S = markov._random_stack(5, self.SEEDS)
+        got = markov._random_stack(5, [self.SEEDS[i] for i in perm])
+        assert [got[0].w.tobytes(), got[1].p.tobytes(), got[2].s.tobytes()] == [
+            W.w[list(perm)].tobytes(), p0.p[list(perm)].tobytes(), S.s[list(perm)].tobytes()
+        ]
+
+    def test_single_seed_is_random_model(self):
+        for n, seed in ((2, 0), (3, 2**64 - 1), (9, 12345)):
+            assert same_bytes(markov._random_stack(n, [seed]), [random_model(n, seed)])
+            assert same_bytes(markov._random_stack(n, [seed]), [model_alone(n, seed)])
+
+    def test_one_model_joins_a_stack_ahead(self):
+        chain = (validate_rate_matrix([[0.0, 1.0], [2.0, 0.0]]), ProbVector([0.5, 0.5]),
+                 ScoreVector([-1.0, 1.0]))
+        joined = stack_of([chain, markov._random_stack(2, self.SEEDS)])
+        assert same_bytes(joined, [chain, *(model_alone(2, seed) for seed in self.SEEDS)])
+
+    def test_no_seeds_give_an_empty_stack(self):
+        W, p0, S = markov._random_stack(3, [])
+        assert (W.w.shape, p0.p.shape, S.s.shape) == ((0, 3, 3), (0, 3), (0, 3))
+
+    def test_seeds_are_checked_before_drawing(self):
+        with pytest.raises(BadDimensionError):
+            markov._random_stack(3, [1, 2**64])
+        with pytest.raises(BadDimensionError):
+            markov._random_stack(3, [1, 2.0])
 
 
 class TestLoadModel:
