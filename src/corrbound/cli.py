@@ -9,7 +9,9 @@ Subcommands::
     response pulse or step response sweep for a single model
 
 Exit codes are uniform: 0 all checked ratios within tolerance, 1 at
-least one bound violated, 2 input or configuration error. All emitted
+least one bound violated, 2 input or configuration error. A model without
+a unique stationary law fails only the pulse and step bounds of ``check``:
+it exits 2, naming them on stderr, and writes the other rows. All emitted
 reals carry 17 significant digits (round-trip exact for float64), CSV
 files start with ``# key: value`` metadata lines, and identical seeds
 produce byte-identical output. Non-finite reals are written as ``inf``,
@@ -168,14 +170,16 @@ def _write_table(path: str | None, header: str, rows, meta: dict, fmt: str = "cs
     _write_text(path, text + "\n")
 
 
-def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi):
+def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi, failed=None):
     """The intervals of each selected bound on the plan of one model, or
     of a stack of models.
 
     Yields (bound id, grid rows, plan, t1, t2): the start plan (the
     stationary one for pulse/step) and the applicable intervals at grid
     rows ``rows``, with t1 the bound's share of t2; single-time bounds
-    (share 1) skip t = 0, where they divide by t.
+    (share 1) skip t = 0, where they divide by t. Where W has no stationary
+    law, a pulse/step bound raises its error; with a dict ``failed``, it is
+    skipped instead, and its error stored there under its id.
     """
     grid = np.asarray(t_grid, dtype=float)
     unknown = set(bound_ids) - set(_BOUNDS)
@@ -188,8 +192,34 @@ def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi):
     for bid in bound_ids:
         t1_share, stationary, _, _ = _BOUNDS[bid]
         rows = np.flatnonzero(grid > 0.0) if t1_share == 1.0 else np.arange(grid.size)
-        start = plan.stationary if stationary else plan
+        if stationary and failed:  # the law failed for an earlier bound
+            failed[bid] = next(iter(failed.values()))
+            continue
+        try:
+            start = plan.stationary if stationary else plan
+        except CorrboundError as exc:
+            if failed is None:
+                raise
+            failed[bid] = exc
+            continue
         yield bid, rows, start, t1_share * grid[rows], grid[rows]
+
+
+def _bound_reports(W, p0, S, T, t_grid, bound_ids, mode, chi, failed=None):
+    """The reports of ``evaluate_bounds``; a bound whose stationary law W
+    lacks is handled as in ``_walk_bounds``."""
+    bound_ids = tuple(dict.fromkeys(bound_ids))
+    walk = _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi, failed)
+    by_bound = {
+        bid: dict(zip(rows.tolist(), plan.reports(bid, t1, t2)))
+        for bid, rows, plan, t1, t2 in walk
+    }
+    return [
+        by_bound[bid][k]
+        for k in range(len(t_grid))
+        for bid in bound_ids
+        if k in by_bound.get(bid, ())
+    ]
 
 
 def evaluate_bounds(
@@ -209,19 +239,10 @@ def evaluate_bounds(
     time domain (t = 0 for the derivative and pulse forms) are skipped.
     Pulse/step bounds are evaluated from the stationary state of W.
     Reports come grid time by grid time, in the order of ``bound_ids``;
-    a repeated id is evaluated and reported once.
+    a repeated id is evaluated and reported once. Where W has no unique
+    stationary law, a selected pulse/step bound raises its error.
     """
-    bound_ids = tuple(dict.fromkeys(bound_ids))
-    by_bound = {
-        bid: dict(zip(rows.tolist(), plan.reports(bid, t1, t2)))
-        for bid, rows, plan, t1, t2 in _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi)
-    }
-    return [
-        by_bound[bid][k]
-        for k in range(len(t_grid))
-        for bid in bound_ids
-        if k in by_bound[bid]
-    ]
+    return _bound_reports(W, p0, S, T, t_grid, bound_ids, mode, chi)
 
 
 def _apply_rhs_scale(reports: list[BoundReport], scale: float) -> list[BoundReport]:
@@ -232,7 +253,9 @@ def _apply_rhs_scale(reports: list[BoundReport], scale: float) -> list[BoundRepo
 
 
 def cmd_check(config: RunConfig) -> int:
-    """Evaluate bounds for one model; 0 = all hold, 1 = violation."""
+    """Evaluate bounds for one model; 0 = all hold, 1 = violation, 2 = a
+    pulse/step bound failed for want of a stationary law. Such a bound is
+    named on stderr, and the rows of the other bounds are written."""
     if config.model_path is not None:
         W, p0, S, T = load_model(config.model_path)
         source = config.model_path
@@ -242,8 +265,9 @@ def cmd_check(config: RunConfig) -> int:
         source = f"random(n={config.gen_states}, seed={config.seed})"
     else:
         raise CorrboundError("check needs either a model file or --states")
-    reports = evaluate_bounds(
-        W, p0, S, T, config.t_grid, config.bounds, config.cmax_mode, config.chi
+    failed = {}
+    reports = _bound_reports(
+        W, p0, S, T, config.t_grid, config.bounds, config.cmax_mode, config.chi, failed
     )
     reports = _apply_rhs_scale(reports, config.rhs_scale)
     meta = _meta(
@@ -263,7 +287,9 @@ def cmd_check(config: RunConfig) -> int:
             f"lhs={fmt17(v.lhs)} rhs={fmt17(v.rhs)} ratio={fmt17(v.ratio)}",
             file=sys.stderr,
         )
-    return 1 if violations else 0
+    for bid, exc in failed.items():
+        print(f"error: {bid}: {exc}", file=sys.stderr)
+    return 2 if failed else 1 if violations else 0
 
 
 _RESPONSE_HEADER = "t,shift,bound_rhs,ratio,in_domain"

@@ -26,7 +26,10 @@ Y = e^{2^-s A} - I rather than e^{2^-s A}: I + Y would round away the digits
 of a slow mode, which a stiff chain's many squarings then amplify, and a zero
 column of A (an absorbing state) gives an exactly zero column of Y. The loop
 evaluates in blocks of bounded memory, so no product's working memory grows
-with the times.
+with the times. ``steady_state`` reads the stationary law from the same
+eigenbasis where it settles the kernel of W, so a model takes one
+decomposition; only the others (the expm regime, nearly reducible chains)
+take an SVD.
 
 A value may also hold a stack of models over the same states along a leading
 model axis (``_stack``, or ``_random_stack`` for seeded random models drawn
@@ -593,23 +596,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def steady_state(W: RateMatrix) -> ProbVector:
     """Stationary distribution P_st with W P_st = 0, when it is unique.
 
-    The kernel of W is extracted by SVD; a kernel of dimension > 1 (within
-    tolerance) means the chain decomposes and no unique stationary law
-    exists. For a stack W, the stack of the laws of its models; one model
-    without a unique law raises.
+    The kernel of W is decided by an SVD: singular values within the
+    tolerance tol = n 1e-13 max R span it, and a kernel of dimension > 1
+    means the chain decomposes and no unique stationary law exists. A model
+    whose trusted eigenbasis (``RateMatrix._spectral``, held for
+    propagation anyway) settles that decision takes no SVD, and its law is
+    the kernel column of V. It settles it when exactly one eigenvalue has
+    |lam| <= tol, its column of V is real, and the sum over the other
+    eigenvalues of |V_i| |U_i| / |lam_i| (columns V_i of V, rows U_i of
+    V^{-1}) is below 1 / tol: the sum bounds the 2-norm of the group
+    inverse of W, and so that of its pseudo-inverse, 1 / sigma_{n-1}, and
+    the SVD would find a kernel of dimension 1. Every other model (on the
+    expm regime, or nearly reducible) takes the SVD. For a stack W, the
+    stack of the laws of its models; one model without a unique law
+    raises.
     """
-    try:
-        _, sing, vt = np.linalg.svd(W.w)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"SVD of generator failed: {exc}") from exc
+    n = W.n
+    w = W.w.reshape(-1, n, n)
     scale = W.escape.max(axis=-1)
-    kernel_dim = (sing <= W.n * 1e-13 * scale[..., None]).sum(axis=-1)
-    bad = kernel_dim != 1
-    if bad.any():
-        raise NonUniqueSteadyStateError(
-            f"generator kernel has dimension {kernel_dim[bad].flat[0]}; need exactly 1"
-        )
-    v = vt[..., -1, :]
+    tol = n * 1e-13 * scale.reshape(-1)
+    v = np.empty((w.shape[0], n))
+    svd = np.ones(w.shape[0], dtype=bool)
+    for sd in W._spectral or ():
+        lam, at = np.abs(sd.lam), tol[sd.models]
+        kernel = lam <= at[:, None]
+        col = np.take_along_axis(sd.basis, kernel.argmax(axis=-1)[:, None, None], axis=-1)[..., 0]
+        kappa = np.linalg.norm(sd.basis, axis=-2) * np.linalg.norm(sd.Vinv, axis=-1)
+        spread = (kappa / np.where(kernel, np.inf, lam)).sum(axis=-1)
+        one = np.count_nonzero(kernel, axis=-1) == 1
+        one &= ~col.imag.any(axis=-1) & (at * spread < 1.0)
+        v[sd.models[one]] = col[one].real
+        svd[sd.models[one]] = False
+    if svd.any():
+        v[svd] = _svd_kernel(w[svd], tol[svd])
+    v = v.reshape(W.w.shape[:-1])
     v = np.where(v.sum(axis=-1, keepdims=True) < 0.0, -v, v)
     if (v.min(axis=-1) < -1e-9).any():
         raise NoConvergenceError("kernel vector has genuinely negative entries")
@@ -618,6 +638,23 @@ def steady_state(W: RateMatrix) -> ProbVector:
     if (np.abs(_contract(W.w, pst.p)).max(axis=-1) > 1e-10 * scale).any():
         raise NoConvergenceError("candidate steady state does not satisfy W P = 0")
     return pst
+
+
+def _svd_kernel(w: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The unit kernel vector of each generator of the stack ``w`` by SVD,
+    whose singular values at most ``tol`` (one per model) span the kernel;
+    a kernel of another dimension than 1 raises for the first at fault."""
+    try:
+        _, sing, vt = np.linalg.svd(w)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"SVD of generator failed: {exc}") from exc
+    kernel_dim = (sing <= tol[:, None]).sum(axis=-1)
+    bad = kernel_dim != 1
+    if bad.any():
+        raise NonUniqueSteadyStateError(
+            f"generator kernel has dimension {kernel_dim[bad][0]}; need exactly 1"
+        )
+    return vt[:, -1, :]
 
 
 def _philox_key(seed) -> np.ndarray:

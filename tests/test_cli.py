@@ -197,6 +197,30 @@ class TestCmdCheck:
         code = main(["check", "--model", str(bad)])
         assert code == 2
 
+    def test_missing_law_fails_only_the_stationary_bounds(self, tmp_path, capsys, monkeypatch):
+        # two absorbing states: no unique stationary law, sought once; the
+        # other bounds still write their rows, as they do when selected alone
+        calls = []
+        real = bounds.steady_state
+        monkeypatch.setattr(bounds, "steady_state", lambda w: calls.append(w) or real(w))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"n": 3, "rates": [[0, 1, 0], [0, 0, 0], [0, 1, 0]], "p0": [0.2, 0.5, 0.3],
+             "S": [1, -0.5, 0.25]}
+        ))
+        outs = [tmp_path / "all.csv", tmp_path / "some.csv"]
+        argv = ["check", "--model", str(model), "--tgrid", "0:2:5:lin", "--bounds"]
+        assert main([*argv, "MAIN_EQ5,STEP_EQ12,ETA_EQ8,PULSE_EQ11", "--out", str(outs[0])]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {bid}: generator kernel has dimension 2; need exactly 1"
+            for bid in ("STEP_EQ12", "PULSE_EQ11")
+        ]
+        assert len(calls) == 1
+        assert main([*argv, "MAIN_EQ5,ETA_EQ8", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_csv(outs[0])[2]) == 10
+
     def test_corrupted_rhs_hook_exits_one(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(FIG2_JSON)
@@ -551,7 +575,7 @@ class TestStressTally:
         out = tmp_path / "tally.json"
         cmd_stress(n_models=60, seed=31415, output_path=str(out))
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "1d997c0d5a08f23dc5d625395506a90f01ea4586a1be5f25e6d4428bdb39b8e2"
+        assert digest == "0a2e95b8dd0f5c8f15f626e5233e12aa8441533ead97fdf5f48b926645f6d66e"
 
     def test_one_plan_per_state_count(self, tmp_path, monkeypatch):
         # 30 models cycling 2, 3, 4: one plan per state count (and its

@@ -594,6 +594,99 @@ class TestSteadyState:
             for t in (1.0, 10.0):
                 assert np.abs(propagate(W, pst, t).p - pst.p).max() < 1e-9
 
+    @staticmethod
+    def svd_law(w):
+        """The law as the kernel vector of an SVD of w, signed, clipped and
+        normalized."""
+        v = np.linalg.svd(w)[2][-1]
+        v = np.clip(-v if v.sum() < 0.0 else v, 0.0, None)
+        return v / v.sum()
+
+    @staticmethod
+    def svd_routes(monkeypatch):
+        """The model counts of the SVD calls of ``steady_state``, as they come."""
+        calls = []
+        real = markov._svd_kernel
+        monkeypatch.setattr(markov, "_svd_kernel", lambda w, tol: calls.append(len(w)) or real(w, tol))
+        return calls
+
+    def test_eigenbasis_law_agrees_with_svd(self, monkeypatch):
+        # random models over a range of sizes and rate units, and stiff
+        # 6-state chains (rates log-uniform on [1e-4, 1e4]): all take the
+        # eigenbasis, agree with the SVD's law, and have its residual
+        models = [
+            random_model(n, seed)[0].w * scale
+            for scale in (1e-6, 1.0, 1e6)
+            for n, seeds in [*((n, 3) for n in range(2, 13)), (64, 1), (200, 1)]
+            for seed in range(seeds)
+        ]
+        for seed in range(8):
+            w = 10.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, size=(6, 6))
+            models.append(w)
+        calls = self.svd_routes(monkeypatch)
+        eps = np.finfo(float).eps
+        for w in models:
+            W = validate_rate_matrix(w)
+            p, q = steady_state(W).p, self.svd_law(W.w)
+            assert np.abs(p - q).max() <= 1e-13 * q.max()
+            residual = [np.abs(W.w @ x).max() / W.escape.max() for x in (p, q)]
+            assert residual[0] <= 4.0 * max(residual[1], eps)
+        assert calls == []
+
+    def test_leak_ladder_decides_as_the_svd(self):
+        # a path whose ends absorb, but for a leak of 10^-k from the last
+        # state back into the path: the law is unique for any leak, but
+        # below the kernel tolerance the SVD finds a kernel of dimension 2,
+        # and steady_state must raise exactly there
+        rng = np.random.default_rng(3)
+        raised = 0
+        for scale in (1e-6, 1.0, 1e6):
+            for n in range(3, 13):
+                for k in range(6, 18):
+                    w = np.zeros((n, n))
+                    for i in range(1, n - 1):
+                        w[i - 1, i], w[i + 1, i] = rng.uniform(0.5, 2.0, 2) * scale
+                    w[n - 2, n - 1] = 10.0**-k * scale
+                    W = validate_rate_matrix(w)
+                    sing = np.linalg.svd(W.w, compute_uv=False)
+                    unique = np.count_nonzero(sing <= n * 1e-13 * W.escape.max()) == 1
+                    try:
+                        steady_state(W)
+                    except NonUniqueSteadyStateError:
+                        assert not unique, (scale, n, k)
+                        raised += 1
+                    else:
+                        assert unique, (scale, n, k)
+        assert 0 < raised < 360
+
+    def jordan_chain(self):
+        """0 -> 1 -> 2 -> 3 at one rate: defective, so on the expm regime."""
+        w = np.zeros((4, 4))
+        for i in range(3):
+            w[i + 1, i] = 1.3
+        return validate_rate_matrix(w)
+
+    def test_defective_chain_takes_the_svd(self, monkeypatch):
+        W = self.jordan_chain()
+        calls = self.svd_routes(monkeypatch)
+        assert W._spectral is None
+        # the law as the SVD rule made it before the eigenbasis route
+        q = markov._clamped_probs(self.svd_law(W.w))
+        assert np.array_equal(steady_state(W).p, q) and calls == [1]
+
+    def test_mixed_stack_equals_per_model_calls(self, monkeypatch):
+        # real spectra (seeds 16, 17), complex ones (11, 12), and the
+        # defective chain on the expm regime: one SVD, for the chains
+        models = [random_model(4, 16)[0], self.jordan_chain(), random_model(4, 11)[0],
+                  random_model(4, 17)[0], random_model(4, 12)[0], self.jordan_chain()]
+        W = markov._stack(models)
+        assert {sd.lam.dtype.kind for sd in W._spectral} == {"f", "c"}
+        calls = self.svd_routes(monkeypatch)
+        pst = steady_state(W)
+        assert calls == [2]
+        for j, Wj in enumerate(models):
+            assert np.array_equal(pst.p[j], steady_state(Wj).p)
+
 
 def stack_of(models):
     """(W, p0, S) stacks of a list of (W, p0, S) models, or stacks of them,
