@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import _chain, _check_probes, _Plan
 from .errors import BadIntervalError, TooFewSamplesError
-from .markov import ProbVector, RateMatrix, ScoreVector, _check_dims, _check_time, make_rng
+from .markov import ProbVector, RateMatrix, ScoreVector, _as_int, _check_dims, _check_time, make_rng
 
 
 def two_point(
@@ -247,6 +247,7 @@ def mc_two_point(
     """
     _check_dims(W, p0, S, T)
     t = _check_time(t)
+    n_samples = _as_int(n_samples, "n_samples")
     if n_samples < 100:
         raise TooFewSamplesError(f"need >= 100 samples, got {n_samples}")
     rng = make_rng(seed)

@@ -12,6 +12,11 @@ their bounds read one evaluation plan (``bounds._Plan``) over an array
 of times, so a pulse or step sweep builds one plan and checks the
 stationarity of its baseline once, whatever its number of times.
 
+A baseline P_st is stationary under the one rule of ``markov``: max |W P_st|
+at most ``markov._STEADY_RTOL`` (1e-10) times the largest escape rate, the
+test ``steady_state`` applies to its own law. A caller's law that fails it
+raises ``NotSteadyStateError``.
+
 An independent fixed-step Runge-Kutta integrator of the fully
 perturbed master equation is provided as the oracle for all of the
 above. A true delta drive is ill-posed in a fixed-step scheme, so
@@ -46,13 +51,12 @@ from .markov import (
     ScoreVector,
     _as_float_array,
     _check_dims,
+    _check_stationary,
     _check_time,
     _clamped_probs,
     _propagator_apply,
     steady_state,
 )
-
-_STEADY_RTOL = 1e-8  # times the largest escape rate, as steady_state's residual check
 
 
 @dataclass(frozen=True)
@@ -145,12 +149,9 @@ def canonical_perturbation(W: RateMatrix, S: ScoreVector) -> np.ndarray:
 
 
 def _check_steady(W: RateMatrix, Pst: ProbVector) -> None:
-    _check_dims(W, Pst)
-    resid = float(np.abs(W.w @ Pst.p).max())
-    if resid > _STEADY_RTOL * W.escape.max():
-        raise NotSteadyStateError(
-            f"baseline is not stationary: max |W P| = {resid:.3e}"
-        )
+    """A caller's baseline (of checked dimension) must pass the rule that
+    ``steady_state`` applies to its own law."""
+    _check_stationary(W, Pst, NotSteadyStateError, "baseline")
 
 
 def response_function(
@@ -169,8 +170,8 @@ def response_function(
 def _kernel(W: RateMatrix, Pst: ProbVector, pert: Perturbation, G: ScoreVector, lags):
     """The response kernel of ``pert.F`` at an array of lags in one
     propagation; exactly 0 at negative lags."""
+    _check_dims(W, Pst, G, pert)
     _check_steady(W, Pst)
-    _check_dims(W, G, pert)
     rows = _propagator_apply(W, pert.F @ Pst.p, np.maximum(lags, 0.0))
     return np.where(lags < 0.0, 0.0, rows @ G.s)
 
@@ -276,7 +277,10 @@ def convolved_shift(
         raise NonFiniteError(f"convolution step must be finite, got {dt}")
     if dt <= 0.0:
         raise StepTooLargeError("convolution step must be > 0")
-    grid = np.arange(0.0, t + 0.5 * dt, dt)
+    # the nodes k dt below t, then t itself: where t is not a multiple of
+    # dt, the last cell is shorter
+    grid = np.arange(0.0, t, dt)
+    grid = np.append(grid[grid < t], t)
     kernel = _kernel(W, Pst, pert, G, t - grid)
     fvals = drive.value(grid)
     return pert.chi * float(np.trapezoid(kernel * fvals, grid))

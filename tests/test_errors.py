@@ -22,6 +22,7 @@ from corrbound import (
     convolved_shift,
     load_model,
     make_rng,
+    mc_two_point,
     multipoint,
     perturbed_oracle,
     random_model,
@@ -69,6 +70,7 @@ CASES = [
     ("path-skeleton-no-states", lambda: PathSkeleton(0, 2, 1.0), BadDimensionError),
     ("path-skeleton-fractional-states", lambda: PathSkeleton(2.5, 2, 1.0), BadDimensionError),
     ("path-skeleton-fractional-steps", lambda: PathSkeleton(3, 2.5, 1.0), BadDimensionError),
+    ("mc-fractional-samples", lambda: mc_two_point(W, P0, S, S, 1.0, 1000.5, 1), BadDimensionError),
     ("skeleton-zero-tau", lambda: skeleton_distribution(W, P0, 0.0, 2, 0.0), BadIntervalError),
     ("config-empty-grid", lambda: RunConfig(t_grid=[]), CorrboundError),
     ("config-unsorted-grid", lambda: RunConfig(t_grid=[1.0, 0.5]), CorrboundError),

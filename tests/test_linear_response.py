@@ -17,6 +17,7 @@ from corrbound import (
     correlation_derivative,
     perturbed_oracle,
     pulse_shift,
+    random_model,
     response_function,
     steady_state,
     step_shift,
@@ -220,6 +221,39 @@ class TestSteadyCheckAtFastRates:
                     ref = bound(W, steady_state(W), S, S, CHI, 1.0)
                     got = bound(Wc, pst, S, S, CHI, 1.0 / c)
                     assert abs(got.ratio - ref.ratio) <= 1e-10
+
+
+class TestOneStationarityRule:
+    """A caller's baseline passes when max |W P| is within the 1e-10 max R
+    that ``steady_state`` applies to its own law, and only then."""
+
+    @staticmethod
+    def law_with_residual(W, rel):
+        # the stationary law moved along e_0 - e_1, which keeps its sum
+        d = np.zeros(W.n)
+        d[:2] = 1.0, -1.0
+        p = steady_state(W).p + rel * W.escape.max() / np.abs(W.w @ d).max() * d
+        return ProbVector(p)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_caller_law_meets_steady_state_rule(self, seed):
+        W, _, S = random_model(4, seed)
+        F = canonical_perturbation(W, S)
+        calls = [
+            lambda P: response_function(W, P, F, S, 1.0),
+            lambda P: pulse_shift(W, P, S, S, CHI, 1.0),
+            lambda P: step_shift(W, P, S, S, CHI, 1.0),
+            lambda P: bound_pulse(W, P, S, S, CHI, 1.0),
+            lambda P: bound_step(W, P, S, S, CHI, 1.0),
+        ]
+        near, off = self.law_with_residual(W, 1e-11), self.law_with_residual(W, 1e-9)
+        for rel, P in ((1e-11, near), (1e-9, off)):
+            resid = np.abs(W.w @ P.p).max() / W.escape.max()
+            assert resid == pytest.approx(rel, rel=1e-3)
+        for call in calls:
+            call(near)
+            with pytest.raises(NotSteadyStateError):
+                call(off)
 
 
 class TestBoundStep:
@@ -445,6 +479,21 @@ class TestSampledDriveConvolution:
         got = convolved_shift(W, pst, F, T, CHI, drive, 1.5, 1e-3)
         expect = step_shift(W, pst, S, T, CHI, 1.5)
         assert got == pytest.approx(expect, rel=1e-4, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "t, dt", [(1.0, 0.3), (1.0, 0.07), (1.0, 0.011), (1.0, 2.0), (0.3, 0.1)]
+    )
+    def test_grid_ends_at_t(self, t, dt):
+        # t is no multiple of dt, or (0.3 and 0.1) 3 dt rounds above t: the
+        # grid still ends at t with a shorter last cell, so the error stays
+        # second order in h = min(dt, t)
+        W, _, S = random_model(3, 1)
+        pst = steady_state(W)
+        F = canonical_perturbation(W, S)
+        drive = SampledDrive(np.linspace(0.0, 2.0, 2001), np.ones(2001))
+        got = convolved_shift(W, pst, F, S, CHI, drive, t, dt)
+        expect = step_shift(W, pst, S, S, CHI, t)
+        assert abs(got - expect) <= 0.5 * min(dt, t) ** 2 * abs(expect)
 
     def test_array_values_match_per_point_values(self):
         drive = SampledDrive(np.array([0.0, 0.3, 1.1]), np.array([0.2, -1.0, 2.5]))

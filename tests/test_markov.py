@@ -331,9 +331,11 @@ class TestPhiT:
 
 
 class TestConditionGate:
-    """The eigenbasis is trusted when cond_1(V) = |V|_1 |V^-1|_1 is below
-    1e8 and V reproduces W; the rule with the 2-norm condition number from
-    an SVD took the same regime on every model of the corpus."""
+    """The eigenbasis is trusted on the reconstruction test alone: V
+    reproduces W to 1e-12 max R. The earlier rule, a 2-norm condition
+    number below 1e8 from an SVD and then the reconstruction, takes the
+    same regime on every model of the corpus, so a condition gate never
+    decided."""
 
     @staticmethod
     def corpus():
@@ -411,6 +413,23 @@ class TestConditionGate:
             assert np.array_equal(rows[j], alone[j]), j
         exact = [scipy.linalg.expm(models[1][0].w * t) @ vec[1] for t in times]
         assert np.abs(rows[1] - exact).max() <= 1e-13
+
+    def test_overflowing_reconstruction_is_refused(self, monkeypatch):
+        # model 1 gets an inverse basis so large that V diag(lam) V^-1
+        # overflows; RuntimeWarnings are errors under this suite
+        models = [random_model(4, seed) for seed in (11, 12, 13)]  # complex spectra
+        W, _, _ = stack_of(models)
+        inverses = markov._inverses
+
+        def huge_inverses(a):
+            out = inverses(a)
+            out[1] *= 1e308
+            return out
+
+        monkeypatch.setattr(markov, "_inverses", huge_inverses)
+        assert sorted(m for sd in W._spectral for m in sd.models.tolist()) == [0, 2]
+        rates, index = W._regimes[-1]
+        assert not isinstance(rates, _Spectral) and index.tolist() == [1]
 
 
 class TestDefectiveFallback:
