@@ -28,11 +28,9 @@ from .bounds import (
     geodesic_arg,
 )
 from .correlation import (
-    Trajectory,
     correlation_derivative,
     mc_two_point,
     multipoint,
-    sample_trajectory,
     two_point,
 )
 from .distances import FiniteDistribution, bhattacharyya, tvd
@@ -91,7 +89,6 @@ __all__ = [
     "SampledDrive",
     "ScoreVector",
     "StepDrive",
-    "Trajectory",
     "activity_rate",
     "bhat_survival",
     "bhattacharyya",
@@ -122,7 +119,6 @@ __all__ = [
     "pulse_shift",
     "random_model",
     "response_function",
-    "sample_trajectory",
     "skeleton_distribution",
     "steady_state",
     "step_shift",

@@ -62,7 +62,8 @@ class KeyMismatchError(CorrboundError):
 
 
 class TimesNotSortedError(CorrboundError):
-    """Correlation time points must be non-decreasing and start at 0."""
+    """Time points out of order: correlation times must be non-decreasing
+    and start at 0, and sampled drive times strictly increasing."""
 
 
 class TooFewSamplesError(CorrboundError):

@@ -40,10 +40,13 @@ import numpy as np
 
 from .bounds import BoundReport, _Plan
 from .errors import (
+    BadDimensionError,
     NonFiniteError,
     NonPositiveTimeError,
+    NonSquareError,
     NotSteadyStateError,
     StepTooLargeError,
+    TimesNotSortedError,
 )
 from .markov import (
     ProbVector,
@@ -103,9 +106,9 @@ class SampledDrive:
     def __post_init__(self):
         ts, vs = (_as_float_array(x, "sampled drive").copy() for x in (self.times, self.values))
         if ts.ndim != 1 or ts.shape != vs.shape or ts.size < 2:
-            raise NonFiniteError("sampled drive needs matching 1-d time/value arrays")
+            raise BadDimensionError("sampled drive needs matching 1-d time/value arrays")
         if np.any(np.diff(ts) <= 0.0):
-            raise NonFiniteError("sampled drive times must be strictly increasing")
+            raise TimesNotSortedError("sampled drive times must be strictly increasing")
         ts.setflags(write=False)
         vs.setflags(write=False)
         object.__setattr__(self, "times", ts)
@@ -131,11 +134,15 @@ class Perturbation:
     def __post_init__(self):
         F = _as_float_array(self.F, "perturbation matrix").copy()
         if F.ndim != 2 or F.shape[0] != F.shape[1]:
-            raise NonFiniteError("perturbation matrix must be square")
-        if self.chi == 0.0 or not np.isfinite(self.chi):
-            raise NonFiniteError("perturbation strength chi must be finite and nonzero")
+            raise NonSquareError(f"perturbation matrix must be square, got shape {F.shape}")
+        chi = _as_float_array(self.chi, "perturbation strength chi")
+        if chi.ndim != 0:
+            raise BadDimensionError(f"perturbation strength chi must be a number, got shape {chi.shape}")
+        if chi == 0.0:
+            raise NonFiniteError("perturbation strength chi must be nonzero")
         F.setflags(write=False)
         object.__setattr__(self, "F", F)
+        object.__setattr__(self, "chi", float(chi))
 
     @property
     def n(self) -> int:

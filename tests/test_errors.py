@@ -13,7 +13,6 @@ from corrbound import (
     PulseDrive,
     SampledDrive,
     ScoreVector,
-    Trajectory,
     bound_main,
     bound_multipoint,
     bound_onepoint,
@@ -36,8 +35,10 @@ from corrbound.errors import (
     BadIntervalError,
     CorrboundError,
     NegativeRateError,
+    NegativeTimeError,
     NonFiniteError,
     NonPositiveTimeError,
+    NonSquareError,
     StepTooLargeError,
     TimesNotSortedError,
 )
@@ -64,13 +65,13 @@ CASES = [
     ("rate-matrix-ragged", lambda: validate_rate_matrix([[0, 1], [1]]), BadDimensionError),
     ("prob-vector-non-numeric", lambda: ProbVector([0.5, "x"]), BadDimensionError),
     ("bound-main-reversed", lambda: bound_main(W, P0, S, S, 2.0, 1.0), BadIntervalError),
-    ("trajectory-negative-horizon", lambda: Trajectory(0, (), -1.0), BadIntervalError),
-    ("trajectory-nan-horizon", lambda: Trajectory(0, (), np.nan), BadIntervalError),
     ("path-skeleton-nan-tau", lambda: PathSkeleton(3, 2, np.nan), BadIntervalError),
     ("path-skeleton-no-states", lambda: PathSkeleton(0, 2, 1.0), BadDimensionError),
     ("path-skeleton-fractional-states", lambda: PathSkeleton(2.5, 2, 1.0), BadDimensionError),
     ("path-skeleton-fractional-steps", lambda: PathSkeleton(3, 2.5, 1.0), BadDimensionError),
     ("mc-fractional-samples", lambda: mc_two_point(W, P0, S, S, 1.0, 1000.5, 1), BadDimensionError),
+    ("mc-negative-horizon", lambda: mc_two_point(W, P0, S, S, -1.0, 1000, 1), NegativeTimeError),
+    ("mc-nan-horizon", lambda: mc_two_point(W, P0, S, S, np.nan, 1000, 1), NonFiniteError),
     ("skeleton-zero-tau", lambda: skeleton_distribution(W, P0, 0.0, 2, 0.0), BadIntervalError),
     ("config-empty-grid", lambda: RunConfig(t_grid=[]), CorrboundError),
     ("config-unsorted-grid", lambda: RunConfig(t_grid=[1.0, 0.5]), CorrboundError),
@@ -91,9 +92,20 @@ CASES = [
     (
         "sampled-drive-mismatch",
         lambda: SampledDrive(np.array([0.0, 1.0, 2.0]), np.ones(2)),
-        NonFiniteError,
+        BadDimensionError,
     ),
-    ("perturbation-non-square", lambda: Perturbation(np.zeros((2, 3)), 0.1, DRIVE), NonFiniteError),
+    (
+        "sampled-drive-unsorted",
+        lambda: SampledDrive(np.array([0.0, 2.0, 1.0]), np.ones(3)),
+        TimesNotSortedError,
+    ),
+    ("perturbation-non-square", lambda: Perturbation(np.zeros((2, 3)), 0.1, DRIVE), NonSquareError),
+    ("perturbation-text-chi", lambda: Perturbation(np.eye(2), "x", DRIVE), BadDimensionError),
+    (
+        "perturbation-array-chi",
+        lambda: Perturbation(np.eye(2), np.array([0.1, 0.2]), DRIVE),
+        BadDimensionError,
+    ),
     (
         "convolution-zero-step",
         lambda: convolved_shift(

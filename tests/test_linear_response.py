@@ -31,6 +31,7 @@ from corrbound.errors import (
     NonPositiveTimeError,
     NotSteadyStateError,
     StepTooLargeError,
+    TimesNotSortedError,
 )
 from conftest import model_sweep
 
@@ -503,7 +504,7 @@ class TestSampledDriveConvolution:
         assert isinstance(drive.value(0.3), float)
 
     def test_sampled_drive_validation(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(TimesNotSortedError):
             SampledDrive(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(NonFiniteError):
             SampledDrive(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
