@@ -25,21 +25,29 @@ Chebyshev series of g(s) = sqrt(A(s^2)) / s over [s_first, s_last]
 (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
 Each piece interpolates g at 49 first-kind Chebyshev points, which never
 touch the 0/0 at s = 0. A model accepts a piece when the tail of its
-coefficients is negligible against their largest, and a piece stays open,
-split in two, while some model rejects it. The refinement is
+coefficients is negligible against their largest, or, where roundoff in
+A(t) keeps the tail above that, when the coefficients end in a noise
+plateau below tol^(2/3) of the largest (step 2 of the chopping rule of
+Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017);
+the slow decay of a kink or a jump is no plateau. A piece stays open,
+split in two, while some model rejects it: a piece from s = 0 at hi/8,
+since g may have a layer there (a fast rate R moves A(t) on the time scale
+1/R, which is s ~ R^(-1/2)); a wide piece at sqrt(lo hi); any other at its
+midpoint. The refinement is
 level-synchronous: the points of every open piece go to A(t) in one batch
 per level, shared by every model of a stack (``_integral_apply`` splits a
 large batch into blocks of bounded memory). Each accepted series is
 integrated once, and the integral at every knot is read from the
 antiderivatives, so the knots do not shape the work: a random model on a
 default grid costs 49 evaluations of A(t). A non-finite integrand, more
-than ``_QUAD_MAX_PIECES`` open pieces of one model at one level, or a
-piece still open 20 halvings below the narrowest knot interval raises
+than ``_QUAD_MAX_PIECES`` open pieces of one model at one level, or an
+open piece no wider than 2^-20 of the narrowest knot interval raises
 instead of returning a silently wrong value; the piece cap keeps a
-refinement that cannot converge (roundoff above the tail tolerance on
-every piece) from doubling its work at every level. For a steady-state
-start A(t) = a t, g is the constant sqrt(a), a series of degree 0, so the
-quadrature reproduces the closed form sqrt(a) * (sqrt(t2) - sqrt(t1)).
+refinement that cannot converge (an integrand that no series resolves,
+or noise above the plateau bound) from doubling its work at every level.
+For a steady-state start A(t) = a t, g is the constant sqrt(a), a series
+of degree 0, so the quadrature reproduces the closed form
+sqrt(a) * (sqrt(t2) - sqrt(t1)).
 """
 
 from __future__ import annotations
@@ -74,13 +82,14 @@ from .markov import (
 # Bounds are declared satisfied when lhs <= rhs * (1 + RATIO_SLACK).
 RATIO_SLACK = 1e-9
 
-# Halvings a refinement may take below the narrowest gap between its points.
+# Depth floor of the refinement: an open piece no wider than 2^-_QUAD_MAX_DEPTH
+# of the narrowest gap between its points raises.
 _QUAD_MAX_DEPTH = 20
 # Work cap of the refinement: the open pieces one model may hold at one
 # level. Past it every piece keeps failing, and each level would double them.
 _QUAD_MAX_PIECES = 64
 # A piece is accepted when its last _CHEB_TAIL coefficients are at most
-# _CHEB_RTOL of its largest.
+# _CHEB_RTOL of its largest (or at a noise plateau, ``_plateau``).
 _CHEB_TAIL = 4
 _CHEB_RTOL = 1e-14
 
@@ -157,9 +166,42 @@ def _chebyshev_rule(n: int):
 
 
 _CHEB_NODES, _CHEB_TO_COEF = _chebyshev_rule(49)
-# the degrees 1 .. n of an antiderivative's terms, and T_j(-1)
+# the degrees 1 .. n of an antiderivative's terms, T_j(-1), T_j(1) - T_j(-1)
+# and 2j
 _CHEB_J = np.arange(1, _CHEB_NODES.size + 1)
 _CHEB_SIGN = (-1.0) ** _CHEB_J
+_CHEB_WHOLE = 1.0 - _CHEB_SIGN
+_CHEB_2J = 2.0 * _CHEB_J
+
+
+def _plateau_pairs(n: int):
+    """The 0-based positions of the degrees j and round(1.25 j + 5)
+    (1-based, rounding halves up) that step 2 of the chopping rule of
+    Aurentz & Trefethen ("Chopping a Chebyshev series", ACM TOMS 43, 2017)
+    compares, for every j whose partner is a degree of an n-term series."""
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    return j[j2 <= n] - 1, j2[j2 <= n] - 1
+
+
+_PLATEAU_J, _PLATEAU_J2 = _plateau_pairs(_CHEB_NODES.size)
+_LOG_RTOL = math.log(_CHEB_RTOL)
+# no plateau lies above this share of the largest coefficient
+_PLATEAU_RTOL = _CHEB_RTOL ** (2.0 / 3.0)
+
+
+def _plateau(size: np.ndarray) -> np.ndarray:
+    """Whether each row of coefficient magnitudes (each with a positive
+    tail) ends in a noise plateau. Its envelope, the largest magnitude
+    from each degree on relative to the largest of all, falls from e1 at
+    some degree j to no less than r e1 at degree round(1.25 j + 5), with
+    r = 3 (1 - log e1 / log _CHEB_RTOL). Since r < 1 only where
+    e1 < _CHEB_RTOL^(2/3), a slow decay above that (a kink or a jump that
+    a piece does not resolve) never counts as a plateau."""
+    envelope = np.maximum.accumulate(size[:, ::-1], axis=-1)[:, ::-1]
+    e1, e2 = envelope[:, _PLATEAU_J], envelope[:, _PLATEAU_J2]
+    r = 3.0 * (1.0 - np.log(e1 / envelope[:, :1]) / _LOG_RTOL)
+    return (e2 > r * e1).any(axis=-1)
 
 
 def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -167,10 +209,11 @@ def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
     of each piece's series, in x = mid + half u, so that F is 0 at the
     piece's left end: C_j = half (c_{j-1} - c_{j+1}) / 2j, with c_0 counted
     twice."""
-    lower, upper = coef.copy(), np.zeros_like(coef)
-    lower[..., 0] *= 2.0
-    upper[..., :-2] = coef[..., 2:]
-    return (lower - upper) * (half[:, None] / (2 * _CHEB_J))
+    anti = coef.copy()
+    anti[..., 0] *= 2.0
+    anti[..., :-2] -= coef[..., 2:]
+    anti *= half[:, None] / _CHEB_2J
+    return anti
 
 
 def _chebyshev_quadrature(f, x) -> np.ndarray:
@@ -184,19 +227,23 @@ def _chebyshev_quadrature(f, x) -> np.ndarray:
     values after a leading model axis, or without one for a single model,
     and the result has one row per model in the same layout. A model
     accepts a piece when the last ``_CHEB_TAIL`` coefficients of its
-    interpolant are at most ``_CHEB_RTOL`` of the largest, and then ignores
-    the piece's descendants. A piece stays open while any model it is
-    live for rejects it, and is split at sqrt(lo hi) when hi > 4 lo > 0 (a
-    layer at the low end of a wide range takes few levels) and at its
-    midpoint otherwise. Each model thus accepts the pieces it accepts
-    alone, and its integrals are summed from those pieces alone, in order
-    of position. Non-finite values at a live piece, more than
-    ``_QUAD_MAX_PIECES`` open pieces of one model at one level, or a piece
-    still open ``_QUAD_MAX_DEPTH`` halvings below the narrowest gap between
-    the points are hard errors naming a failing piece.
+    interpolant are at most ``_CHEB_RTOL`` of the largest or, failing that,
+    when they end in a noise plateau below ``_CHEB_RTOL``^(2/3) of the
+    largest (``_plateau``); it then ignores the piece's descendants. A
+    piece stays open while any model it is live for rejects it. It is
+    split at hi/8 when it starts at 0, where a layer of g at s = 0 would
+    take one halving per level; at sqrt(lo hi) when hi > 4 lo > 0 (a layer
+    at the low end of a wide range); and at its midpoint otherwise. Each
+    model thus accepts the pieces it accepts alone, and its integrals are
+    summed from those pieces alone, in order of position. Non-finite values
+    at a live piece, more than ``_QUAD_MAX_PIECES`` open pieces of one model
+    at one level, or an open piece no wider than 2^-``_QUAD_MAX_DEPTH`` of
+    the narrowest gap between the points are hard errors naming a failing
+    piece.
     """
     x = np.array(x, dtype=float, ndmin=1)
-    floor = np.ldexp(np.diff(x).min(initial=np.inf), -_QUAD_MAX_DEPTH)
+    gap = np.minimum.reduce(x[1:] - x[:-1], initial=np.inf)
+    floor = math.ldexp(float(gap), -_QUAD_MAX_DEPTH)
     lo, hi = x[:-1][:1], x[1:][-1:]  # one piece, or none for a single point
     live = True  # models x pieces once the model count is known
     accepted = []  # per level: lo, hi, coefficients, accepted by each model
@@ -210,35 +257,44 @@ def _chebyshev_quadrature(f, x) -> np.ndarray:
         # einsum, not BLAS: each row is summed in one order, whatever the row count
         coef = np.einsum("mpk,jk->mpj", v, _CHEB_TO_COEF)
         size = np.abs(coef)
-        # a non-finite value makes every coefficient non-finite, and its
-        # piece is never accepted
+        # a non-finite value makes every coefficient non-finite
         scale = size.max(axis=-1)
         finite = np.isfinite(scale)
-        done = live & finite & (size[..., -_CHEB_TAIL:].max(axis=-1) <= _CHEB_RTOL * scale)
+        if not finite.all():
+            k = np.nonzero(live & ~finite)[1]
+            if k.size:
+                raise QuadratureError(
+                    f"activity integrand is not finite on [{float(lo[k[0]])}, {float(hi[k[0]])}]"
+                )
+        # every live piece is finite here; the tail test, then the plateau
+        # test on the pieces it rejects whose tail is low enough to lie on
+        # a plateau
+        tail = size[..., -_CHEB_TAIL:].max(axis=-1)
+        done = live & (tail <= _CHEB_RTOL * scale)
+        live = live & ~done
+        noisy = live & (tail <= _PLATEAU_RTOL * scale)
+        if noisy.any():
+            done[noisy] = _plateau(size[noisy])
+            live &= ~done
         kept = done.any(axis=0)
         accepted.append((lo[kept], hi[kept], coef[:, kept], done[:, kept]))
-        live = live & ~done
-        bad = live & ~finite
-        if bad.any():
-            k = np.nonzero(bad)[1][0]
-            raise QuadratureError(
-                f"activity integrand is not finite on [{float(lo[k])}, {float(hi[k])}]"
-            )
-        open_ = live.any(axis=0)
-        if not open_.any():
+        if not live.any():
             break
-        lo, hi, mid = lo[open_], hi[open_], mid[open_]
+        open_ = live.any(axis=0)
+        lo, hi, mid, live = lo[open_], hi[open_], mid[open_], live[:, open_]
         # splitting doubles each model's open pieces
         crowded = 2 * live.sum(axis=1) > _QUAD_MAX_PIECES
-        stuck = (live[:, open_] & crowded[:, None]).any(axis=0) | (hi - lo <= floor)
-        if stuck.any():
-            k = np.flatnonzero(stuck)[0]
+        stuck = hi - lo <= floor
+        if crowded.any() or stuck.any():
+            k = np.flatnonzero(stuck | live[crowded].any(axis=0))[0]
             raise QuadratureError(
                 f"activity integral did not converge on [{float(lo[k])}, {float(hi[k])}]"
             )
         cut = np.where((hi > 4.0 * lo) & (lo > 0.0), np.sqrt(np.maximum(lo, 0.0) * hi), mid)
+        from_zero = lo == 0.0
+        cut[from_zero] = 0.125 * hi[from_zero]
         lo, hi = np.concatenate((lo, cut)), np.concatenate((cut, hi))
-        live = np.concatenate((live[:, open_], live[:, open_]), axis=1)
+        live = np.concatenate((live, live), axis=1)
     lo, hi, coef, done = zip(*accepted)
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     coef, done = np.concatenate(coef, axis=1), np.concatenate(done, axis=1)
@@ -248,17 +304,17 @@ def _chebyshev_quadrature(f, x) -> np.ndarray:
     anti = _antiderivative(coef, half)
     # each piece's share of the integral up to each point: all of it past
     # the piece, none before it, and F(u) at a point inside it
-    whole = np.einsum("mpj,j->mp", anti, 1.0 - _CHEB_SIGN)
+    whole = np.einsum("mpj,j->mp", anti, _CHEB_WHOLE)
     share = np.where(x >= hi[:, None], whole[..., None], 0.0)
     p, k = np.nonzero((x > lo[:, None]) & (x < hi[:, None]))
-    theta = np.arccos(np.clip((x[k] - mid[p]) / half[p], -1.0, 1.0))
-    chebyshev = np.cos(theta[:, None] * _CHEB_J)  # T_j(u) = cos(j arccos u)
+    u = np.minimum(np.maximum((x[k] - mid[p]) / half[p], -1.0), 1.0)
+    chebyshev = np.cos(np.arccos(u)[:, None] * _CHEB_J)  # T_j(u) = cos(j arccos u)
     share[:, p, k] = np.einsum("mqj,qj->mq", anti[:, p], chebyshev - _CHEB_SIGN)
-    out = np.zeros((models, x.size))
-    for accepts, part in zip(done.T, np.moveaxis(share, 1, 0)):
-        # in order of position, and x + 0 is x: a model's sum is the sum
-        # over its own pieces, whatever the other models accept
-        out += np.where(accepts[:, None], part, 0.0)
+    # the sum over a model's own pieces, in order of position from 0, as
+    # one running sum: a piece the model does not accept adds 0, and x + 0
+    # is x, whatever the other models accept
+    share = np.where(done[..., None], share, 0.0)
+    out = np.add.accumulate(share, axis=1)[:, -1] if lo.size else share.sum(axis=1)
     return out.reshape(shape + x.shape)
 
 
@@ -380,7 +436,7 @@ class _Plan:
 
     def _activity(self, ts: np.ndarray) -> np.ndarray:
         """A at the times ts, shared by every model of a stack."""
-        return np.clip(_integral_apply(self.W, self.p0.p, ts, self.W.escape), 0.0, None)
+        return np.maximum(_integral_apply(self.W, self.p0.p, ts, self.W.escape), 0.0)
 
     @cached_property
     def activity(self) -> np.ndarray:

@@ -113,10 +113,17 @@ _THETA13 = 5.371920351148152
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array of finite numbers. Booleans, integers and
+    reals convert; text, bytes and other objects raise, whatever their
+    spelling, where ``np.asarray(x, dtype=float)`` would parse numeric
+    text."""
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise BadDimensionError(f"{name} is not a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "biuf":
+        raise BadDimensionError(f"{name} is not an array of numbers (dtype {arr.dtype})")
+    arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
@@ -495,7 +502,14 @@ def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
     ``_integral_apply``: ``block(basis, vec, times)`` on each regime of W in
     blocks of at most ``_APPLY_ELEMENTS`` elements, each model's times cut as
     for that model alone, and each block's rows contracted with ``left``
-    before the next block is evaluated."""
+    before the next block is evaluated.
+
+    When W has one regime and all its models and times fit one block (one
+    model at the nodes of a quadrature level, say), that block is the
+    whole call: ``vec``, ``left`` and the block's rows pass straight
+    through, with no slicing of the times or the bases, no gathering of
+    rows per block and no scatter into a result array, and the numbers are
+    those of the loop bit for bit."""
     times, vec = np.asarray(times, dtype=float), np.asarray(vec)
     lead, n = W.w.shape[:-2], W.n
     m = math.prod(lead)
@@ -503,13 +517,20 @@ def _apply(block, W: RateMatrix, vec, times, left=None) -> np.ndarray:
     per_time = vec.shape[1] > 1
     left = None if left is None else left.reshape(m, n)
     c = times.size
+    regimes = W._regimes
     out = np.empty((m, c) + ((n,) if left is None else ()))
-    for basis, index in W._regimes:
+    for basis, index in regimes:
         width = n if isinstance(basis, _Spectral) else 4 * (n + 1) ** 2
         step = max(_APPLY_ELEMENTS // width, 1)
         # each model's times in blocks of `step`, as for one model; and as
         # many models per block as the memory cap leaves room for
         per = max(_APPLY_ELEMENTS // (max(min(c, step), 1) * width), 1)
+        if len(regimes) == 1 and 0 < c <= step and m <= per:
+            # the loop below in one block; its gathers hand every block
+            # C-contiguous copies, and so does this
+            got = block(basis, np.ascontiguousarray(vec), times)
+            got = got if left is None else _contract(got, np.ascontiguousarray(left))
+            return got.reshape(lead + got.shape[1:])
         for j in range(0, index.size, per):
             sel = index[j:j + per]
             chunk = basis[j:j + per]
@@ -612,10 +633,10 @@ def steady_state(W: RateMatrix) -> ProbVector:
     for sd in W._spectral or ():
         lam, at = np.abs(sd.lam), tol[sd.models]
         kernel = lam <= at[:, None]
-        col = np.take_along_axis(sd.basis, kernel.argmax(axis=-1)[:, None, None], axis=-1)[..., 0]
+        col = sd.basis[np.arange(len(kernel)), :, kernel.argmax(axis=-1)]
         kappa = np.linalg.norm(sd.basis, axis=-2) * np.linalg.norm(sd.Vinv, axis=-1)
         spread = (kappa / np.where(kernel, np.inf, lam)).sum(axis=-1)
-        one = np.count_nonzero(kernel, axis=-1) == 1
+        one = kernel.sum(axis=-1) == 1
         one &= ~col.imag.any(axis=-1) & (at * spread < 1.0)
         v[sd.models[one]] = col[one].real
         svd[sd.models[one]] = False
@@ -625,7 +646,7 @@ def steady_state(W: RateMatrix) -> ProbVector:
     v = np.where(v.sum(axis=-1, keepdims=True) < 0.0, -v, v)
     if (v.min(axis=-1) < -1e-9).any():
         raise NoConvergenceError("kernel vector has genuinely negative entries")
-    v = np.clip(v, 0.0, None)
+    v = np.maximum(v, 0.0)
     pst = _raw(ProbVector, _clamped_probs(v / v.sum(axis=-1, keepdims=True)))
     _check_stationary(W, pst, NoConvergenceError, "candidate steady state")
     return pst

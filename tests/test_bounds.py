@@ -297,6 +297,55 @@ class TestActivityQuadrature:
         ref = 1e3 * (np.arctan(1e3 * (2.0 - peaks[:, 0])) - np.arctan(-1e3 * peaks[:, 0]))
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
+    @staticmethod
+    def noisy_exp(level):
+        """e^x with a seeded relative noise of size ``level``."""
+        rng = np.random.default_rng(5)
+        return lambda x: np.exp(x) * (1.0 + level * rng.uniform(-1.0, 1.0, x.shape))
+
+    def test_noise_plateau_is_accepted(self):
+        # relative noise of 1e-13 leaves coefficients that end in a plateau
+        # above the tail tolerance: the tail test alone refined this to the
+        # piece cap and raised; accepted, the integral is as good as the noise
+        got = _chebyshev_quadrature(self.noisy_exp(1e-13), [0.0, 1.0, 3.0])
+        np.testing.assert_allclose(got, np.expm1([0.0, 1.0, 3.0]), rtol=1e-13, atol=0)
+
+    def test_noise_above_the_floor_raises(self):
+        # a plateau counts only below _CHEB_RTOL^(2/3) = 4.6e-10 of the
+        # largest coefficient: noise of 1e-8 is refined until the piece cap
+        with pytest.raises(QuadratureError, match="did not converge"):
+            _chebyshev_quadrature(self.noisy_exp(1e-8), [0.0, 1.0, 3.0])
+
+    def test_plateau_is_step_2_of_the_chopping_rule(self):
+        # against the loop of Aurentz & Trefethen (ACM TOMS 43, 2017),
+        # step 2, 1-based as printed there, with MATLAB's round, on rows
+        # that decay geometrically and then end in noise
+        def plateau(coef, tol=bounds._CHEB_RTOL):
+            n = len(coef)
+            envelope = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
+            envelope = envelope / envelope[0]
+            for j in range(2, n + 1):
+                j2 = math.floor(1.25 * j + 5 + 0.5)
+                if j2 > n:
+                    return False
+                e1, e2 = envelope[j - 1], envelope[j2 - 1]
+                if e1 == 0 or e2 / e1 > 3 * (1 - math.log(e1) / math.log(tol)):
+                    return True
+            return False
+
+        rng = np.random.default_rng(29)
+        rows = []
+        for _ in range(400):
+            knee = rng.integers(5, 49)
+            decay = 10.0 ** -rng.uniform(3.0, 16.0)
+            level = 10.0 ** -rng.uniform(8.0, 14.0)
+            row = np.concatenate((np.geomspace(1.0, decay, knee), np.full(49 - knee, decay)))
+            rows.append(np.maximum(row, level) * rng.uniform(0.5, 1.5, 49))
+        rows = np.array([r for r in rows if r[-4:].max() > bounds._CHEB_RTOL * r.max()])
+        want = [plateau(r) for r in rows]
+        assert np.array_equal(bounds._plateau(rows), want)
+        assert 0 < sum(want) < len(want)
+
     def test_memory_cap_splits_integrand_calls(self, monkeypatch):
         W, p0, _ = random_model(5, 3)
         knots = np.geomspace(1e-2, 10.0, 20)
@@ -431,6 +480,16 @@ class TestChebyshevArc:
         grid = np.geomspace(1e-2, 1e4, 20)
         _Plan(W, p0, np.concatenate((grid / 2, grid))).arc
         assert len(quadratures[0][1]) == 3
+
+    def test_piece_from_zero_splits_at_an_eighth(self, monkeypatch):
+        # the knots of test_stiff_chain_matches_quad, from t = 0: the piece
+        # that starts at s = 0 splits at hi/8 rather than halving, and the
+        # refinement that took 12 levels and 1127 nodes takes 6 and 637
+        quadratures = record_quadratures(monkeypatch)
+        W, p0 = stiff_chain(0)
+        knots = np.concatenate(([0.0], np.geomspace(1e-2, 1e4, 13)))
+        _Plan(W, p0, knots).arc
+        assert quadratures == [(14, [49, 98, 98, 98, 196, 98])]
 
     @pytest.mark.parametrize("case", ["check-64", "ladder-0", "ladder-4", "ladder-19"])
     def test_args_match_a_dense_reference(self, case):

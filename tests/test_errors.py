@@ -101,6 +101,14 @@ CASES = [
     ),
     ("perturbation-non-square", lambda: Perturbation(np.zeros((2, 3)), 0.1, DRIVE), NonSquareError),
     ("perturbation-text-chi", lambda: Perturbation(np.eye(2), "x", DRIVE), BadDimensionError),
+    # numeric text is text: it is refused whatever its spelling
+    ("perturbation-numeric-text-chi", lambda: Perturbation(np.eye(2), "0.1", DRIVE), BadDimensionError),
+    ("prob-vector-numeric-text", lambda: ProbVector(["0.5", "0.5"]), BadDimensionError),
+    (
+        "rate-matrix-numeric-text",
+        lambda: validate_rate_matrix([["0", "1"], ["1", "0"]]),
+        BadDimensionError,
+    ),
     (
         "perturbation-array-chi",
         lambda: Perturbation(np.eye(2), np.array([0.1, 0.2]), DRIVE),

@@ -7,7 +7,11 @@ rows and keys must match exactly; floats must agree to within 1e-12
 relative, and a zero must stay exactly zero. A change that moves bits on
 purpose keeps this test while the sha256 pins of ``test_cli.py`` must be
 re-pinned. The 200-state ``check``, whose bits depend on the BLAS build,
-is not in the set.
+is not in the set. The stiff model files under ``tests/models/`` (a
+6-state chain with rates from 1e-4 to 1e4, and a random 4-state model with
+its rates scaled by 1e6) pin the refinement of stiff plans from t = 0; their
+paths are given relative to the repository root, which the model path in
+each artifact's meta records.
 
 Regenerate the golden files, after checking why they changed, with
 
@@ -16,13 +20,16 @@ Regenerate the golden files, after checking why they changed, with
 
 import json
 import math
+import os
 from pathlib import Path
 
 from corrbound.bounds import BOUND_IDS
 from corrbound.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 RTOL = 1e-12
+ALL_BOUNDS = ",".join(BOUND_IDS)
 
 # file or directory under the golden root -> the CLI arguments that write it
 ARTIFACTS = {
@@ -32,8 +39,14 @@ ARTIFACTS = {
     "figure3": ["figure3"],
     **{
         f"check-{n}.json": ["check", "--states", str(n), "--seed", "1",
-                            "--bounds", ",".join(BOUND_IDS), "--format", "json"]
+                            "--bounds", ALL_BOUNDS, "--format", "json"]
         for n in (3, 12, 64)
+    },
+    **{
+        f"check-{name}.json": ["check", "--model", f"tests/models/{name}.json",
+                               "--tgrid", "1e-2:1e4:20:log", "--bounds", ALL_BOUNDS,
+                               "--format", "json"]
+        for name in ("stiff6", "scaled4-1e6")
     },
     "check-12-tight.csv": ["check", "--states", "12", "--seed", "1", "--cmax", "tight"],
     **{f"response-{drive}.csv": ["response", "--drive", drive] for drive in ("pulse", "step")},
@@ -42,10 +55,16 @@ ARTIFACTS = {
 
 
 def generate(root: Path) -> None:
-    """Write every artifact under ``root``."""
+    """Write every artifact under ``root``, run from the repository root so
+    that model paths read as they are recorded."""
     root.mkdir(parents=True, exist_ok=True)
-    for name, argv in ARTIFACTS.items():
-        main([*argv, "--out", str(root / name)])
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for name, argv in ARTIFACTS.items():
+            main([*argv, "--out", str(root / name)])
+    finally:
+        os.chdir(cwd)
 
 
 def _csv_values(text: str) -> list:

@@ -739,6 +739,8 @@ class TestModelStacks:
         assert [m[0]._spectral is None for m in models] == [False, True, False, False, False, True]
 
     def test_rows_equal_per_model_calls(self, models):
+        # the stack, of three regimes, goes through the block loop of
+        # markov._apply; each model alone fits one block and skips the loop
         W, _, _ = stack_of(models)
         rng = np.random.default_rng(5)
         times = np.array([0.0, 0.2, 1.0, 5.0, 30.0])
