@@ -16,11 +16,15 @@ across threads and merge means and variances themselves.
 There is one sampler, ``_sample_states_at``. It runs the whole ensemble
 at once, one jump per sweep, and returns each sample's initial state,
 its state at the horizon and its number of jumps in between, whose mean
-estimates the dynamical activity A(t). It keeps only the live samples,
-compacted in sample-index order into three arrays (position in the
-ensemble, state, clock); a sample leaves them when its clock passes the
-horizon or it reaches an absorbing state, so a sweep costs O(live
-samples), not O(ensemble). Tests pin its output for fixed seeds, so any
+estimates the dynamical activity A(t). Its initial states are
+``Generator.choice``'s draw, bit for bit, taken as one uniform per
+sample compared against the cumulative law. It keeps only the live
+samples, compacted in sample-index order (state and clock, and from the
+first compaction on their positions in the ensemble); a sample leaves
+them when its clock passes the horizon or it reaches an absorbing state,
+so a sweep costs O(live samples), not O(ensemble). Each temporary is
+released once used, so the working set peaks near 60 bytes per sample,
+20 of them the outputs. Tests pin its output for fixed seeds, so any
 change to the order or number of draws shows.
 """
 
@@ -83,19 +87,38 @@ def _sample_states_at(
     """Ensemble Gillespie: initial states, states at time t, and the
     number of jumps each sample makes in [0, t].
 
+    The initial states are ``rng.choice(n, n_samples, p=p0.p)``, drawn as
+    ``choice`` draws them: one uniform u per sample, and the state is the
+    number of entries of cdf[:-1] that are <= u, where cdf is the
+    cumulative sum of p0 divided by its last entry. The same int64 array
+    and the same stream follow, without ``choice``'s validation.
+
     Advances the live samples (not yet absorbed, clock inside the
     horizon) by one jump per sweep; the others keep their state. The live
-    samples are held compacted, in sample-index order, as three arrays:
-    their positions in the ensemble, their states and their clocks, so a
-    sweep costs O(live samples). A sweep draws one standard exponential
-    holding time per live sample, drops those whose clock passes t, then
-    draws one uniform per remaining sample and picks its target as the
-    number of cumulative jump probabilities of its state below the
-    uniform. A sample still live after the clock test of sweep k has
-    jumped k times, so the count is one store per sweep and no draw.
+    samples are held compacted, in sample-index order, as their states and
+    clocks, so a sweep costs O(live samples). Their positions in the
+    ensemble exist from the first compaction on, as its kept indices;
+    while every sample is live, the live states are the final states
+    themselves. A sweep draws one standard exponential holding time per
+    live sample, drops those whose clock passes t, then draws one uniform
+    per remaining sample and picks its target as the number of cumulative
+    jump probabilities of its state below the uniform; when some state
+    absorbs, it then drops the samples that reached one. A sample still
+    live after the clock test of sweep k has jumped k times, so the count
+    is one store per sweep and no draw.
+
+    Each temporary is released once used and a compaction replaces one
+    live array at a time, so the working set peaks near 60 bytes per
+    sample on a 3-state chain, 20 of them the outputs.
     """
     n = W.n
-    init = rng.choice(n, size=n_samples, p=p0.p)
+    u = rng.random(n_samples)
+    cdf = np.cumsum(p0.p)
+    cdf /= cdf[-1]
+    init = np.zeros(n_samples, dtype=np.int64)
+    for c in cdf[:-1]:
+        init += c <= u
+    del u
     states = init.copy()
     counts = np.zeros(n_samples, dtype=np.int32)
     if t == 0.0:
@@ -109,34 +132,49 @@ def _sample_states_at(
     # last row (1 up to rounding) is never needed: a target is at most n-1.
     thresholds = np.cumsum(jump, axis=0)[:-1]
     escape = W.escape
-    pos = np.flatnonzero(escape.take(init) > 0.0)
-    cur = init.take(pos)
-    clock = np.zeros(pos.size)
+    absorbing = not escape.min() > 0.0
+    # pos is None while every sample is live, and cur is then states itself
+    pos = None
+    cur = states
+    clock = np.zeros(n_samples)
+
+    def compact(keep: np.ndarray) -> None:
+        # one live array is replaced at a time, the old one released
+        nonlocal pos, cur, clock
+        if keep.size == cur.size:
+            return
+        pos = keep if pos is None else pos.take(keep)
+        cur = cur.take(keep)
+        clock = clock.take(keep)
+
+    if absorbing:
+        compact(np.flatnonzero(escape.take(cur) > 0.0))
     sweep = 0
-    while pos.size:
-        hold = rng.standard_exponential(pos.size)
+    while cur.size:
+        hold = rng.standard_exponential(cur.size)
         hold /= escape.take(cur)
         clock += hold
-        pos, cur, clock = _compact(np.flatnonzero(clock < t), pos, cur, clock)
-        if not pos.size:
+        del hold
+        compact(np.flatnonzero(clock < t))
+        if not cur.size:
             break
         sweep += 1
-        counts[pos] = sweep
-        u = rng.random(pos.size)
-        target = np.zeros(pos.size, dtype=states.dtype)
+        u = rng.random(cur.size)
+        target = np.zeros(cur.size, dtype=np.int64)
         for row in thresholds:
             target += row.take(cur) < u
-        states[pos] = target
-        pos, cur, clock = _compact(np.flatnonzero(escape.take(target) > 0.0), pos, target, clock)
+        del u
+        if pos is None:
+            counts.fill(sweep)
+            states = target
+        else:
+            counts[pos] = sweep
+            states[pos] = target
+        cur = target
+        del target
+        if absorbing:
+            compact(np.flatnonzero(escape.take(cur) > 0.0))
     return init, states, counts
-
-
-def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple:
-    """The entries ``keep`` of each array; the arrays themselves when
-    ``keep`` is all of them."""
-    if keep.size == arrays[0].size:
-        return arrays
-    return tuple(a.take(keep) for a in arrays)
 
 
 def mc_two_point(

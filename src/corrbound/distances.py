@@ -7,7 +7,11 @@ kept in sorted order so every pairwise quantity is evaluated in a fixed
 order and the distances are exactly symmetric. A ``range`` of keys is
 kept as a ``range``, so a path space of 10^6 outcomes costs no key tuple.
 
-Sums are numpy's pairwise ``np.sum`` over the contiguous summand array.
+Each distance forms its summand array once (p - q, or p q) and takes
+``abs`` or ``sqrt`` of it in place, so it holds one array of the size of
+the weights; the values, and so the sums, are those of the separate
+``np.abs(p - q)`` and ``np.sqrt(p * q)``. Sums are numpy's pairwise
+``np.sum`` over that contiguous summand array.
 Every summand is >= 0, so the relative error grows like log2(N) eps rather
 than the N eps of a running sum; against ``math.fsum`` it measures within
 ceil(log2 N) eps (under 5e-15 at N = 10^6), far below the tolerances the
@@ -70,10 +74,14 @@ def _aligned(p: FiniteDistribution, q: FiniteDistribution):
 def tvd(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Total variation distance, (1/2) sum |p - q|, in [0, 1]."""
     a, b = _aligned(p, q)
-    return 0.5 * float(np.sum(np.abs(a - b)))
+    diff = a - b
+    np.abs(diff, out=diff)
+    return 0.5 * float(np.sum(diff))
 
 
 def bhattacharyya(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Bhattacharyya coefficient, sum sqrt(p q), in [0, 1]."""
     a, b = _aligned(p, q)
-    return float(np.sum(np.sqrt(a * b)))
+    prod = a * b
+    np.sqrt(prod, out=prod)
+    return float(np.sum(prod))

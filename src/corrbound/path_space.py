@@ -72,13 +72,31 @@ class PathSkeleton:
         return self.n_states ** (self.n_steps + 1)
 
     def encode(self, states) -> int:
-        """Base-N key of a state sequence, initial state most significant."""
+        """Base-N key of a state sequence, initial state most significant.
+
+        The sequence must hold n_steps + 1 integer states in 0..N-1.
+        """
+        try:
+            states = tuple(states)
+        except TypeError:
+            raise BadDimensionError(f"need a sequence of states, got {states!r}") from None
+        if len(states) != self.n_steps + 1:
+            raise BadDimensionError(
+                f"need a sequence of {self.n_steps + 1} states, got {len(states)}"
+            )
         key = 0
         for s in states:
-            key = key * self.n_states + int(s)
+            s = _as_int(s, "state")
+            if not 0 <= s < self.n_states:
+                raise BadDimensionError(f"state {s} outside 0..{self.n_states - 1}")
+            key = key * self.n_states + s
         return key
 
     def decode(self, key: int) -> tuple:
+        """The state sequence of a key in 0..path_count-1."""
+        key = _as_int(key, "key")
+        if not 0 <= key < self.path_count:
+            raise BadDimensionError(f"key {key} outside 0..{self.path_count - 1}")
         digits = []
         for _ in range(self.n_steps + 1):
             key, d = divmod(key, self.n_states)

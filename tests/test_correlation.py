@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corrbound import (
     ProbVector,
+    activity_rate,
     ScoreVector,
     bhat_survival,
     correlation_derivative,
@@ -340,29 +342,47 @@ def _pin_model(name):
     return W, ProbVector(np.array([0.0, 0.5, 0.5, 0.0])), ScoreVector(np.array([0.3, -1.0, 0.5, 1.0]))
 
 
-# (model, t, mean, stderr, sha256 of the (init, final) states) of 2000
-# samples drawn with seed 17. The last time of each model is far past its
+# (model, t, mean, stderr, sha256 of the (init, final) states, sha256 of
+# the int32 jump counts) of 2000 samples drawn with seed 17. The last time of each model is far past its
 # mixing time (at most 1.6 for the random chains; the absorbing chains
 # are absorbed). A RateMatrix has at least 2 states, so n = 1 has no case.
 MC_PINS = [
-    ("random2", 0.0, 0.18548332896495554, 0.0026769649932890933, "c4233edd815d683572e69358e595e892d2711ad4b191099dcf70f21faa3021aa"),
-    ("random2", 0.7, 0.10075303496281322, 0.0033351384927556346, "a3be9e6ae331c632c5aa59e39d80fe58ab6b3a22e165eece1fb8dbcae0a683bb"),
-    ("random2", 50.0, 0.004709381737495841, 0.002660587192779377, "7b9d1b51d2a6c2bba55420add1690abe123a1293abfa007fca36835e6a6439f2"),
-    ("random3", 0.0, 0.08515239536758619, 0.0031326143637580668, "e29370b51a1e96669783c43ca2938c1d80af8baf83234fc8c680b21699f3ecfd"),
-    ("random3", 0.7, 0.025275648586871275, 0.0033816479585702733, "6c9352b65cefb8d040092131151973868e846e474fdb6c48422fe4b28842bfa1"),
-    ("random3", 50.0, -0.0005606140004675448, 0.0030636716941637486, "efbd3edddac94eb5d5177b0a6cc44332d206a08d9cab08e66e5bf3f6530936d0"),
-    ("random10", 0.0, 0.2854957832413356, 0.006525184205755278, "9d7212aaaeecf85802aec8e450c090a8f2063f071028b3fa6a5e6a03a6c913f1"),
-    ("random10", 0.7, 0.008585360953619081, 0.00687981013020772, "dff6a463e194398d411788382923ae205f530b2986bc880b41d1f3dcb3b72528"),
-    ("random10", 50.0, -0.011308963699778258, 0.006676337694755218, "1c91ba4a811209ebae75d28c63ebe3a38624787735a3c7e4c2a873eb1ac393ea"),
-    ("random30", 0.0, 0.3012229862739489, 0.005769910037579691, "6ec32b1f6542737b3351afd8f2b82543cf26af9c4cce93261a2fc98b51dc61ca"),
-    ("random30", 0.7, 0.02305975241885063, 0.006906528268952776, "4d5151633c579ca06425758446c04257e8d71a931db2eeebfda5e9a22bdaba0e"),
-    ("random30", 5.0, 0.003979794037778069, 0.006782155701600876, "864882a7510a87a1301392258824de368b7466dfe384bdff4423eb6d7511703e"),
-    ("decay", 0.0, 1.0, 0.0, "a11e58977f1dc1c2ab3816f55d8b2ef63da62b10fc4e4e2facf7f3788a890cda"),
-    ("decay", 0.7, -0.028, 0.02235750274436933, "6ee3032506eb5d987fec56bfcd8f43e8c308dabcc98d43156064359124982421"),
-    ("decay", 50.0, -1.0, 0.0, "62454b8053dfbfa708ecc654de17cf9bd375ce16172f41caa5f6a7efad0e582b"),
-    ("reducible", 0.0, 0.622, 0.008387083616239492, "f7dd746c109b7be70a38e2e48ef88b0a6d80d9f3908c5ed5347be925af1d7bf4"),
-    ("reducible", 0.7, 0.04405, 0.012587653604291421, "4493e4c74a683af66f2b5dc888844ae4948d1aa0d869ab4c9811241bcbcac94e"),
-    ("reducible", 50.0, -0.08405, 0.009730821815067745, "a939fa81c878cab0bb5d32b9c9b959732933ff5337f8f8964b6f15a7384c85df"),
+    ("random2", 0.0, 0.18548332896495554, 0.0026769649932890933, "c4233edd815d683572e69358e595e892d2711ad4b191099dcf70f21faa3021aa",
+     "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"),
+    ("random2", 0.7, 0.10075303496281322, 0.0033351384927556346, "a3be9e6ae331c632c5aa59e39d80fe58ab6b3a22e165eece1fb8dbcae0a683bb",
+     "db654b7e78322de92ed3b1138ed8c0c5b555a139b9c104d7d11968776844e780"),
+    ("random2", 50.0, 0.004709381737495841, 0.002660587192779377, "7b9d1b51d2a6c2bba55420add1690abe123a1293abfa007fca36835e6a6439f2",
+     "555187ae5ccf124385219e8d5e73b555eda9b60a0e22dab7f69bd011bd33b375"),
+    ("random3", 0.0, 0.08515239536758619, 0.0031326143637580668, "e29370b51a1e96669783c43ca2938c1d80af8baf83234fc8c680b21699f3ecfd",
+     "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"),
+    ("random3", 0.7, 0.025275648586871275, 0.0033816479585702733, "6c9352b65cefb8d040092131151973868e846e474fdb6c48422fe4b28842bfa1",
+     "f0ce8fce705b59bec388e7f2444a4fc8e9e29e5871ee02d471e4ea4da2affaae"),
+    ("random3", 50.0, -0.0005606140004675448, 0.0030636716941637486, "efbd3edddac94eb5d5177b0a6cc44332d206a08d9cab08e66e5bf3f6530936d0",
+     "5eeefc7814b56018874b6de90ee9917be95a38ac2f96447b9f3f840e9dc618ac"),
+    ("random10", 0.0, 0.2854957832413356, 0.006525184205755278, "9d7212aaaeecf85802aec8e450c090a8f2063f071028b3fa6a5e6a03a6c913f1",
+     "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"),
+    ("random10", 0.7, 0.008585360953619081, 0.00687981013020772, "dff6a463e194398d411788382923ae205f530b2986bc880b41d1f3dcb3b72528",
+     "9bb52d1385adff84ae14d821f1b1e1983c2875c66a290a2da26dc88347165867"),
+    ("random10", 50.0, -0.011308963699778258, 0.006676337694755218, "1c91ba4a811209ebae75d28c63ebe3a38624787735a3c7e4c2a873eb1ac393ea",
+     "8e6ead98000e13274712fb55278c8e264c17ad3068582d4b9e17bae26bcf594f"),
+    ("random30", 0.0, 0.3012229862739489, 0.005769910037579691, "6ec32b1f6542737b3351afd8f2b82543cf26af9c4cce93261a2fc98b51dc61ca",
+     "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"),
+    ("random30", 0.7, 0.02305975241885063, 0.006906528268952776, "4d5151633c579ca06425758446c04257e8d71a931db2eeebfda5e9a22bdaba0e",
+     "6a0ddf79eadfe3d1ab02ef55aefa710ddb51b7130d73ade81dd8b15679960af7"),
+    ("random30", 5.0, 0.003979794037778069, 0.006782155701600876, "864882a7510a87a1301392258824de368b7466dfe384bdff4423eb6d7511703e",
+     "3724f8f6254a1a6c96ecdc4d0cd35abe925d2beb5df09fe052ede830a8611147"),
+    ("decay", 0.0, 1.0, 0.0, "a11e58977f1dc1c2ab3816f55d8b2ef63da62b10fc4e4e2facf7f3788a890cda",
+     "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"),
+    ("decay", 0.7, -0.028, 0.02235750274436933, "6ee3032506eb5d987fec56bfcd8f43e8c308dabcc98d43156064359124982421",
+     "894286dab125c28a526c9c0f1c8ca209a879fbdfe70f47ac75c3d51c81979277"),
+    ("decay", 50.0, -1.0, 0.0, "62454b8053dfbfa708ecc654de17cf9bd375ce16172f41caa5f6a7efad0e582b",
+     "752a018680fb6d88d22646ca97a5c785d872f1d8ee3d2369485833ce528c1995"),
+    ("reducible", 0.0, 0.622, 0.008387083616239492, "f7dd746c109b7be70a38e2e48ef88b0a6d80d9f3908c5ed5347be925af1d7bf4",
+     "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b"),
+    ("reducible", 0.7, 0.04405, 0.012587653604291421, "4493e4c74a683af66f2b5dc888844ae4948d1aa0d869ab4c9811241bcbcac94e",
+     "370fb177c27d04c72dd5f536dfaf28552853a1094e66702888eb8fca6a1f120a"),
+    ("reducible", 50.0, -0.08405, 0.009730821815067745, "a939fa81c878cab0bb5d32b9c9b959732933ff5337f8f8964b6f15a7384c85df",
+     "86d735974d58434ecf90aa5b6e3eca5c4719c37b0a1113e539d6feb4c0e77cba"),
 ]
 
 
@@ -370,13 +390,76 @@ def _digest_states(init, final):
     return hashlib.sha256(np.stack([init, final]).astype("<i8").tobytes()).hexdigest()
 
 
-class TestStreamPins:
-    """The sampler's states for fixed seeds, pinned bit for bit: any
-    change to the order or number of random draws fails here."""
+def _digest_counts(counts):
+    return hashlib.sha256(counts.astype("<i4").tobytes()).hexdigest()
 
-    @pytest.mark.parametrize("name,t,mean,stderr,digest", MC_PINS)
-    def test_mc_two_point_and_states(self, name, t, mean, stderr, digest):
+
+# p0 vectors for the initial draw, zero-probability states first, in the
+# middle and last
+CHOICE_LAWS = [
+    [0.25, 0.75],
+    [0.0, 1.0],
+    [1.0, 0.0],
+    [0.2, 0.3, 0.5],
+    [0.0, 0.4, 0.6],
+    [0.5, 0.0, 0.5],
+    [0.7, 0.3, 0.0],
+    [0.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.0],
+    [0.1, 0.2, 0.0, 0.0, 0.3, 0.4, 0.0],
+    np.random.default_rng(30).dirichlet(np.ones(30)),
+    np.concatenate([np.zeros(10), np.full(10, 0.1), np.zeros(10)]),
+]
+
+
+class TestStreamPins:
+    """The sampler's states and jump counts for fixed seeds, pinned bit for
+    bit: any change to the order or number of random draws fails here. The
+    ids are the pins' names from before the counts were pinned."""
+
+    @pytest.mark.parametrize(
+        "name,t,mean,stderr,digest,counts_digest",
+        MC_PINS,
+        ids=["-".join(map(str, row[:5])) for row in MC_PINS],
+    )
+    def test_mc_two_point_and_states(self, name, t, mean, stderr, digest, counts_digest):
         W, p0, S = _pin_model(name)
         assert mc_two_point(W, p0, S, S, t, 2_000, seed=17) == (mean, stderr)
-        init, final, _ = _sample_states_at(W, p0, t, 2_000, make_rng(17))
+        init, final, counts = _sample_states_at(W, p0, t, 2_000, make_rng(17))
         assert _digest_states(init, final) == digest
+        assert counts.dtype == np.int32
+        assert _digest_counts(counts) == counts_digest
+
+    @pytest.mark.parametrize("p", CHOICE_LAWS, ids=lambda p: f"n{len(p)}")
+    def test_initial_states_are_choice_draws(self, p):
+        # the initial draw is Generator.choice's, and so is the state of
+        # the stream after it
+        n = len(p)
+        W = random_model(n, 4)[0]
+        p0 = ProbVector(np.asarray(p, dtype=float))
+        for seed in (0, 17):
+            rng = make_rng(seed)
+            init, final, _ = _sample_states_at(W, p0, 0.0, 5_000, rng)
+            want_rng = make_rng(seed)
+            want = want_rng.choice(n, 5_000, p=p0.p)
+            assert init.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(init, want)
+            np.testing.assert_array_equal(final, want)
+            assert rng.random() == want_rng.random()
+
+
+class TestSamplerWorkingSet:
+    def test_peak_bytes_per_sample(self):
+        # two mean jumps of a 3-state chain: the outputs take 20 bytes a
+        # sample (int64 initial and final states, int32 counts), the live
+        # arrays and one sweep's draws and targets the rest
+        W, p0, _ = random_model(3, 8103)
+        n_samples = 100_000
+        t = 2.0 / activity_rate(W, p0)
+        rng = make_rng(1)
+        tracemalloc.start()
+        try:
+            _sample_states_at(W, p0, t, n_samples, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_samples <= 66.0

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrbound import FiniteDistribution, bhattacharyya, tvd
+from corrbound import FiniteDistribution, bhattacharyya, random_model, skeleton_distribution, tvd
 from corrbound.errors import (
     KeyMismatchError,
     NegativeProbabilityError,
@@ -162,3 +163,19 @@ def test_distances_stay_in_range_and_ordered(pq):
     assert -1e-15 <= bh <= 1.0 + 1e-12
     assert h2 <= tv + 1e-12
     assert tv <= math.sqrt(max(1.0 - bh * bh, 0.0)) + 1e-12
+
+
+@pytest.mark.parametrize("distance", [tvd, bhattacharyya], ids=lambda f: f.__name__)
+def test_distance_working_set_is_one_summand_array(distance):
+    # the summands are formed once and transformed in place: one array of
+    # the size of the weights, where a separate abs or sqrt takes two
+    W, p0, _ = random_model(4, 2)
+    p = skeleton_distribution(W, p0, 1.0, 8, 0.2)
+    q = skeleton_distribution(W, p0, 1.0, 8, 0.9)
+    tracemalloc.start()
+    try:
+        distance(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * p.probs.nbytes

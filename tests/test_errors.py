@@ -46,6 +46,7 @@ from corrbound.linear_response import Perturbation
 
 W, P0, S = random_model(3, 1)
 DRIVE = SampledDrive(np.linspace(0.0, 2.0, 5), np.ones(5))
+SKEL = PathSkeleton(3, 2, 1.0)
 
 CASES = [
     ("scaled-negative", lambda: W.scaled(-1.0), NegativeRateError),
@@ -69,6 +70,15 @@ CASES = [
     ("path-skeleton-no-states", lambda: PathSkeleton(0, 2, 1.0), BadDimensionError),
     ("path-skeleton-fractional-states", lambda: PathSkeleton(2.5, 2, 1.0), BadDimensionError),
     ("path-skeleton-fractional-steps", lambda: PathSkeleton(3, 2.5, 1.0), BadDimensionError),
+    ("skeleton-encode-state-too-large", lambda: SKEL.encode((0, 3, 0)), BadDimensionError),
+    ("skeleton-encode-short", lambda: SKEL.encode((1, 2)), BadDimensionError),
+    ("skeleton-encode-long", lambda: SKEL.encode((1, 2, 0, 0)), BadDimensionError),
+    ("skeleton-encode-negative-state", lambda: SKEL.encode((1, -1, 0)), BadDimensionError),
+    ("skeleton-encode-fractional-state", lambda: SKEL.encode((0, 1.7, 0)), BadDimensionError),
+    ("skeleton-encode-not-a-sequence", lambda: SKEL.encode(5), BadDimensionError),
+    ("skeleton-decode-past-end", lambda: SKEL.decode(27), BadDimensionError),
+    ("skeleton-decode-negative", lambda: SKEL.decode(-1), BadDimensionError),
+    ("skeleton-decode-fractional", lambda: SKEL.decode(2.0), BadDimensionError),
     ("mc-fractional-samples", lambda: mc_two_point(W, P0, S, S, 1.0, 1000.5, 1), BadDimensionError),
     ("mc-negative-horizon", lambda: mc_two_point(W, P0, S, S, -1.0, 1000, 1), NegativeTimeError),
     ("mc-nan-horizon", lambda: mc_two_point(W, P0, S, S, np.nan, 1000, 1), NonFiniteError),

@@ -36,6 +36,14 @@ class TestPathSkeleton:
         for key in (0, 7, 100, skel.path_count - 1):
             assert skel.encode(skel.decode(key)) == key
 
+    def test_keys_are_the_sequences_in_order(self):
+        # every sequence once, numpy integers as well as ints
+        skel = PathSkeleton(3, 2, 1.0)
+        seqs = list(itertools.product(range(3), repeat=3))
+        assert [skel.encode(s) for s in seqs] == list(range(skel.path_count))
+        assert [skel.decode(np.int64(k)) for k in range(skel.path_count)] == seqs
+        assert skel.encode(np.array([2, 0, 1])) == 19
+
     def test_guard_rejects_huge_enumerations(self):
         with pytest.raises(TooManyPathsError):
             PathSkeleton(10, 7, 1.0)  # 10^8 paths
