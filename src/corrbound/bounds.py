@@ -1,8 +1,11 @@
 """Activity-based upper bounds on correlation changes, with reports.
 
-Every bound evaluation returns a :class:`BoundReport` carrying both
-sides, their ratio, and a validity-domain flag; sweeps that only tally
-read the same values as arrays (``_Plan.sides``). Sine-type bounds are
+Every bound evaluation yields both sides, their ratio, and a
+validity-domain flag, as arrays over a plan's intervals (``_Plan.sides``);
+``_Plan.rows`` turns them into rows, which the CLI tables write. A
+:class:`BoundReport` holds one row, and only the public functions build
+it: the ``bound_*`` functions here, ``bound_pulse`` and ``bound_step`` of
+``linear_response`` and ``cli.evaluate_bounds``. Sine-type bounds are
 valid while the activity integral
 
     arg(t1, t2) = (1/2) * int_{t1}^{t2} sqrt(A(t)) / t dt
@@ -118,28 +121,6 @@ class BoundReport:
     @property
     def satisfied(self) -> bool:
         return self.ratio <= 1.0 + RATIO_SLACK
-
-    def row(self) -> tuple:
-        """The fields in ``CSV_HEADER`` order."""
-        return (
-            self.bound_id, self.t1, self.t2, self.lhs, self.rhs, self.ratio,
-            self.in_validity_domain, self.cmax_mode,
-        )
-
-    def csv_row(self) -> str:
-        return _csv_line(self.row())
-
-    def as_dict(self) -> dict:
-        return dict(zip(CSV_HEADER.split(","), self.row()))
-
-
-def _csv_line(cells) -> str:
-    """One CSV line: reals through ``fmt17``, booleans as true/false and
-    anything else through ``str``."""
-    return ",".join(
-        fmt17(c) if isinstance(c, float) else str(c).lower() if isinstance(c, bool) else str(c)
-        for c in cells
-    )
 
 
 def _ratio(lhs, rhs):
@@ -473,21 +454,24 @@ class _Plan:
         lhs, rhs, in_domain, arg = _BOUNDS[bound_id][3](self, a, b)
         return lhs, rhs, _ratio(lhs, rhs), in_domain, arg
 
-    def reports(self, bound_id: str, t1, t2) -> list[BoundReport]:
-        """The sides of one bound as one report per interval."""
+    def rows(self, bound_id: str, t1, t2, rhs_scale: float = 1.0) -> list[tuple]:
+        """The sides of one bound as one row per interval, a tuple in the
+        field order of ``BoundReport``. ``rhs_scale`` multiplies every rhs,
+        with 0 inf taken as 0 and a zero rhs kept at +0, and the ratio is
+        recomputed from the scaled rhs."""
         t1, t2 = np.atleast_1d(t1), np.atleast_1d(t2)
-        if t1.size == 0:
-            return []
         lhs, rhs, ratio, in_domain, arg = self.sides(bound_id, t1, t2)
+        if rhs_scale != 1.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs = np.where((rhs == 0.0) | (rhs_scale == 0.0), 0.0, rhs * rhs_scale)
+            ratio = _ratio(lhs, rhs)
+        n = t1.size
         mode = self.mode if _BOUNDS[bound_id][2] else "standard"
-        args = [None] * len(t1) if arg is None else arg.tolist()
-        return [
-            BoundReport(bound_id, *row, mode, g)
-            for *row, g in zip(
-                t1.tolist(), t2.tolist(), lhs.tolist(), rhs.tolist(),
-                ratio.tolist(), in_domain.tolist(), args,
-            )
-        ]
+        return list(zip(
+            [bound_id] * n, t1.tolist(), t2.tolist(), lhs.tolist(), rhs.tolist(),
+            ratio.tolist(), in_domain.tolist(), [mode] * n,
+            [None] * n if arg is None else arg.tolist(),
+        ))
 
 
 def _change(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -596,7 +580,7 @@ def bound_main(
     Outside the sine domain (arg > pi/2) the report carries the trivial
     bound with the domain flag cleared.
     """
-    return _Plan(W, p0, (t1, t2), S, T, mode).reports("MAIN_EQ5", t1, t2)[0]
+    return BoundReport(*_Plan(W, p0, (t1, t2), S, T, mode).rows("MAIN_EQ5", t1, t2)[0])
 
 
 def bound_zero_t(
@@ -608,7 +592,7 @@ def bound_zero_t(
     mode: str = "standard",
 ) -> BoundReport:
     """Zero-to-t corollary of the main bound."""
-    return _Plan(W, p0, (0.0, t), S, T, mode).reports("ZERO_T_EQ6", 0.0, t)[0]
+    return BoundReport(*_Plan(W, p0, (0.0, t), S, T, mode).rows("ZERO_T_EQ6", 0.0, t)[0])
 
 
 def bound_derivative(
@@ -626,7 +610,7 @@ def bound_derivative(
     """
     if t <= 0.0:
         raise NonPositiveTimeError(f"derivative bound needs t > 0, got {t}")
-    return _Plan(W, p0, (t,), S, T, mode).reports("DERIV_EQ7", t, t)[0]
+    return BoundReport(*_Plan(W, p0, (t,), S, T, mode).rows("DERIV_EQ7", t, t)[0])
 
 
 def bound_eta(
@@ -642,7 +626,7 @@ def bound_eta(
     Valid for every t >= 0 (the survival overlap stays in (0, 1]), and
     never looser than the sine bound inside the latter's domain.
     """
-    return _Plan(W, p0, (0.0, t), S, T, mode).reports("ETA_EQ8", 0.0, t)[0]
+    return BoundReport(*_Plan(W, p0, (0.0, t), S, T, mode).rows("ETA_EQ8", 0.0, t)[0])
 
 
 def bound_tangent_tur(
@@ -659,7 +643,7 @@ def bound_tangent_tur(
     At arg >= pi/2 the tangent diverges: the report carries an infinite
     right side with the domain flag cleared.
     """
-    return _Plan(W, p0, (0.0, t), S, T, mode).reports("TANGENT_S29", 0.0, t)[0]
+    return BoundReport(*_Plan(W, p0, (0.0, t), S, T, mode).rows("TANGENT_S29", 0.0, t)[0])
 
 
 def bound_multipoint(
@@ -684,7 +668,7 @@ def bound_multipoint(
     # every probe at time 0 on the knot 0, at the given times on t_end
     probe_times = np.outer(knots == t_end, ts)
     plan = _Plan(W, p0, knots, probes=(scores, probe_times))
-    return plan.reports(bound_id, 0.0, t_end)[0]
+    return BoundReport(*plan.rows(bound_id, 0.0, t_end)[0])
 
 
 def bound_onepoint(
@@ -708,4 +692,4 @@ def bound_onepoint(
     }.get(variant)
     if bound_id is None:
         raise CorrboundError(f"unknown onepoint variant {variant!r}")
-    return plan.reports(bound_id, 0.0, t)[0]
+    return BoundReport(*plan.rows(bound_id, 0.0, t)[0])

@@ -9,18 +9,22 @@ Subcommands::
     response pulse or step response sweep for a single model
 
 Exit codes are uniform: 0 all checked ratios within tolerance, 1 at
-least one bound violated, 2 input or configuration error. A model without
-a unique stationary law fails only the pulse and step bounds of ``check``:
-it exits 2, naming them on stderr, and writes the other rows. All emitted
+least one bound violated, and nothing else; 2 for every other outcome: an
+input or configuration error, running out of memory (``ResourceError``)
+or a crash, whose traceback goes to stderr. A model without a unique
+stationary law fails only the pulse and step bounds of ``check``: it
+exits 2, naming them on stderr, and writes the other rows. All emitted
 reals carry 17 significant digits (round-trip exact for float64), CSV
 files start with ``# key: value`` metadata lines, and identical seeds
 produce byte-identical output. Non-finite reals are written as ``inf``,
 ``-inf`` and ``nan``, quoted in JSON. The bounds of one model are
 evaluated through one plan over the time grid (``bounds._Plan``); the
 random sweeps of stress and figure2 evaluate the models of each state count
-together, through one plan over their stack, and read its ratio arrays.
-Each such stack is drawn by one re-keyed generator and validated once
-(``markov._random_stack``).
+together, through one plan over their stack. Each such stack is drawn by
+one re-keyed generator and validated once (``markov._random_stack``).
+Every table is written from the plan's arrays (``_Plan.sides``), or from
+the rows ``_Plan.rows`` makes of them; a ``BoundReport`` is built only by
+the public functions, ``evaluate_bounds`` among them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +46,10 @@ from .bounds import (
     BoundReport,
     _BOUNDS,
     _Plan,
-    _csv_line,
-    _ratio,
     fmt17,
 )
-from .errors import CorrboundError
-from .linear_response import _report, _response_plan, _shift
+from .errors import CorrboundError, ResourceError
+from .linear_response import _response_plan, _shift
 from .markov import (
     RANDOM_MODEL_METADATA,
     ProbVector,
@@ -157,6 +159,20 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _csv_line(cells) -> str:
+    """One CSV line: reals through ``fmt17``, booleans as true/false and
+    anything else through ``str``."""
+    return ",".join(
+        fmt17(c) if isinstance(c, float) else str(c).lower() if isinstance(c, bool) else str(c)
+        for c in cells
+    )
+
+
+def _table(*columns) -> list[tuple]:
+    """The rows of equal-length arrays, one array per column."""
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def _write_table(path: str | None, header: str, rows, meta: dict, fmt: str = "csv") -> None:
     """Write rows, tuples in ``header`` order, as a CSV under ``# key: value``
     metadata lines or as a JSON document of the metadata and one object per
@@ -205,21 +221,19 @@ def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi, failed=None):
         yield bid, rows, start, t1_share * grid[rows], grid[rows]
 
 
-def _bound_reports(W, p0, S, T, t_grid, bound_ids, mode, chi, failed=None):
-    """The reports of ``evaluate_bounds``; a bound whose stationary law W
-    lacks is handled as in ``_walk_bounds``."""
+def _bound_rows(W, p0, S, T, t_grid, bound_ids, mode, chi, failed=None, rhs_scale=1.0):
+    """The rows of ``evaluate_bounds`` and ``check`` (``_Plan.rows``), with
+    every rhs scaled by ``rhs_scale``; a bound whose stationary law W lacks
+    is handled as in ``_walk_bounds``."""
     bound_ids = tuple(dict.fromkeys(bound_ids))
     walk = _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi, failed)
-    by_bound = {
-        bid: dict(zip(rows.tolist(), plan.reports(bid, t1, t2)))
-        for bid, rows, plan, t1, t2 in walk
-    }
-    return [
-        by_bound[bid][k]
-        for k in range(len(t_grid))
-        for bid in bound_ids
-        if k in by_bound.get(bid, ())
-    ]
+    # grid time by grid time, in the order of bound_ids
+    cells = sorted(
+        (k, j, row)
+        for j, (bid, rows, plan, t1, t2) in enumerate(walk)
+        for k, row in zip(rows.tolist(), plan.rows(bid, t1, t2, rhs_scale))
+    )
+    return [row for _, _, row in cells]
 
 
 def evaluate_bounds(
@@ -242,14 +256,7 @@ def evaluate_bounds(
     a repeated id is evaluated and reported once. Where W has no unique
     stationary law, a selected pulse/step bound raises its error.
     """
-    return _bound_reports(W, p0, S, T, t_grid, bound_ids, mode, chi)
-
-
-def _apply_rhs_scale(reports: list[BoundReport], scale: float) -> list[BoundReport]:
-    if scale == 1.0:
-        return reports
-    scaled = [(r, r.rhs * scale if r.rhs and scale else 0.0) for r in reports]  # 0 * inf = 0
-    return [replace(r, rhs=rhs, ratio=float(_ratio(r.lhs, rhs))) for r, rhs in scaled]
+    return [BoundReport(*row) for row in _bound_rows(W, p0, S, T, t_grid, bound_ids, mode, chi)]
 
 
 def cmd_check(config: RunConfig) -> int:
@@ -266,10 +273,10 @@ def cmd_check(config: RunConfig) -> int:
     else:
         raise CorrboundError("check needs either a model file or --states")
     failed = {}
-    reports = _bound_reports(
-        W, p0, S, T, config.t_grid, config.bounds, config.cmax_mode, config.chi, failed
+    rows = _bound_rows(
+        W, p0, S, T, config.t_grid, config.bounds, config.cmax_mode, config.chi, failed,
+        config.rhs_scale,
     )
-    reports = _apply_rhs_scale(reports, config.rhs_scale)
     meta = _meta(
         seed=config.seed,
         generator=RANDOM_MODEL_METADATA["generator"],
@@ -277,14 +284,13 @@ def cmd_check(config: RunConfig) -> int:
         cmax_mode=config.cmax_mode,
         rhs_scale=fmt17(config.rhs_scale) if config.rhs_scale != 1.0 else None,
     )
-    _write_table(
-        config.output_path, CSV_HEADER, [r.row() for r in reports], meta, config.output_format
-    )
-    violations = [r for r in reports if not r.satisfied]
-    for v in violations:
+    # the geodesic arg, last in a row, is no column
+    _write_table(config.output_path, CSV_HEADER, [r[:-1] for r in rows], meta, config.output_format)
+    violations = [r for r in rows if not r[5] <= 1.0 + RATIO_SLACK]
+    for bid, t1, t2, lhs, rhs, ratio, *_ in violations:
         print(
-            f"VIOLATION {v.bound_id} t1={fmt17(v.t1)} t2={fmt17(v.t2)} "
-            f"lhs={fmt17(v.lhs)} rhs={fmt17(v.rhs)} ratio={fmt17(v.ratio)}",
+            f"VIOLATION {bid} t1={fmt17(t1)} t2={fmt17(t2)} "
+            f"lhs={fmt17(lhs)} rhs={fmt17(rhs)} ratio={fmt17(ratio)}",
             file=sys.stderr,
         )
     for bid, exc in failed.items():
@@ -306,12 +312,9 @@ def _response_sweep(W, pst, S, T, chi: float, drive: str, t_grid) -> list[tuple]
     if pulse:
         ts = ts[ts > 0.0]
     plan, idx = _response_plan(W, pst, S, T, chi, ts, pulse)
-    return [
-        (t, shift, rep.rhs, rep.ratio, rep.in_validity_domain)
-        for t, shift, rep in zip(
-            ts.tolist(), _shift(plan, idx, pulse).tolist(), _report(plan, idx, pulse)
-        )
-    ]
+    bound = ("PULSE_EQ11", ts) if pulse else ("STEP_EQ12", np.zeros_like(ts))
+    _, rhs, ratio, in_domain, _ = plan.sides(*bound, ts)
+    return _table(ts, _shift(plan, idx, pulse), rhs, ratio, in_domain)
 
 
 FIG2_CURVE_GRID = np.linspace(0.0, 10.0, 201)
@@ -367,13 +370,16 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     W, p0, S, T = fig2_model()
-    curve = evaluate_bounds(
-        W, p0, S, T, FIG2_CURVE_GRID, ("ZERO_T_EQ6", "ETA_EQ8", "DERIV_EQ7")
-    )
-    sines = [r for r in curve if r.bound_id == "ZERO_T_EQ6"]
-    etas = [r for r in curve if r.bound_id == "ETA_EQ8"]
-    rows_a = [(s.t2, s.lhs, s.rhs, e.rhs, s.in_validity_domain) for s, e in zip(sines, etas)]
-    rows_b = [(r.t2, r.lhs, r.rhs) for r in curve if r.bound_id == "DERIV_EQ7"]
+    curve = {  # bound id -> t2, lhs, rhs, ratio, in_domain, arg
+        bid: (t2, *plan.sides(bid, t1, t2))
+        for bid, _, plan, t1, t2 in _walk_bounds(
+            W, p0, S, T, FIG2_CURVE_GRID, ("ZERO_T_EQ6", "ETA_EQ8", "DERIV_EQ7"), "standard",
+            DEFAULT_CHI,
+        )
+    }
+    t2, lhs, rhs, _, in_domain, _ = curve["ZERO_T_EQ6"]
+    rows_a = _table(t2, lhs, rhs, curve["ETA_EQ8"][2], in_domain)
+    rows_b = _table(*curve["DERIV_EQ7"][:3])
 
     sweep = {}  # (bound id, model index) -> (t2, ratio, in_domain) per grid time
     for chunk, Wm, p0m, Sm in _stacks(sizes, seeds, lead=[fig2_model()[:3]]):
@@ -382,7 +388,7 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
         ):
             _, _, ratio, in_domain, _ = plan.sides(bid, t1, t2)
             for j, idx in enumerate(chunk):
-                sweep[bid, idx] = list(zip(t2.tolist(), ratio[j].tolist(), in_domain[j].tolist()))
+                sweep[bid, idx] = _table(t2, ratio[j], in_domain[j])
     models = range(1 + len(sizes))
     rows_c = [(idx, *x) for idx in models for x in sweep["ZERO_T_EQ6", idx]]
     rows_d = [(idx, t, r) for idx in models for t, r, _ in sweep["DERIV_EQ7", idx]]
@@ -593,8 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args) -> int:
+    """Run one parsed subcommand; running out of memory raises ResourceError."""
     try:
         if args.command == "check":
             config = RunConfig(
@@ -636,9 +642,21 @@ def main(argv=None) -> int:
             output_path=args.out,
             output_format=args.format,
         )
+    except MemoryError as exc:
+        raise ResourceError(f"out of memory: {exc}" if str(exc) else "out of memory") from exc
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        # a crash is no violation: its traceback goes to stderr, as for any
+        # uncaught error, but the run exits 2
+        sys.excepthook(*sys.exc_info())
+    return 2
 
 
 if __name__ == "__main__":

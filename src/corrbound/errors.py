@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the library.
 
 Every domain error derives from :class:`CorrboundError` so callers can
-catch one base type; the CLI maps any of these to exit code 2.
+catch one base type; the CLI maps any of these to exit code 2, and a
+``MemoryError`` to :class:`ResourceError`.
 """
 
 
@@ -84,3 +85,7 @@ class StepTooLargeError(CorrboundError):
 
 class QuadratureError(NoConvergenceError):
     """Adaptive quadrature failed to reach tolerance at max refinement."""
+
+
+class ResourceError(CorrboundError):
+    """The run needed more memory than it could allocate."""

@@ -203,14 +203,6 @@ def _shift(plan: _Plan, idx: np.ndarray, pulse: bool) -> np.ndarray:
     return plan.chi * (plan.corr[idx] - plan.corr[0])
 
 
-def _report(plan: _Plan, idx: np.ndarray, pulse: bool) -> list[BoundReport]:
-    """The pulse or step bound reports at the knots idx of a response plan."""
-    t = plan.knots[idx]
-    if pulse:
-        return plan.reports("PULSE_EQ11", t, t)
-    return plan.reports("STEP_EQ12", np.zeros_like(t), t)
-
-
 def pulse_shift(
     W: RateMatrix,
     Pst: ProbVector,
@@ -247,7 +239,8 @@ def bound_pulse(
 ) -> BoundReport:
     """Pulse-shift magnitude against chi S_max T_max sqrt(a / t)."""
     plan, idx = _response_plan(W, Pst, S, T, chi, t, pulse=True)
-    return _report(plan, idx, True)[0]
+    t = plan.knots[idx]
+    return BoundReport(*plan.rows("PULSE_EQ11", t, t)[0])
 
 
 def bound_step(
@@ -264,7 +257,8 @@ def bound_step(
     2 chi S_max T_max with the domain flag cleared.
     """
     plan, idx = _response_plan(W, Pst, S, T, chi, t, pulse=False)
-    return _report(plan, idx, False)[0]
+    t = plan.knots[idx]
+    return BoundReport(*plan.rows("STEP_EQ12", 0.0, t)[0])
 
 
 def convolved_shift(

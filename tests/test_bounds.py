@@ -32,7 +32,7 @@ from corrbound import (
     steady_state,
     validate_rate_matrix,
 )
-from corrbound.cli import cmd_figure2, cmd_stress, evaluate_bounds
+from corrbound.cli import _bound_rows, _csv_line, cmd_figure2, cmd_stress, evaluate_bounds, main
 from corrbound import bounds, markov
 from corrbound.bounds import (
     CSV_HEADER,
@@ -905,15 +905,21 @@ class TestPermutationInvariance:
 
 
 class TestBoundReport:
-    def test_csv_row_format(self, decay_model):
+    def test_csv_row_format(self, decay_model, tmp_path):
+        # a row of `check` through the CSV cell rule, as `check` writes it
         W, p0, S, T = decay_model
-        rep = bound_eta(W, p0, S, T, 1.0)
-        row = rep.csv_row()
-        fields = row.split(",")
+        (row,) = _bound_rows(W, p0, S, T, np.array([1.0]), ("ETA_EQ8",), "standard", 0.0)
+        line = _csv_line(row[:-1])
+        fields = line.split(",")
         assert len(fields) == len(CSV_HEADER.split(","))
         assert fields[0] == "ETA_EQ8"
         assert fields[-2] == "true"
-        assert float(fields[3]) == rep.lhs  # 17g round-trips exactly
+        assert float(fields[3]) == bound_eta(W, p0, S, T, 1.0).lhs  # 17g round-trips exactly
+        model, out = tmp_path / "model.json", tmp_path / "out.csv"
+        model.write_text('{"n": 2, "rates": [[0, 1], [0, 0]], "p0": [0, 1], "S": [-1, 1]}')
+        argv = ["check", "--model", str(model), "--tgrid", "1:1:1:lin", "--bounds", "ETA_EQ8"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == line
 
     def test_fmt17_round_trip(self):
         for x in (math.pi, 1.0 / 3.0, 2.0 ** -52, 1e300):

@@ -23,6 +23,7 @@ from corrbound import (
     bound_tangent_tur,
     bound_zero_t,
     bounds,
+    cli,
     linear_response,
     load_model,
     pulse_shift,
@@ -31,7 +32,7 @@ from corrbound import (
     step_shift,
     validate_rate_matrix,
 )
-from corrbound.bounds import fmt17
+from corrbound.bounds import RATIO_SLACK, _ratio, fmt17
 from corrbound.cli import (
     DEFAULT_BOUNDS,
     FIG2_RATIO_GRID,
@@ -236,6 +237,43 @@ class TestCmdCheck:
             ]
         )
         assert code == 1
+
+    # t = 0 gives zero right sides and t = 10 an infinite TANGENT_S29 one
+    SCALE_ARGS = [
+        "check", "--states", "3", "--seed", "1", "--tgrid", "0:10:6:lin",
+        "--bounds", ",".join(BOUND_IDS),
+    ]
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+    def test_rhs_scale_rows(self, tmp_path, scale):
+        # each row against the unscaled one: the same lhs, rhs times the
+        # scale (0 inf taken as 0, a zero rhs written as +0) and the ratio
+        # of the two
+        plain, scaled = tmp_path / "plain.csv", tmp_path / "scaled.csv"
+        main([*self.SCALE_ARGS, "--out", str(plain)])
+        main([*self.SCALE_ARGS, "--rhs-scale", fmt17(scale), "--out", str(scaled)])
+        before, after = read_csv(plain)[2], read_csv(scaled)[2]
+        assert len(after) == len(before) == 12 * 6 - 2
+        assert any(r[4] == "0" for r in before) and any(r[4] == "inf" for r in before)
+        for old, new in zip(before, after):
+            lhs, rhs = float(old[3]), float(old[4])
+            assert new[:4] == old[:4] and new[6:] == old[6:]
+            expect = 0.0 if rhs == 0.0 or scale == 0.0 else rhs * scale
+            assert new[4] == fmt17(expect), old
+            assert new[5] == fmt17(_ratio(lhs, expect)), old
+
+    def test_rhs_scale_exit_code_at_the_largest_ratio(self, tmp_path):
+        # 1 exactly when some unscaled ratio exceeds s (1 + RATIO_SLACK)
+        plain = tmp_path / "plain.csv"
+        assert main([*self.SCALE_ARGS, "--out", str(plain)]) == 0
+        ratios = [float(r[5]) for r in read_csv(plain)[2]]
+        top = max(ratios)
+        assert 0.0 < top < 1.0
+        for scale in (top * (1 - 1e-6), top / (1 + 2 * RATIO_SLACK), top, top * (1 + 1e-6)):
+            out = tmp_path / "scaled.csv"
+            code = main([*self.SCALE_ARGS, "--rhs-scale", fmt17(scale), "--out", str(out)])
+            assert code == int(any(r > scale * (1 + RATIO_SLACK) for r in ratios)), scale
+        assert code == 0
 
     @pytest.mark.parametrize("scale", ["-0.5", "nan", "inf"])
     def test_unusable_rhs_scale_exits_two(self, tmp_path, scale, capsys):
@@ -597,13 +635,30 @@ class TestStressTally:
         assert sorted(p.W.w.shape for p in plans) == [(10, n, n) for n in (2, 2, 3, 3, 4, 4)]
         assert len(calls) <= 2 * 3
 
-    def test_no_report_objects_built(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["stress", "--models", "3", "--tgrid", "1e-2:10:6:log"], id="stress"),
+            pytest.param(["check", "--states", "3", "--bounds", ",".join(BOUND_IDS)], id="check-csv"),
+            pytest.param(
+                ["check", "--states", "3", "--bounds", ",".join(BOUND_IDS), "--format", "json"],
+                id="check-json",
+            ),
+            pytest.param(["figure2", "--models", "3"], id="figure2"),
+            pytest.param(["figure3"], id="figure3"),
+            pytest.param(["response", "--drive", "pulse"], id="response-pulse"),
+            pytest.param(["response", "--drive", "step"], id="response-step"),
+        ],
+    )
+    def test_no_report_objects_built(self, tmp_path, monkeypatch, argv):
+        # tables are written from the plan's arrays; only the public
+        # functions build a BoundReport
         def forbidden(*args, **kwargs):
-            raise AssertionError("stress built a BoundReport")
+            raise AssertionError(f"{argv[0]} built a BoundReport")
 
-        monkeypatch.setattr(bounds, "BoundReport", forbidden)
-        code, _ = cmd_stress(n_models=3, t_grid=self.GRID, output_path=str(tmp_path / "t.json"))
-        assert code == 0
+        for module in (bounds, linear_response, cli):
+            monkeypatch.setattr(module, "BoundReport", forbidden)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
 
     def test_worst_case_replays_with_check(self, tmp_path):
         _, tally = cmd_stress(
@@ -741,6 +796,33 @@ class TestMainEntry:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--states", "3"],
+            ["stress", "--models", "3"],
+            ["figure2", "--models", "3"],
+            ["figure3"],
+            ["response", "--drive", "step"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_crash_exits_two_without_artifact(self, tmp_path, monkeypatch, capsys, argv, error):
+        # exit 1 means a violated bound: running out of memory is a
+        # ResourceError and any other crash keeps its traceback, both exit 2
+        def crash(*args, **kwargs):
+            raise error("simulated")
+
+        monkeypatch.setattr(np.linalg, "eig", crash)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        if error is MemoryError:
+            assert err == "error: out of memory: simulated\n"
+        else:
+            assert "Traceback" in err and err.endswith("RuntimeError: simulated\n")
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("command", ["check", "stress"])
     @pytest.mark.parametrize("chi", ["nan", "inf"])

@@ -4,6 +4,8 @@ One row per raise site that no other test reaches: the call and the exact
 error type it must raise.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,15 @@ from corrbound import (
     steady_state,
     validate_rate_matrix,
 )
-from corrbound.cli import RunConfig, _parse_tgrid, _random_sweep, cmd_response, evaluate_bounds
+from corrbound.cli import (
+    RunConfig,
+    _build_parser,
+    _parse_tgrid,
+    _random_sweep,
+    _run,
+    cmd_response,
+    evaluate_bounds,
+)
 from corrbound.errors import (
     BadDimensionError,
     BadIntervalError,
@@ -39,6 +49,7 @@ from corrbound.errors import (
     NonFiniteError,
     NonPositiveTimeError,
     NonSquareError,
+    ResourceError,
     StepTooLargeError,
     TimesNotSortedError,
 )
@@ -47,6 +58,12 @@ from corrbound.linear_response import Perturbation
 W, P0, S = random_model(3, 1)
 DRIVE = SampledDrive(np.linspace(0.0, 2.0, 5), np.ones(5))
 SKEL = PathSkeleton(3, 2, 1.0)
+
+
+def check_out_of_memory():
+    """`check` on a random model whose eigendecomposition runs out of memory."""
+    with mock.patch.object(np.linalg, "eig", side_effect=MemoryError):
+        _run(_build_parser().parse_args(["check", "--states", "3"]))
 
 CASES = [
     ("scaled-negative", lambda: W.scaled(-1.0), NegativeRateError),
@@ -136,6 +153,7 @@ CASES = [
         lambda: perturbed_oracle(W, canonical_perturbation(W, S), 0.01, DRIVE, 1.0, 0.0),
         StepTooLargeError,
     ),
+    ("cli-out-of-memory", check_out_of_memory, ResourceError),
 ]
 
 
