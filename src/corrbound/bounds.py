@@ -351,8 +351,8 @@ def _chain(W: RateMatrix, p: np.ndarray, scores, times: np.ndarray) -> np.ndarra
 
 
 class _Plan:
-    """Evaluation plan of one model, or of a stack of models (``markov._stack``)
-    over the same states, on a sorted set of knots.
+    """Evaluation plan of one model, or of a stack of models over the same
+    states (``markov._random_stack``), on a sorted set of knots.
 
     Every quantity is an array over the knots, after the model axis of a
     stack, computed on first use and then shared by all bounds; per-model

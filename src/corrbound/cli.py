@@ -17,11 +17,15 @@ exits 2, naming them on stderr, and writes the other rows. All emitted
 reals carry 17 significant digits (round-trip exact for float64), CSV
 files start with ``# key: value`` metadata lines, and identical seeds
 produce byte-identical output. Non-finite reals are written as ``inf``,
-``-inf`` and ``nan``, quoted in JSON. The bounds of one model are
-evaluated through one plan over the time grid (``bounds._Plan``); the
-random sweeps of stress and figure2 evaluate the models of each state count
-together, through one plan over their stack. Each such stack is drawn by
-one re-keyed generator and validated once (``markov._random_stack``).
+``-inf`` and ``nan``, quoted in JSON. A figure run writes all of its files
+or none of them. The bounds of one model are evaluated through one plan
+over the time grid (``bounds._Plan``); the random sweeps of stress and
+figure2 evaluate the random models of each state count together, through
+one plan over their stack, and figure2's built-in model through its own.
+Each such stack is drawn by one re-keyed generator and validated once
+(``markov._random_stack``). A stress cell's worst case is its least key
+(-ratio, sweep index, t1, t2): the largest ratio, the first in sweep order
+and then in grid order on ties, and never NaN.
 Every table is written from the plan's arrays (``_Plan.sides``), or from
 the rows ``_Plan.rows`` makes of them; a ``BoundReport`` is built only by
 the public functions, ``evaluate_bounds`` among them.
@@ -30,8 +34,10 @@ the public functions, ``evaluate_bounds`` among them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +63,6 @@ from .markov import (
     ScoreVector,
     _as_int,
     _random_stack,
-    _stack,
     load_model,
     make_rng,
     random_model,
@@ -173,8 +178,8 @@ def _table(*columns) -> list[tuple]:
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def _write_table(path: str | None, header: str, rows, meta: dict, fmt: str = "csv") -> None:
-    """Write rows, tuples in ``header`` order, as a CSV under ``# key: value``
+def _table_text(header: str, rows, meta: dict, fmt: str = "csv") -> str:
+    """Rows, tuples in ``header`` order, as a CSV under ``# key: value``
     metadata lines or as a JSON document of the metadata and one object per
     row keyed by the header."""
     if fmt == "json":
@@ -183,7 +188,27 @@ def _write_table(path: str | None, header: str, rows, meta: dict, fmt: str = "cs
     else:
         lines = [f"# {k}: {v}" for k, v in meta.items()]
         text = "\n".join([*lines, header, *map(_csv_line, rows)])
-    _write_text(path, text + "\n")
+    return text + "\n"
+
+
+def _write_files(out_dir: str, texts: dict) -> None:
+    """Write the files ``texts``, name -> text, into ``out_dir``, all or
+    none: each is written to a temporary name beside its target, and they
+    are moved into place only once all are written and no target is a
+    directory. The temporaries of a failed run are removed."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    temps = {out / name: out / f".{name}.{os.getpid()}.tmp" for name in texts}
+    try:
+        for temp, text in zip(temps.values(), texts.values()):
+            temp.write_text(text, encoding="utf-8")
+        if blocked := [target for target in temps if target.is_dir()]:
+            raise IsADirectoryError(f"is a directory: {blocked[0]}")
+        for target, temp in temps.items():
+            temp.replace(target)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def _walk_bounds(W, p0, S, T, t_grid, bound_ids, mode, chi, failed=None):
@@ -285,7 +310,8 @@ def cmd_check(config: RunConfig) -> int:
         rhs_scale=fmt17(config.rhs_scale) if config.rhs_scale != 1.0 else None,
     )
     # the geodesic arg, last in a row, is no column
-    _write_table(config.output_path, CSV_HEADER, [r[:-1] for r in rows], meta, config.output_format)
+    rows_out = [r[:-1] for r in rows]
+    _write_text(config.output_path, _table_text(CSV_HEADER, rows_out, meta, config.output_format))
     violations = [r for r in rows if not r[5] <= 1.0 + RATIO_SLACK]
     for bid, t1, t2, lhs, rhs, ratio, *_ in violations:
         print(
@@ -343,32 +369,23 @@ def _random_sweep(n_models: int, seed: int, n_list=(2, 3, 4)):
 _STACK_MODELS = 256
 
 
-def _stacks(sizes, seeds, lead=()):
-    """The models of a sweep as stacks of one state count each, in runs of
-    at most ``_STACK_MODELS``: (sweep indices, W, p0, S) per stack.
-
-    The fixed models ``lead``, each (W, p0, S), take the first sweep indices;
-    random model i, ``random_model(sizes[i], seeds[i])``, takes index
-    ``len(lead) + i``. The random models of a stack are drawn by one
-    re-keyed generator and validated once (``markov._random_stack``); a fixed
-    model is joined ahead of them with ``markov._stack``.
+def _stacks(sizes, seeds):
+    """The random models of a sweep, model i ``random_model(sizes[i],
+    seeds[i])``, as stacks of one state count each, in runs of at most
+    ``_STACK_MODELS``: (sweep indices, W, p0, S) per stack. Each stack is
+    drawn by one re-keyed generator and validated once
+    (``markov._random_stack``).
     """
-    k = len(lead)
-    sizes = [m[0].n for m in lead] + list(sizes)
     for n in dict.fromkeys(sizes):
         group = [i for i, size in enumerate(sizes) if size == n]
         for start in range(0, len(group), _STACK_MODELS):
             chunk = group[start:start + _STACK_MODELS]
-            fixed = [lead[i] for i in chunk if i < k]
-            stack = _random_stack(n, [seeds[i - k] for i in chunk if i >= k])
-            yield (chunk, *(map(_stack, zip(*fixed, stack)) if fixed else stack))
+            yield (chunk, *_random_stack(n, [seeds[i] for i in chunk]))
 
 
 def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     """Write fig2a-fig2d CSVs plus a sidecar with the sweep seeds."""
     sizes, seeds = _random_sweep(n_random, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     W, p0, S, T = fig2_model()
     curve = {  # bound id -> t2, lhs, rhs, ratio, in_domain, arg
         bid: (t2, *plan.sides(bid, t1, t2))
@@ -382,11 +399,14 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     rows_b = _table(*curve["DERIV_EQ7"][:3])
 
     sweep = {}  # (bound id, model index) -> (t2, ratio, in_domain) per grid time
-    for chunk, Wm, p0m, Sm in _stacks(sizes, seeds, lead=[fig2_model()[:3]]):
+    # model 0 is the built-in model, on its own plan; random model i is i + 1
+    stacks = (([i + 1 for i in chunk], *stack) for chunk, *stack in _stacks(sizes, seeds))
+    for chunk, Wm, p0m, Sm in itertools.chain([([0], W, p0, S)], stacks):
         for bid, _, plan, t1, t2 in _walk_bounds(
             Wm, p0m, Sm, Sm, FIG2_RATIO_GRID, ("ZERO_T_EQ6", "DERIV_EQ7"), "standard", DEFAULT_CHI
         ):
             _, _, ratio, in_domain, _ = plan.sides(bid, t1, t2)
+            ratio, in_domain = ratio.reshape(len(chunk), -1), in_domain.reshape(len(chunk), -1)
             for j, idx in enumerate(chunk):
                 sweep[bid, idx] = _table(t2, ratio[j], in_domain[j])
     models = range(1 + len(sizes))
@@ -394,10 +414,6 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     rows_d = [(idx, t, r) for idx in models for t, r, _ in sweep["DERIV_EQ7", idx]]
 
     meta = _meta(seed=seed, generator=RANDOM_MODEL_METADATA["generator"])
-    _write_table(str(out / "fig2a.csv"), "t,lhs,rhs_sin,rhs_eta,in_domain", rows_a, meta)
-    _write_table(str(out / "fig2b.csv"), "t,lhs,rhs", rows_b, meta)
-    _write_table(str(out / "fig2c.csv"), "model,t,ratio,in_domain", rows_c, meta)
-    _write_table(str(out / "fig2d.csv"), "model,t,ratio", rows_d, meta)
     sidecar = {
         "meta": meta,
         "master_seed": seed,
@@ -405,14 +421,18 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
         "model_seeds": seeds,
         "distributions": RANDOM_MODEL_METADATA,
     }
-    _write_text(str(out / "fig2_models.json"), _json17(sidecar) + "\n")
+    _write_files(out_dir, {
+        "fig2a.csv": _table_text("t,lhs,rhs_sin,rhs_eta,in_domain", rows_a, meta),
+        "fig2b.csv": _table_text("t,lhs,rhs", rows_b, meta),
+        "fig2c.csv": _table_text("model,t,ratio,in_domain", rows_c, meta),
+        "fig2d.csv": _table_text("model,t,ratio", rows_d, meta),
+        "fig2_models.json": _json17(sidecar) + "\n",
+    })
     return 0
 
 
 def cmd_figure3(out_dir: str, chi: float = DEFAULT_CHI) -> int:
     """Write pulse (fig3a) and step (fig3b) response curves with bounds."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     W, S, T = fig3_model()
     pst = steady_state(W)
     sweeps = {
@@ -428,8 +448,9 @@ def cmd_figure3(out_dir: str, chi: float = DEFAULT_CHI) -> int:
         chi=fmt17(chi),
         model="two-state symmetric, unit rates",
     )
-    for name, rows in sweeps.items():
-        _write_table(str(out / name), _RESPONSE_HEADER, rows, meta)
+    _write_files(out_dir, {
+        name: _table_text(_RESPONSE_HEADER, rows, meta) for name, rows in sweeps.items()
+    })
     return 0
 
 
@@ -455,7 +476,7 @@ def cmd_stress(
         bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0, "worst": None}
         for bid in BOUND_IDS
     }
-    worst_at = {}  # bound id -> sweep index of its worst case
+    worst = {}  # bound id -> (-ratio, sweep index, t1, t2) of its worst case
     for chunk, W, p0, S in _stacks(sizes, seeds):
         for bid, _, plan, t1, t2 in _walk_bounds(W, p0, S, S, t_grid, BOUND_IDS, cmax_mode, chi):
             ratio = plan.sides(bid, t1, t2)[2]
@@ -464,22 +485,17 @@ def cmd_stress(
             cell = tally[bid]
             cell["evaluations"] += ratio.size
             cell["violations"] += int(np.count_nonzero(~(ratio <= 1.0 + RATIO_SLACK)))
-            # NaN is never the maximum or the worst case; ties keep the
-            # first in sweep order, then in grid order
+            # argmax takes the first largest ratio, the stack's least key;
+            # a NaN is never the worst case
             j, k = np.unravel_index(
                 np.argmax(np.where(np.isnan(ratio), -math.inf, ratio)), ratio.shape
             )
-            top, at = ratio[j, k], chunk[j]
-            if np.isnan(top) or not (
-                cell["worst"] is None or top > cell["max_ratio"]
-                or (top == cell["max_ratio"] and at < worst_at[bid])
-            ):
-                continue
-            cell["max_ratio"] = max(cell["max_ratio"], float(top))
-            cell["worst"] = {
-                "states": sizes[at], "seed": seeds[at], "t1": float(t1[k]), "t2": float(t2[k])
-            }
-            worst_at[bid] = at
+            if not np.isnan(ratio[j, k]):
+                key = (-float(ratio[j, k]), chunk[j], float(t1[k]), float(t2[k]))
+                worst[bid] = min(worst.get(bid, key), key)
+    for bid, (neg, at, t1, t2) in worst.items():
+        tally[bid]["max_ratio"] = -neg
+        tally[bid]["worst"] = {"states": sizes[at], "seed": seeds[at], "t1": t1, "t2": t2}
     total_violations = sum(c["violations"] for c in tally.values())
     payload = {
         "meta": _meta(
@@ -521,7 +537,7 @@ def cmd_response(
         drive=drive,
         model=model_path or "built-in symmetric",
     )
-    _write_table(output_path, _RESPONSE_HEADER, rows, meta, output_format)
+    _write_text(output_path, _table_text(_RESPONSE_HEADER, rows, meta, output_format))
     return 1 if violations else 0
 
 

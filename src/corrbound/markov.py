@@ -31,12 +31,12 @@ decomposition; only the others (the expm regime, nearly reducible chains)
 take an SVD.
 
 A value may also hold a stack of models over the same states along a leading
-model axis (``_stack``, or ``_random_stack`` for seeded random models drawn
-and validated as one stack): the primitives and ``steady_state`` then take and
-return that axis, and run each step once for the whole stack. Every model
-of a stack gets the same numbers, bit for bit, as when it is alone: BLAS
-results depend on a product's row count, so the models are batched only
-with others of the same regime and the same arithmetic (a real spectrum
+model axis (``_random_stack`` draws and validates seeded random models as one
+stack): the primitives and ``steady_state`` then take and return that axis,
+and run each step once for the whole stack. Every model of a stack gets the
+same numbers, bit for bit, as when it is alone: BLAS results depend on a
+product's row count, so the models are batched only with others of the
+same regime and the same arithmetic (a real spectrum
 stays real, as ``np.linalg.eig`` returns it for one model), and every
 model of a call has the same times.
 
@@ -233,7 +233,7 @@ class RateMatrix:
 
     Construct through :func:`validate_rate_matrix`; the raw constructor
     also validates and recomputes the diagonal. A stack of generators
-    (``_stack``) holds ``w`` of shape (models, n, n).
+    (``_random_stack``) holds ``w`` of shape (models, n, n).
     """
 
     w: np.ndarray
@@ -290,12 +290,6 @@ class RateMatrix:
         if rest.any():
             parts.append((w[rest], np.flatnonzero(rest)))
         return parts
-
-    def scaled(self, factor: float) -> "RateMatrix":
-        """Generator with all rates multiplied by ``factor >= 0``."""
-        if factor < 0.0:
-            raise NegativeRateError("scale factor must be >= 0")
-        return RateMatrix(self.w * factor)
 
 
 def _generators(off: np.ndarray) -> np.ndarray:
@@ -398,17 +392,6 @@ def _raw(cls, array: np.ndarray):
     array.setflags(write=False)
     object.__setattr__(value, fields(cls)[0].name, array)
     return value
-
-
-def _stack(values):
-    """Validated values of one type over the same states, each one model or
-    a stack of models, as one value holding all their models along a
-    leading model axis."""
-    first = fields(values[0])[0].name
-    per_model = 2 if isinstance(values[0], RateMatrix) else 1
-    arrays = [getattr(v, first) for v in values]
-    models = [a.reshape(-1, *a.shape[-per_model:]) for a in arrays]
-    return _raw(type(values[0]), np.concatenate(models))
 
 
 def _contract(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:

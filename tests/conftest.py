@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from corrbound import ProbVector, ScoreVector, random_model, validate_rate_matrix
+from corrbound import ProbVector, RateMatrix, ScoreVector, random_model, validate_rate_matrix
+from corrbound.markov import _raw
 
 
 @pytest.fixture
@@ -44,3 +47,20 @@ def model_sweep(count, states=(2, 3, 4), seed=7_001):
     return [
         random_model(states[i % len(states)], seed + i) for i in range(count)
     ]
+
+
+def join_stack(values):
+    """Validated values of one type over the same states, each one model or
+    a stack of models, as one value holding all their models along a
+    leading model axis."""
+    first = fields(values[0])[0].name
+    per_model = 2 if isinstance(values[0], RateMatrix) else 1
+    arrays = [getattr(v, first) for v in values]
+    models = [a.reshape(-1, *a.shape[-per_model:]) for a in arrays]
+    return _raw(type(values[0]), np.concatenate(models))
+
+
+def stack_of(models):
+    """(W, p0, S) stacks of a list of (W, p0, S) models, or stacks of them,
+    over the same states."""
+    return tuple(join_stack(list(values)) for values in zip(*models))

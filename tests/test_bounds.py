@@ -48,7 +48,7 @@ from corrbound.errors import (
     NonPositiveTimeError,
     QuadratureError,
 )
-from conftest import model_sweep
+from conftest import model_sweep, stack_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -532,7 +532,7 @@ class TestStackedPlan:
         scores = ScoreVector(np.linspace(-1.0, 1.0, 6))
         models = [(*stiff_chain(seed), scores) for seed in range(4)]
         models += [random_model(6, seed) for seed in range(4)]
-        W, p0, S = (markov._stack(list(v)) for v in zip(*models))
+        W, p0, S = stack_of(models)
         quadratures = []  # the integrand calls of each quadrature
         real_quad = bounds._chebyshev_quadrature
 
@@ -571,7 +571,10 @@ class TestStackedPlan:
     def rate_scaled(n):
         """12 random models with rates scaled from 10^-1.5 to 10^1.25."""
         models = [random_model(n, 100 + j) for j in range(12)]
-        return [(W.scaled(10.0 ** (j / 4 - 1.5)), p0, S) for j, (W, p0, S) in enumerate(models)]
+        return [
+            (validate_rate_matrix(W.w * 10.0 ** (j / 4 - 1.5)), p0, S)
+            for j, (W, p0, S) in enumerate(models)
+        ]
 
     @pytest.mark.parametrize("n", [7, 8, 64])
     def test_unequal_refinement_moves_at_most_the_last_bit(self, n, monkeypatch):
@@ -580,7 +583,7 @@ class TestStackedPlan:
         # move a last bit, but the model still accepts its own pieces
         models = self.rate_scaled(n)
         knots = np.array([0.0, 0.5, 1.0, 100.0, 1000.0])
-        W, p0, _ = (markov._stack(list(v)) for v in zip(*models))
+        W, p0, _ = stack_of(models)
         stacked = _Plan(W, p0, knots).arc
         nodes = []
         real_activity = bounds._Plan._activity
@@ -601,7 +604,7 @@ class TestStackedPlan:
         grid = np.geomspace(1e-2, 10.0, 20)
         knots = np.concatenate((grid / 2, grid))
         models = self.rate_scaled(8)
-        W, p0, _ = (markov._stack(list(v)) for v in zip(*models))
+        W, p0, _ = stack_of(models)
         stacked = _Plan(W, p0, knots).arc
         for j, (Wj, pj, _) in enumerate(models):
             assert np.array_equal(stacked[j], _Plan(Wj, pj, knots).arc), j
@@ -830,7 +833,7 @@ class TestBoundOnepoint:
         # miss a unit sum by ~2e-10; the mean must still be contracted
         W, p0, S = random_model(4, 3)
         for variant in ("sin", "eta", "activity"):
-            rep = bound_onepoint(W.scaled(1e6), p0, S, 1.0, variant)
+            rep = bound_onepoint(validate_rate_matrix(W.w * 1e6), p0, S, 1.0, variant)
             assert rep.ratio <= 1.0 + RATIO_SLACK
 
     def test_all_variants_hold_on_random_models(self):
@@ -880,7 +883,7 @@ class TestRateScaleInvariance:
         c = 10.0**log_c
         W, p0, S = random_model(n, seed)
         ref = evaluate_bounds(W, p0, S, S, self.GRID, BOUND_IDS)
-        got = evaluate_bounds(W.scaled(c), p0, S, S, self.GRID / c, BOUND_IDS)
+        got = evaluate_bounds(validate_rate_matrix(W.w * c), p0, S, S, self.GRID / c, BOUND_IDS)
         assert [r.bound_id for r in got] == [r.bound_id for r in ref]
         for a, b in zip(ref, got):
             assert a.ratio == b.ratio or abs(a.ratio - b.ratio) <= 1e-10, a.bound_id

@@ -413,11 +413,11 @@ class TestCmdFigure2:
         assert read_csv(fig2_dir / "fig2d.csv")[2] == expect["DERIV_EQ7"]
 
     def test_one_plan_per_state_count(self, tmp_path, monkeypatch):
-        # the curves' plan, then one plan per state count of the sweep: the
-        # 2-state built-in model shares its plan with the 2-state random ones
+        # the curves' plan, the built-in model's own plan over the ratio
+        # grid, then one plan per state count of the random sweep
         plans, _ = count_response_plans(monkeypatch)
         assert cmd_figure2(str(tmp_path), n_random=8, seed=4_321) == 0
-        assert [p.W.w.shape for p in plans] == [(2, 2), (4, 2, 2), (3, 3, 3), (2, 4, 4)]
+        assert [p.W.w.shape for p in plans] == [(2, 2), (2, 2), (3, 2, 2), (3, 3, 3), (2, 4, 4)]
 
     def test_ratios_at_most_one(self, fig2_dir):
         for name in ("fig2c.csv", "fig2d.csv"):
@@ -703,6 +703,35 @@ class TestStressTally:
         first.clear()
         assert tally == tally_from_reports(3, 31415, self.GRID)
 
+    def test_ties_go_to_the_first_model_then_the_first_time(self, tmp_path, monkeypatch):
+        # sweep indices 0 and 2 form the 3-state stack, evaluated before the
+        # 2-state one of 1 and 3. Every ratio is 0.5 but for 0.9 at model 2,
+        # grid index 2, and at model 1, grid indices 3 and 5: the smaller
+        # sweep index wins the tie although its stack comes later, and then
+        # the earlier grid time
+        real_sides = bounds._Plan.sides
+        peaks = {1: [3, 5], 2: [2]}  # sweep index -> grid indices at 0.9
+        stacks = {3: (0, 2), 2: (1, 3)}  # state count -> sweep indices
+
+        def rigged(plan, bid, t1, t2):
+            lhs, rhs, ratio, in_domain, arg = real_sides(plan, bid, t1, t2)
+            got = np.full(ratio.shape, 0.5)
+            at = np.searchsorted(self.GRID, t2)
+            for j, idx in enumerate(stacks[plan.W.n]):
+                got[j, np.isin(at, peaks.get(idx, []))] = 0.9
+            return lhs, rhs, got, in_domain, arg
+
+        monkeypatch.setattr(bounds._Plan, "sides", rigged)
+        _, tally = cmd_stress(
+            n_models=4, n_list=(3, 2), t_grid=self.GRID, output_path=str(tmp_path / "t.json")
+        )
+        sizes, seeds = _random_sweep(4, 31415, (3, 2))
+        assert sizes == [3, 2, 3, 2]
+        for bid, cell in tally.items():
+            t2 = self.GRID[3]
+            worst = {"states": 2, "seed": seeds[1], "t1": bounds._BOUNDS[bid][0] * t2, "t2": t2}
+            assert (cell["max_ratio"], cell["worst"]) == (0.9, worst), bid
+
     def test_no_evaluations_no_worst(self, tmp_path):
         out = tmp_path / "t.json"
         _, tally = cmd_stress(n_models=0, t_grid=np.array([1.0]), output_path=str(out))
@@ -845,14 +874,28 @@ class TestMainEntry:
             assert main(["check", "--states", "3", "--tgrid", "0:inf:3:lin", "--out", out]) == 2
 
     @pytest.mark.parametrize(
-        "command, blocked", [("figure2", "fig2a.csv"), ("figure3", "fig3a.csv")]
+        "command, blocked",
+        [
+            ("figure2", "fig2a.csv"),
+            ("figure2", "fig2c.csv"),
+            ("figure2", "fig2_models.json"),
+            ("figure3", "fig3a.csv"),
+            ("figure3", "fig3b.csv"),
+        ],
     )
     def test_unwritable_figure_exits_two(self, tmp_path, command, blocked, capsys):
-        # a directory in the place of a figure file: main maps the OSError to 2
+        # a directory in the place of a figure file: main maps the OSError to
+        # 2, and the run writes all of its files or none, so no file is new
+        # and an existing one keeps its bytes
         (tmp_path / blocked).mkdir()
+        kept = tmp_path / "fig3a.csv"
+        if blocked != kept.name:
+            kept.write_text("an earlier run\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         args = ["--models", "2"] if command == "figure2" else []
         assert main([command, *args, "--out", str(tmp_path)]) == 2
         assert blocked in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_stress_subcommand_writes_the_bytes_of_a_direct_call(self, tmp_path):
         via_main, direct = tmp_path / "main.json", tmp_path / "direct.json"

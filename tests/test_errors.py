@@ -44,7 +44,6 @@ from corrbound.errors import (
     BadDimensionError,
     BadIntervalError,
     CorrboundError,
-    NegativeRateError,
     NegativeTimeError,
     NonFiniteError,
     NonPositiveTimeError,
@@ -66,7 +65,6 @@ def check_out_of_memory():
         _run(_build_parser().parse_args(["check", "--states", "3"]))
 
 CASES = [
-    ("scaled-negative", lambda: W.scaled(-1.0), NegativeRateError),
     ("prob-vector-2d", lambda: ProbVector(np.full((2, 2), 0.25)), BadDimensionError),
     ("score-vector-2d", lambda: ScoreVector(np.zeros((2, 2))), BadDimensionError),
     ("rng-negative-seed", lambda: make_rng(-1), BadDimensionError),

@@ -216,7 +216,7 @@ class TestSteadyCheckAtFastRates:
         # the shift functions must accept what steady_state returns
         for W, _, S in model_sweep(10, seed=43_000):
             for c in (1e8, 1e10):
-                Wc = W.scaled(c)
+                Wc = validate_rate_matrix(W.w * c)
                 pst = steady_state(Wc)
                 for bound in (bound_pulse, bound_step):
                     ref = bound(W, steady_state(W), S, S, CHI, 1.0)

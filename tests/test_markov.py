@@ -45,7 +45,7 @@ from corrbound.markov import (
     _propagator_apply,
     _Spectral,
 )
-from conftest import model_sweep
+from conftest import join_stack, model_sweep, stack_of
 
 
 def expm_series(w, t, terms=80):
@@ -238,7 +238,7 @@ class TestPropagate:
     def test_fast_rates_stay_normalized(self):
         # the computed zero eigenvalue drifts by eps * max|W| unless pinned to 0
         W, p0, _ = random_model(4, 3)
-        p = propagate(W.scaled(1e6), p0, 1.0).p
+        p = propagate(validate_rate_matrix(W.w * 1e6), p0, 1.0).p
         assert abs(p.sum() - 1.0) < 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -251,7 +251,7 @@ class TestPropagate:
     def test_scaled_rates_and_times_give_the_same_law(self, n, seed, log_c, t):
         c = 10.0**log_c
         W, p0, _ = random_model(n, seed)
-        got = propagate(W.scaled(c), p0, t / c)
+        got = propagate(validate_rate_matrix(W.w * c), p0, t / c)
         assert np.abs(got.p - propagate(W, p0, t).p).max() <= 1e-10
 
 
@@ -698,19 +698,13 @@ class TestSteadyState:
         # defective chain on the expm regime: one SVD, for the chains
         models = [random_model(4, 16)[0], self.jordan_chain(), random_model(4, 11)[0],
                   random_model(4, 17)[0], random_model(4, 12)[0], self.jordan_chain()]
-        W = markov._stack(models)
+        W = join_stack(models)
         assert {sd.lam.dtype.kind for sd in W._spectral} == {"f", "c"}
         calls = self.svd_routes(monkeypatch)
         pst = steady_state(W)
         assert calls == [2]
         for j, Wj in enumerate(models):
             assert np.array_equal(pst.p[j], steady_state(Wj).p)
-
-
-def stack_of(models):
-    """(W, p0, S) stacks of a list of (W, p0, S) models, or stacks of them,
-    over the same states."""
-    return tuple(markov._stack(list(values)) for values in zip(*models))
 
 
 class TestModelStacks:
