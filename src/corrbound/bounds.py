@@ -120,7 +120,13 @@ class BoundReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.ratio <= 1.0 + RATIO_SLACK
+        return not _violated(self.ratio)
+
+
+def _violated(ratio):
+    """Where a ratio, or an array of them, breaks its bound: above
+    ``1 + RATIO_SLACK``, or NaN."""
+    return ~(np.asarray(ratio) <= 1.0 + RATIO_SLACK)
 
 
 def _ratio(lhs, rhs):

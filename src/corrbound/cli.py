@@ -8,12 +8,20 @@ Subcommands::
     stress   randomized sweep over many models; JSON violation tally
     response pulse or step response sweep for a single model
 
-Exit codes are uniform: 0 all checked ratios within tolerance, 1 at
-least one bound violated, and nothing else; 2 for every other outcome: an
-input or configuration error, running out of memory (``ResourceError``)
-or a crash, whose traceback goes to stderr. A model without a unique
-stationary law fails only the pulse and step bounds of ``check``: it
-exits 2, naming them on stderr, and writes the other rows. All emitted
+Each flag sets the parameter of its command that it names (its ``dest``:
+a ``RunConfig`` field for check, a parameter of ``cmd_*`` for the others),
+and only when it is given; every default belongs to the command alone.
+
+Exit codes are uniform across the five subcommands: 0 all checked ratios
+within tolerance, 1 at least one ratio above ``1 + RATIO_SLACK`` or NaN
+(``bounds._violated``), and nothing else; check lists each violated row on
+stderr, figure2, figure3 and response name each table with a violated
+ratio (after writing every file), and stress counts them in its tally. 2
+for every other outcome: an input or configuration error, running out of
+memory (``ResourceError``) or a crash, whose traceback goes to stderr. A
+model without a unique stationary law fails only the pulse and step
+bounds of ``check``: it exits 2, naming them on stderr, and writes the
+other rows. All emitted
 reals carry 17 significant digits (round-trip exact for float64), CSV
 files start with ``# key: value`` metadata lines, and identical seeds
 produce byte-identical output. Non-finite reals are written as ``inf``,
@@ -39,7 +47,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +60,7 @@ from .bounds import (
     BoundReport,
     _BOUNDS,
     _Plan,
+    _violated,
     fmt17,
 )
 from .errors import CorrboundError, ResourceError
@@ -73,6 +82,8 @@ from .markov import (
 DEFAULT_CHI = 0.01
 # every bound but the response bounds, which need a unique stationary law
 DEFAULT_BOUNDS = tuple(b for b in BOUND_IDS if not _BOUNDS[b][1])
+# the time grid of check and stress, and figure2's ratio grid
+DEFAULT_GRID = np.geomspace(1e-2, 10.0, 20)
 
 
 def fig2_model() -> tuple[RateMatrix, ProbVector, ScoreVector, ScoreVector]:
@@ -92,9 +103,11 @@ def fig3_model() -> tuple[RateMatrix, ScoreVector, ScoreVector]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Inputs for one `check` run."""
+    """Inputs for one `check` run, each field set by the CLI flag that
+    names it (``--tgrid`` sets ``t_grid``); a field whose flag is left out
+    keeps its default here."""
 
-    t_grid: np.ndarray
+    t_grid: np.ndarray = field(default_factory=DEFAULT_GRID.copy)
     bounds: tuple = DEFAULT_BOUNDS
     model_path: str | None = None
     gen_states: int | None = None
@@ -148,13 +161,16 @@ def _json17(obj, indent: int = 0) -> str:
     return pad + json.dumps(str(obj))
 
 
-def _meta(**extra) -> dict:
-    meta = {
+def _meta(seed, **extra) -> dict:
+    """The metadata of an artifact: version, slack, seed and the random
+    model generator, then ``extra`` without its None values."""
+    return {
         "artifact": f"corrbound {__version__}",
         "ratio_slack": fmt17(RATIO_SLACK),
+        "seed": seed,
+        "generator": RANDOM_MODEL_METADATA["generator"],
+        **{k: v for k, v in extra.items() if v is not None},
     }
-    meta.update({k: v for k, v in extra.items() if v is not None})
-    return meta
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -189,6 +205,17 @@ def _table_text(header: str, rows, meta: dict, fmt: str = "csv") -> str:
         lines = [f"# {k}: {v}" for k, v in meta.items()]
         text = "\n".join([*lines, header, *map(_csv_line, rows)])
     return text + "\n"
+
+
+def _report_violations(tables: dict) -> int:
+    """Print one stderr line for each table, name -> its ratios, that has a
+    violated ratio, with their count; 1 if some table has one, else 0."""
+    code = 0
+    for name, ratios in tables.items():
+        if count := np.count_nonzero(_violated(ratios)):
+            print(f"VIOLATION {name}: {count} ratios above 1 + {RATIO_SLACK}", file=sys.stderr)
+            code = 1
+    return code
 
 
 def _write_files(out_dir: str, texts: dict) -> None:
@@ -302,17 +329,12 @@ def cmd_check(config: RunConfig) -> int:
         W, p0, S, T, config.t_grid, config.bounds, config.cmax_mode, config.chi, failed,
         config.rhs_scale,
     )
-    meta = _meta(
-        seed=config.seed,
-        generator=RANDOM_MODEL_METADATA["generator"],
-        model=source,
-        cmax_mode=config.cmax_mode,
-        rhs_scale=fmt17(config.rhs_scale) if config.rhs_scale != 1.0 else None,
-    )
+    scale = fmt17(config.rhs_scale) if config.rhs_scale != 1.0 else None
+    meta = _meta(config.seed, model=source, cmax_mode=config.cmax_mode, rhs_scale=scale)
     # the geodesic arg, last in a row, is no column
     rows_out = [r[:-1] for r in rows]
     _write_text(config.output_path, _table_text(CSV_HEADER, rows_out, meta, config.output_format))
-    violations = [r for r in rows if not r[5] <= 1.0 + RATIO_SLACK]
+    violations = list(itertools.compress(rows, _violated([r[5] for r in rows])))
     for bid, t1, t2, lhs, rhs, ratio, *_ in violations:
         print(
             f"VIOLATION {bid} t1={fmt17(t1)} t2={fmt17(t2)} "
@@ -344,7 +366,7 @@ def _response_sweep(W, pst, S, T, chi: float, drive: str, t_grid) -> list[tuple]
 
 
 FIG2_CURVE_GRID = np.linspace(0.0, 10.0, 201)
-FIG2_RATIO_GRID = np.geomspace(1e-2, 10.0, 20)
+FIG2_RATIO_GRID = DEFAULT_GRID
 FIG3_STEP_GRID = np.linspace(0.0, 5.0, 101)
 FIG3_PULSE_GRID = np.linspace(0.05, 5.0, 100)
 
@@ -383,8 +405,9 @@ def _stacks(sizes, seeds):
             yield (chunk, *_random_stack(n, [seeds[i] for i in chunk]))
 
 
-def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
-    """Write fig2a-fig2d CSVs plus a sidecar with the sweep seeds."""
+def cmd_figure2(out_dir: str = ".", n_random: int = 100, seed: int = 20230) -> int:
+    """Write fig2a-fig2d CSVs plus a sidecar with the sweep seeds; 1 if a
+    ratio of fig2c or fig2d is violated (``_report_violations``), else 0."""
     sizes, seeds = _random_sweep(n_random, seed)
     W, p0, S, T = fig2_model()
     curve = {  # bound id -> t2, lhs, rhs, ratio, in_domain, arg
@@ -413,7 +436,7 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
     rows_c = [(idx, *x) for idx in models for x in sweep["ZERO_T_EQ6", idx]]
     rows_d = [(idx, t, r) for idx in models for t, r, _ in sweep["DERIV_EQ7", idx]]
 
-    meta = _meta(seed=seed, generator=RANDOM_MODEL_METADATA["generator"])
+    meta = _meta(seed)
     sidecar = {
         "meta": meta,
         "master_seed": seed,
@@ -428,37 +451,33 @@ def cmd_figure2(out_dir: str, n_random: int = 100, seed: int = 20230) -> int:
         "fig2d.csv": _table_text("model,t,ratio", rows_d, meta),
         "fig2_models.json": _json17(sidecar) + "\n",
     })
-    return 0
+    return _report_violations({"fig2c": [r[2] for r in rows_c], "fig2d": [r[2] for r in rows_d]})
 
 
-def cmd_figure3(out_dir: str, chi: float = DEFAULT_CHI) -> int:
-    """Write pulse (fig3a) and step (fig3b) response curves with bounds."""
+def cmd_figure3(out_dir: str = ".", chi: float = DEFAULT_CHI) -> int:
+    """Write pulse (fig3a) and step (fig3b) response curves with bounds; 1
+    if a ratio of either is violated (``_report_violations``), else 0."""
     W, S, T = fig3_model()
     pst = steady_state(W)
     sweeps = {
         name: _response_sweep(W, pst, S, T, chi, drive, grid)
         for name, drive, grid in (
-            ("fig3a.csv", "pulse", FIG3_PULSE_GRID),
-            ("fig3b.csv", "step", FIG3_STEP_GRID),
+            ("fig3a", "pulse", FIG3_PULSE_GRID),
+            ("fig3b", "step", FIG3_STEP_GRID),
         )
     }
-    meta = _meta(
-        seed="none",
-        generator=RANDOM_MODEL_METADATA["generator"],
-        chi=fmt17(chi),
-        model="two-state symmetric, unit rates",
-    )
+    meta = _meta("none", chi=fmt17(chi), model="two-state symmetric, unit rates")
     _write_files(out_dir, {
-        name: _table_text(_RESPONSE_HEADER, rows, meta) for name, rows in sweeps.items()
+        f"{name}.csv": _table_text(_RESPONSE_HEADER, rows, meta) for name, rows in sweeps.items()
     })
-    return 0
+    return _report_violations({name: [r[3] for r in rows] for name, rows in sweeps.items()})
 
 
 def cmd_stress(
     n_models: int = 500,
     n_list: tuple = (2, 3, 4),
     seed: int = 31415,
-    t_grid: np.ndarray | None = None,
+    t_grid: np.ndarray = DEFAULT_GRID,
     cmax_mode: str = "standard",
     output_path: str | None = None,
     chi: float = DEFAULT_CHI,
@@ -469,8 +488,6 @@ def cmd_stress(
     each model gets the numbers it gets alone. Returns (exit code, tally).
     The JSON document is byte-identical for identical arguments.
     """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-2, 10.0, 20)
     sizes, seeds = _random_sweep(n_models, seed, n_list)
     tally = {
         bid: {"evaluations": 0, "max_ratio": 0.0, "violations": 0, "worst": None}
@@ -484,7 +501,7 @@ def cmd_stress(
                 continue
             cell = tally[bid]
             cell["evaluations"] += ratio.size
-            cell["violations"] += int(np.count_nonzero(~(ratio <= 1.0 + RATIO_SLACK)))
+            cell["violations"] += int(np.count_nonzero(_violated(ratio)))
             # argmax takes the first largest ratio, the stack's least key;
             # a NaN is never the worst case
             j, k = np.unravel_index(
@@ -497,18 +514,11 @@ def cmd_stress(
         tally[bid]["max_ratio"] = -neg
         tally[bid]["worst"] = {"states": sizes[at], "seed": seeds[at], "t1": t1, "t2": t2}
     total_violations = sum(c["violations"] for c in tally.values())
-    payload = {
-        "meta": _meta(
-            seed=seed,
-            generator=RANDOM_MODEL_METADATA["generator"],
-            n_models=n_models,
-            states=list(n_list),
-            cmax_mode=cmax_mode,
-            t_grid=[float(t) for t in t_grid],
-        ),
-        "tally": tally,
-    }
-    _write_text(output_path, _json17(payload) + "\n")
+    meta = _meta(
+        seed, n_models=n_models, states=list(n_list), cmax_mode=cmax_mode,
+        t_grid=[float(t) for t in t_grid],
+    )
+    _write_text(output_path, _json17({"meta": meta, "tally": tally}) + "\n")
     return (0 if total_violations == 0 else 1), tally
 
 
@@ -520,7 +530,9 @@ def cmd_response(
     output_path: str | None = None,
     output_format: str = "csv",
 ) -> int:
-    """Pulse or step response sweep from the model's stationary state."""
+    """Pulse or step response sweep from the model's stationary state; 1
+    if a ratio is violated (``_report_violations``), else 0. Without a grid,
+    a pulse sweeps ``FIG3_PULSE_GRID`` and a step ``FIG3_STEP_GRID``."""
     if model_path is not None:
         W, _, S, T = load_model(model_path)
     else:
@@ -529,16 +541,9 @@ def cmd_response(
     if t_grid is None:
         t_grid = FIG3_PULSE_GRID if drive == "pulse" else FIG3_STEP_GRID
     rows = _response_sweep(W, pst, S, T, chi, drive, t_grid)
-    violations = sum(not ratio <= 1.0 + RATIO_SLACK for _, _, _, ratio, _ in rows)
-    meta = _meta(
-        seed="none",
-        generator=RANDOM_MODEL_METADATA["generator"],
-        chi=fmt17(chi),
-        drive=drive,
-        model=model_path or "built-in symmetric",
-    )
+    meta = _meta("none", chi=fmt17(chi), drive=drive, model=model_path or "built-in symmetric")
     _write_text(output_path, _table_text(_RESPONSE_HEADER, rows, meta, output_format))
-    return 1 if violations else 0
+    return _report_violations({"response": [r[3] for r in rows]})
 
 
 def _parse_tgrid(spec: str) -> np.ndarray:
@@ -563,7 +568,19 @@ def _parse_tgrid(spec: str) -> np.ndarray:
     raise CorrboundError(f"tgrid kind must be log or lin, got {parts[3]!r}")
 
 
+def _subcommand(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """A subparser that runs ``run`` and sets only the flags that are given."""
+    parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    parser.set_defaults(run=run)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser. Each flag stores under the name of the parameter it
+    sets (``dest``), a ``RunConfig`` field for ``check`` and a parameter of
+    ``cmd_*`` for the others, and shows its own name in ``--help``
+    (``metavar``). A flag that is left out sets nothing: every default
+    belongs to the command."""
     parser = argparse.ArgumentParser(
         prog="corrbound",
         description="Verify activity-based correlation bounds for Markov jump processes.",
@@ -571,93 +588,88 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"corrbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="evaluate bounds for one model")
-    p_check.add_argument("--model", help="JSON model file")
-    p_check.add_argument("--states", type=int, help="generate a random model with N states")
-    p_check.add_argument("--seed", type=int, default=0, help="seed for --states")
-    p_check.add_argument("--tgrid", default="1e-2:10:20:log", help="start:stop:points:log|lin")
-    p_check.add_argument("--bounds", default=",".join(DEFAULT_BOUNDS), help="comma-separated bound ids")
-    p_check.add_argument("--cmax", choices=("standard", "tight"), default="standard")
-    p_check.add_argument("--chi", type=float, default=DEFAULT_CHI)
-    p_check.add_argument("--out", help="output file (default stdout)")
-    p_check.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_check.add_argument(
-        "--rhs-scale", type=float, default=1.0, metavar="S",
+    def check(**params):
+        return cmd_check(RunConfig(**params))
+
+    p = _subcommand(sub, "check", check, "evaluate bounds for one model")
+    p.add_argument("--model", dest="model_path", metavar="MODEL", help="JSON model file")
+    p.add_argument(
+        "--states", dest="gen_states", metavar="STATES", type=int,
+        help="generate a random model with N states",
+    )
+    p.add_argument("--seed", metavar="SEED", type=int, help="seed for --states")
+    p.add_argument("--tgrid", dest="t_grid", metavar="TGRID", help="start:stop:points:log|lin")
+    p.add_argument("--bounds", metavar="BOUNDS", help="comma-separated bound ids")
+    p.add_argument("--cmax", dest="cmax_mode", choices=("standard", "tight"))
+    p.add_argument("--chi", metavar="CHI", type=float)
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="output file (default stdout)")
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
+    p.add_argument(
+        "--rhs-scale", metavar="S", type=float,
         help="self-test hook: scale every bound rhs by s; exits 1 exactly when some "
         "unscaled ratio exceeds s (0.5 trips on the fig2 decay chain)",
     )
 
-    p_f2 = sub.add_parser("figure2", help="correlation-bound figure data")
-    p_f2.add_argument("--out", default=".", help="output directory")
-    p_f2.add_argument("--models", type=int, default=100, help="random models for the ratio sweep")
-    p_f2.add_argument("--seed", type=int, default=20230)
+    p = _subcommand(sub, "figure2", cmd_figure2, "correlation-bound figure data")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    p.add_argument(
+        "--models", dest="n_random", metavar="MODELS", type=int,
+        help="random models for the ratio sweep",
+    )
+    p.add_argument("--seed", metavar="SEED", type=int)
 
-    p_f3 = sub.add_parser("figure3", help="linear-response figure data")
-    p_f3.add_argument("--out", default=".", help="output directory")
-    p_f3.add_argument("--chi", type=float, default=DEFAULT_CHI)
+    p = _subcommand(sub, "figure3", cmd_figure3, "linear-response figure data")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    p.add_argument("--chi", metavar="CHI", type=float)
 
-    p_st = sub.add_parser("stress", help="randomized validity sweep")
-    p_st.add_argument("--models", type=int, default=500)
-    p_st.add_argument("--states", default="2,3,4", help="comma-separated state counts to cycle")
-    p_st.add_argument("--seed", type=int, default=31415)
-    p_st.add_argument("--tgrid", default="1e-2:10:20:log")
-    p_st.add_argument("--cmax", choices=("standard", "tight"), default="standard")
-    p_st.add_argument("--chi", type=float, default=DEFAULT_CHI)
-    p_st.add_argument("--out", help="tally JSON file (default stdout)")
+    def stress(**params):
+        return cmd_stress(**params)[0]
 
-    p_re = sub.add_parser("response", help="pulse/step response sweep")
-    p_re.add_argument("--drive", choices=("pulse", "step"), required=True)
-    p_re.add_argument("--model", help="JSON model file (default: built-in symmetric)")
-    p_re.add_argument("--chi", type=float, default=DEFAULT_CHI)
-    p_re.add_argument("--tgrid", help="start:stop:points:log|lin")
-    p_re.add_argument("--out", help="output file (default stdout)")
-    p_re.add_argument("--format", choices=("csv", "json"), default="csv")
+    p = _subcommand(sub, "stress", stress, "randomized validity sweep")
+    p.add_argument("--models", dest="n_models", metavar="MODELS", type=int)
+    p.add_argument(
+        "--states", dest="n_list", metavar="STATES", help="comma-separated state counts to cycle"
+    )
+    p.add_argument("--seed", metavar="SEED", type=int)
+    p.add_argument("--tgrid", dest="t_grid", metavar="TGRID")
+    p.add_argument("--cmax", dest="cmax_mode", choices=("standard", "tight"))
+    p.add_argument("--chi", metavar="CHI", type=float)
+    p.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="tally JSON file (default stdout)"
+    )
+
+    p = _subcommand(sub, "response", cmd_response, "pulse/step response sweep")
+    p.add_argument("--drive", choices=("pulse", "step"), required=True)
+    p.add_argument(
+        "--model", dest="model_path", metavar="MODEL",
+        help="JSON model file (default: built-in symmetric)",
+    )
+    p.add_argument("--chi", metavar="CHI", type=float)
+    p.add_argument("--tgrid", dest="t_grid", metavar="TGRID", help="start:stop:points:log|lin")
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="output file (default stdout)")
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
     return parser
 
 
+# the text flags, converted in this order before their command runs:
+# stress's state counts, any time grid, check's bound ids
+_CONVERSIONS = {
+    "n_list": lambda text: tuple(int(s) for s in text.split(",") if s.strip()),
+    "t_grid": _parse_tgrid,
+    "bounds": lambda text: tuple(b.strip() for b in text.split(",") if b.strip()),
+}
+
+
 def _run(args) -> int:
-    """Run one parsed subcommand; running out of memory raises ResourceError."""
+    """Run one parsed subcommand: the flags that are given, text ones
+    converted (``_CONVERSIONS``), are the keyword arguments of its
+    callable. Running out of memory raises ResourceError."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
     try:
-        if args.command == "check":
-            config = RunConfig(
-                t_grid=_parse_tgrid(args.tgrid),
-                bounds=tuple(b.strip() for b in args.bounds.split(",") if b.strip()),
-                model_path=args.model,
-                gen_states=args.states,
-                seed=args.seed,
-                cmax_mode=args.cmax,
-                output_path=args.out,
-                output_format=args.format,
-                chi=args.chi,
-                rhs_scale=args.rhs_scale,
-            )
-            return cmd_check(config)
-        if args.command == "figure2":
-            return cmd_figure2(args.out, n_random=args.models, seed=args.seed)
-        if args.command == "figure3":
-            return cmd_figure3(args.out, chi=args.chi)
-        if args.command == "stress":
-            states = tuple(int(s) for s in args.states.split(",") if s.strip())
-            code, _ = cmd_stress(
-                n_models=args.models,
-                n_list=states,
-                seed=args.seed,
-                t_grid=_parse_tgrid(args.tgrid),
-                cmax_mode=args.cmax,
-                output_path=args.out,
-                chi=args.chi,
-            )
-            return code
-        # argparse admits only the five subcommands: this one is response
-        grid = _parse_tgrid(args.tgrid) if args.tgrid else None
-        return cmd_response(
-            drive=args.drive,
-            model_path=args.model,
-            chi=args.chi,
-            t_grid=grid,
-            output_path=args.out,
-            output_format=args.format,
-        )
+        for key, convert in _CONVERSIONS.items():
+            if key in params:
+                params[key] = convert(params[key])
+        return args.run(**params)
     except MemoryError as exc:
         raise ResourceError(f"out of memory: {exc}" if str(exc) else "out of memory") from exc
 

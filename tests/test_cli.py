@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -935,6 +938,113 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.read_text()
+
+    def test_each_flag_sets_a_parameter_of_its_command(self):
+        # dest names the parameter, a left-out flag sets nothing (the
+        # default is the command's), and --help shows the flag's own name
+        sub = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {"check", "figure2", "figure3", "stress", "response"}
+        for name, parser in sub.choices.items():
+            if name == "check":
+                params = {f.name for f in dataclasses.fields(RunConfig)}
+            else:
+                params = set(inspect.signature(getattr(cli, f"cmd_{name}")).parameters)
+            for action in parser._actions:
+                assert action.default is argparse.SUPPRESS, (name, action.dest)
+                flag = action.option_strings[0]
+                if flag in ("-h", "--help"):
+                    continue
+                assert action.dest in params, (name, flag)
+                if action.choices is None:
+                    metavar = "S" if flag == "--rhs-scale" else flag[2:].upper()
+                    assert action.metavar == metavar, (name, flag)
+
+    @pytest.mark.parametrize(
+        "argv, direct",
+        [
+            (["stress", "--models", "60"], lambda: cmd_stress(n_models=60)[0]),
+            (["check", "--states", "3"], lambda: cmd_check(RunConfig(gen_states=3))),
+            (["figure2", "--models", "5"], lambda: cmd_figure2(n_random=5)),
+            (["figure3"], cmd_figure3),
+            (["response", "--drive", "pulse"], lambda: cmd_response("pulse")),
+        ],
+        ids=["stress", "check", "figure2", "figure3", "response"],
+    )
+    def test_left_out_flags_take_the_defaults_of_the_command(
+        self, tmp_path, monkeypatch, capsys, argv, direct
+    ):
+        # each run in a directory of its own: the figures write into "."
+        outputs = []
+        for name, run in (("main", lambda: main(argv)), ("direct", direct)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            code = run()
+            files = {f.name: f.read_bytes() for f in sorted(Path.cwd().iterdir())}
+            outputs.append((code, capsys.readouterr(), files))
+        code, (out, err), files = outputs[0]
+        assert (code, err) == (0, "") and (out or files)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--states", "3"], ["stress", "--models", "3"], ["response", "--drive", "pulse"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_grid_spec_exits_two(self, tmp_path, capsys, argv):
+        # response once fell back to its default grid on an empty spec
+        out = tmp_path / "out"
+        assert main([*argv, "--tgrid", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad tgrid spec '', want start:stop:points:kind\n"
+        assert not out.exists()
+
+
+class TestTableVerdicts:
+    """figure2, figure3 and response exit 1 when a ratio of theirs is
+    violated, name each such table on stderr and still write every file."""
+
+    # command -> (arguments, the files it writes, violated ratios per table
+    # when every model's last interval is rigged); the figures write into "."
+    CASES = {
+        "figure2": (
+            ["--models", "3"],
+            ["fig2_models.json", "fig2a.csv", "fig2b.csv", "fig2c.csv", "fig2d.csv"],
+            {"fig2c": 4, "fig2d": 4},
+        ),
+        "figure3": ([], ["fig3a.csv", "fig3b.csv"], {"fig3a": 1, "fig3b": 1}),
+        "response": (["--drive", "step", "--out", "out.csv"], ["out.csv"], {"response": 1}),
+    }
+
+    def run(self, tmp_path, monkeypatch, command):
+        args, files, _ = self.CASES[command]
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *args])
+        assert sorted(os.listdir(tmp_path)) == files
+        return code
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_a_violated_ratio_exits_one(self, tmp_path, monkeypatch, capsys, command):
+        # every model's last interval reports a ratio of 2
+        real_sides = bounds._Plan.sides
+
+        def rigged(plan, bid, t1, t2):
+            lhs, rhs, ratio, in_domain, arg = real_sides(plan, bid, t1, t2)
+            ratio = ratio.copy()
+            ratio[..., -1] = 2.0
+            return lhs, rhs, ratio, in_domain, arg
+
+        monkeypatch.setattr(bounds._Plan, "sides", rigged)
+        assert self.run(tmp_path, monkeypatch, command) == 1
+        counts = self.CASES[command][2]
+        assert capsys.readouterr().err.splitlines() == [
+            f"VIOLATION {table}: {k} ratios above 1 + 1e-09" for table, k in counts.items()
+        ]
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_no_violated_ratio_exits_zero(self, tmp_path, monkeypatch, capsys, command):
+        assert self.run(tmp_path, monkeypatch, command) == 0
+        assert capsys.readouterr().err == ""
 
 
 def check_rows(tmp_path, model: dict, t: float, bound_ids=None):
