@@ -39,6 +39,7 @@ from corrbound.bounds import RATIO_SLACK, _ratio, fmt17
 from corrbound.cli import (
     DEFAULT_BOUNDS,
     FIG2_RATIO_GRID,
+    SWEEP_STATES,
     RunConfig,
     _json17,
     _parse_tgrid,
@@ -337,6 +338,13 @@ class TestCmdCheck:
         model = tmp_path / "model.json"
         model.write_text(FIG2_JSON)
         assert main(["check", "--model", str(model), "--bounds", "NOPE"]) == 2
+
+    def test_unknown_bound_id_writes_nothing(self, tmp_path, capsys):
+        # the one unknown-id check, in _walk_bounds, runs before any output
+        out = tmp_path / "out.csv"
+        assert main(["check", "--states", "3", "--bounds", "NOPE", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown bound ids: ['NOPE']\n"
+        assert not out.exists()
 
     def test_missing_model_and_states_exits_two(self):
         assert main(["check"]) == 2
@@ -697,7 +705,7 @@ class TestStressTally:
 
         monkeypatch.setattr(bounds._Plan, "sides", nan_then_zero)
         _, tally = cmd_stress(n_models=3, t_grid=self.GRID, output_path=str(tmp_path / "t.json"))
-        sizes, seeds = _random_sweep(3, 31415)
+        sizes, seeds = _random_sweep(3, 31415, SWEEP_STATES)
         for bid, cell in tally.items():
             assert cell["violations"] == cell["evaluations"] // 3, bid
             assert cell["max_ratio"] == 0.0, bid
@@ -1058,6 +1066,16 @@ def check_rows(tmp_path, model: dict, t: float, bound_ids=None):
     return code, json.loads(out.read_text())["rows"]
 
 
+def check_holds(tmp_path, *flags) -> list:
+    """Assert that `check` with ``flags`` exits 0 with every ratio at most
+    1 + RATIO_SLACK; its JSON rows."""
+    out = tmp_path / "out.json"
+    assert main(["check", *flags, "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert max(float(r["ratio"]) for r in rows) <= 1.0 + RATIO_SLACK, rows
+    return rows
+
+
 def decay_chain(rate: float, S) -> dict:
     """State 1 decays into state 2 at ``rate``, starting in state 1."""
     return {"n": 2, "rates": [[0, 0], [rate, 0]], "p0": [1, 0], "S": S}
@@ -1126,6 +1144,43 @@ class TestDefectReplays:
         if worst > 1.0 + bounds.RATIO_SLACK and worst != pytest.approx(ratio, abs=1e-3):
             pytest.fail(f"the slope fails another way: ratio {worst}")
         assert worst <= 1.0 + bounds.RATIO_SLACK, worst
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="s = sum p0 exp(-tR/2) rounds to 1 once tR < 2e-16, so the eta forms' "
+        "rhs 2 pref sqrt(1 - eta) is 0 (ratio inf), and ONEPOINT_ACTIVITY_S45's lhs "
+        "is the roundoff of V V^-1 (ratios 4.4 to 4400); ROADMAP item 2 "
+        "(cancellation-free bound sides)",
+    )
+    def test_short_times(self, tmp_path):
+        bound_ids = "ETA_EQ8,MULTI_ETA_S39,ONEPOINT_ETA_S41,ONEPOINT_ACTIVITY_S45"
+        check_holds(tmp_path, "--states", "3", "--seed", "1", "--tgrid", "1e-20:1e-17:4:log",
+                    "--bounds", bound_ids)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the slope W v keeps an error of eps max R in its zero mode, which "
+        "e^{Wt} does not damp while the bound falls like t^-1/2: DERIV_EQ7 12.5 and "
+        "3957, PULSE_EQ11 1.38 and 435 at t = 1e35 and 1e40; ROADMAP item 2 "
+        "(cancellation-free bound sides)",
+    )
+    def test_long_times(self, tmp_path):
+        check_holds(tmp_path, "--states", "2", "--seed", "0", "--tgrid", "1e25:1e40:4:log",
+                    "--bounds", "PULSE_EQ11,DERIV_EQ7")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="PULSE_EQ11's sqrt(rate / t) overflows in the quotient at subnormal t: "
+        "rhs inf (about 1e158) and a RuntimeWarning, so the run exits 2 under -W "
+        "error; ROADMAP item 2 (cancellation-free bound sides)",
+    )
+    def test_subnormal_times(self, tmp_path):
+        rows = check_holds(tmp_path, "--states", "2", "--tgrid", "1e-320:1e-300:3:log",
+                           "--bounds", "PULSE_EQ11")
+        assert all(math.isfinite(float(r["rhs"])) for r in rows), rows
 
     @pytest.mark.parametrize("k", range(6, 13))
     def test_stiffness_ladder(self, k):

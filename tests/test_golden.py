@@ -60,7 +60,8 @@ MODEL_GRIDS = {
     "random4-1e-150": "1e148:1e151:20:log",
 }
 
-# file or directory under the golden root -> the CLI arguments that write it
+# file or directory under the golden root -> the CLI arguments that write it;
+# CI reads this dict and repeats each run through the installed script
 ARTIFACTS = {
     "stress-500-31415.json": ["stress", "--models", "500", "--seed", "31415"],
     "stress-90-7.json": ["stress", "--models", "90", "--seed", "7"],
@@ -82,15 +83,14 @@ ARTIFACTS = {
 }
 
 
-def generate(root: Path) -> None:
+def generate(root: Path) -> dict:
     """Write every artifact under ``root``, run from the repository root so
-    that model paths read as they are recorded."""
+    that model paths read as they are recorded; the exit code of each."""
     root.mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        for name, argv in ARTIFACTS.items():
-            main([*argv, "--out", str(root / name)])
+        return {name: main([*argv, "--out", str(root / name)]) for name, argv in ARTIFACTS.items()}
     finally:
         os.chdir(cwd)
 
@@ -137,7 +137,9 @@ def _load(path: Path):
 
 
 def test_artifacts_match_golden_files(tmp_path):
-    generate(tmp_path)
+    codes = generate(tmp_path)
+    # the absorbing model fails the pulse and step bounds; every other run holds
+    assert codes == {name: 2 if name == "check-absorbing3.json" else 0 for name in ARTIFACTS}
     want = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*") if p.is_file())
     got = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
     assert got == want
